@@ -5,7 +5,7 @@ The library estimates a random-coding lower bound (threshold decoding on the
 pairwise codeword overlap) and a genie-aided mutual-information upper bound
 for a binary duty-cycled PPM-style link whose interferers share the same
 radio. All randomness is counter-based: results are reproducible bit-for-bit
-from a single seed regardless of worker count.
+from a single seed.
 """
 
 from .bounds import (BoundEstimate, DistanceDistribution, ErrorProbabilityBound,
@@ -18,7 +18,7 @@ from .config import (PRESETS, ConfigError, SweepSpec, effective_config,
 from .gaussian import (OracleEstimate, OutputDistribution, log_density,
                        log_density_dense, oracle_J, output_moments, overlap_J,
                        overlap_J_dense)
-from .mc import (LogAccumulator, gaussian_ci, lognormal_ci, normal_qq_corr,
+from .mc import (LogAccumulator, gaussian_ci, normal_qq_corr,
                  pairwise_logsumexp, substream)
 from .model import (H1_MODES, InvalidParameterError, ScenarioConfig,
                     TapCovariance, build_tap_covariance, pulse_amplitude,
@@ -36,7 +36,7 @@ __all__ = [
     "distance_distribution", "draw_h1", "effective_config",
     "error_probability_bound", "estimate_pd", "estimate_theta",
     "figure_ratios", "gaussian_ci", "load_config", "log_density",
-    "log_density_dense", "lognormal_ci", "lower_bound", "normal_qq_corr",
+    "log_density_dense", "lower_bound", "normal_qq_corr",
     "oracle_J", "output_moments", "overlap_J", "overlap_J_dense",
     "pairwise_logsumexp", "pulse_amplitude", "read_result_csv",
     "received_power", "run_sweep", "sample_channel", "sample_symbols",

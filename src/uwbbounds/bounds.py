@@ -12,56 +12,37 @@ interferer codewords. Upper bound (genie): mutual information of the single
 on-off symbol through the white channel when all interferer symbols are
 revealed, so it depends on no interferer parameter.
 
-Every Monte-Carlo sample owns a counter-derived substream keyed by
-(seed, estimator, stratum, sample index); accumulation is a fixed pairwise
-tree over the sample index order. Results are therefore bit-identical for
-any worker count.
+Both estimators draw their samples in blocks of BLOCK; block b draws from the
+counter-based substream keyed by (seed, estimator, b), in a fixed order
+inside the block. Results are therefore a pure function of (scenario, seed).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 from scipy.stats import norm
 
-from .gaussian import log_gauss_lowrank
-from .mc import (LogAccumulator, gaussian_ci, normal_qq_corr, pairwise_logsumexp,
-                 substream)
+from .gaussian import log_gauss_lowrank, prefix_quad_lowrank
+from .mc import LogAccumulator, gaussian_ci, normal_qq_corr, substream
 from .model import InvalidParameterError, ScenarioConfig, sample_channel, sample_symbols
 
 # estimator ids of the substream key space
 H1_DRAW = 1
 PAIR_OVERLAP = 2
 UPPER_INFO = 3
-ORACLE_MC = 4
 
 LN2 = float(np.log(2.0))
 
-_CHUNK = 512
+BLOCK = 512
 
 
-def _worker_count() -> int:
-    env = os.environ.get("UWBBOUNDS_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
-def _map_chunks(chunk_fn, total: int) -> np.ndarray:
-    """Evaluate chunk_fn(start, stop) over [0, total) and concatenate in
-    index order; scheduling never affects the result."""
-    spans = [(a, min(a + _CHUNK, total)) for a in range(0, total, _CHUNK)]
-    workers = _worker_count()
-    if workers == 1 or len(spans) == 1:
-        parts = [chunk_fn(a, b) for a, b in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda span: chunk_fn(*span), spans))
-    return np.concatenate(parts)
+def _block_streams(seed: int, estimator: int, total: int):
+    """(generator, block size) for each block of `total` samples, in order."""
+    for b, start in enumerate(range(0, total, BLOCK)):
+        yield substream(seed, estimator, index=b), min(BLOCK, total - start)
 
 
 @dataclass(frozen=True)
@@ -85,52 +66,6 @@ def distance_distribution(N: int, eta1: float) -> DistanceDistribution:
     return DistanceDistribution(np.exp(log_probs), log_probs)
 
 
-def _pd_chunk(cfg: ScenarioConfig, h1, d: int, seed: int, amplitudes, tap_cov,
-              start: int, stop: int) -> np.ndarray:
-    """ln J samples for transmitter rows (e_d, e_0), interferer rows drawn iid.
-
-    Per-sample draw order is part of the determinism contract: channel (only
-    in averaged mode), then the I-1 interferer rows of the first codeword,
-    then those of the second.
-    """
-    n_sym = cfg.codeword_len
-    n_intf = cfg.num_nodes - 1
-    count = stop - start
-    rows = np.empty((count, 2 * n_intf, n_sym))
-    averaged = h1 is None
-    if averaged:
-        channels = np.empty((count, cfg.taps))
-    for k, idx in enumerate(range(start, stop)):
-        rng = substream(seed, PAIR_OVERLAP, stratum=d, index=idx)
-        if averaged:
-            channels[k] = sample_channel(tap_cov, rng)
-        for j in range(2 * n_intf):
-            eta = cfg.duty_cycles[1 + j % n_intf]
-            rows[k, j] = amplitudes[1 + j % n_intf] * sample_symbols(eta, n_sym, rng)
-    diff = np.zeros(n_sym)
-    diff[:d] = 1.0
-    if averaged:
-        x = amplitudes[0] * channels[:, :, None] * diff[None, None, :]
-    else:
-        x = amplitudes[0] * np.outer(np.asarray(h1, dtype=float), diff)
-    out = log_gauss_lowrank(x, 2.0 * cfg.noise_var_w, rows, tap_cov.factor)
-    return np.atleast_1d(out)
-
-
-def _stratum_log_samples(cfg: ScenarioConfig, h1, d: int, seed: int,
-                         budget: int) -> np.ndarray:
-    if not 0 <= d <= cfg.codeword_len:
-        raise InvalidParameterError(f"d must be in [0, {cfg.codeword_len}], got {d}")
-    amplitudes = cfg.amplitudes()
-    tap_cov = cfg.tap_covariance()
-    if cfg.num_nodes == 1 and h1 is not None:
-        # nothing random to average: one exact overlap, replicated
-        value = _pd_chunk(cfg, h1, d, seed, amplitudes, tap_cov, 0, 1)[0]
-        return np.full(budget, value)
-    return _map_chunks(
-        lambda a, b: _pd_chunk(cfg, h1, d, seed, amplitudes, tap_cov, a, b), budget)
-
-
 def _resolve_seed(cfg: ScenarioConfig, seed) -> int:
     return cfg.rng_seed if seed is None else int(seed)
 
@@ -148,42 +83,36 @@ def _resolve_h1(cfg: ScenarioConfig, h1, seed: int):
     return None     # averaged: drawn per sample inside the estimators
 
 
-def estimate_theta(scenario: ScenarioConfig, h1=None, seed=None) -> tuple[float, float]:
-    """(ln theta, standard error of the log) by averaging self-overlaps.
-
-    theta = E[J([e_0, U], [e_0, V], h_1)] over independent interferer
-    codewords; the standard error is the Gaussian one on the raw samples,
-    expressed relative to the mean.
-    """
-    seed = _resolve_seed(scenario, seed)
-    logs = _stratum_log_samples(scenario, _resolve_h1(scenario, h1, seed), 0, seed,
-                                scenario.samples_theta)
-    acc = LogAccumulator.from_log_values(logs)
-    return acc.log_mean, acc.se_log_mean
-
-
 def estimate_pd(scenario: ScenarioConfig, h1, d: int, seed=None) -> tuple[float, float]:
-    """(ln p(d), standard error of the log) for one Hamming-distance stratum."""
+    """(ln p(d), standard error of the log) for one Hamming-distance stratum,
+    read from the lower bound's pass over interferer draws."""
+    if not 0 <= d <= scenario.codeword_len:
+        raise InvalidParameterError(
+            f"d must be in [0, {scenario.codeword_len}], got {d}")
     seed = _resolve_seed(scenario, seed)
-    logs = _stratum_log_samples(scenario, _resolve_h1(scenario, h1, seed), d, seed,
-                                scenario.samples_pd)
-    acc = LogAccumulator.from_log_values(logs)
-    return acc.log_mean, acc.se_log_mean
+    profile = _likelihood_sum(scenario, _resolve_h1(scenario, h1, seed), seed)[2]
+    return float(profile.log_pd[d]), float(profile.se_log_pd[d])
+
+
+def estimate_theta(scenario: ScenarioConfig, h1=None, seed=None) -> tuple[float, float]:
+    """(ln theta, standard error of the log): theta = p(0), the expected
+    self-overlap J([e_0, U], [e_0, V], h_1) over independent interferer
+    codewords. The standard error is the Gaussian one on the raw samples,
+    expressed relative to the mean."""
+    return estimate_pd(scenario, h1, 0, seed)
 
 
 @dataclass(frozen=True)
 class LowerBoundProfile:
-    """Per-stratum diagnostics behind one lower-bound figure."""
+    """Per-stratum diagnostics behind one lower-bound figure; every stratum
+    averages the same interferer draws."""
 
-    distances: np.ndarray       # strata actually estimated
-    log_pd: np.ndarray
+    log_pd: np.ndarray          # ln p(d), d = 0..N
     se_log_pd: np.ndarray
-    log_theta: float
+    log_theta: float            # ln p(0)
     se_log_theta: float
     log_distance_probs: np.ndarray   # ln P(d), d = 0..N
-    skipped: np.ndarray         # strata charged their cap P(d) instead of sampled
-    qq_theta: float             # normal quantile correlation of raw theta samples
-    qq_log_pd: np.ndarray       # same for the log samples of each stratum
+    qq_ratio: float             # normal quantile correlation of the ratio terms
 
 
 @dataclass(frozen=True)
@@ -197,77 +126,55 @@ class BoundEstimate:
     profile: LowerBoundProfile | None = None
 
 
-def _skipped_strata(log_probs: np.ndarray, tail_mass: float) -> set[int]:
-    """Largest set of strata (never d = 0) whose total P(d) fits in tail_mass;
-    each skipped stratum is charged p(d)/theta = 1, its worst case."""
-    if tail_mass <= 0.0:
-        return set()
-    probs = np.exp(log_probs)
-    order = np.argsort(probs, kind="stable")
-    skipped, mass = set(), 0.0
-    for d in order:
-        if d == 0:
-            continue
-        if mass + probs[d] > tail_mass:
-            break
-        mass += probs[d]
-        skipped.add(int(d))
-    return skipped
-
-
 def _likelihood_sum(scenario: ScenarioConfig, h1, seed: int):
-    """ln sum_d P(d) p(d)/theta with a delta-method variance, sharing the
-    theta samples with the d = 0 stratum so that term is exactly P(0)."""
+    """ln sum_d P(d) p(d)/theta with a delta-method variance, from one pass.
+
+    Every sample draws (the channel if averaged, then the I-1 interferer rows
+    of the first codeword and those of the second) and gives ln J_d for all
+    d = 0..N, so the strata share samples_theta + N samples_pd draws. With
+    T = ln sum_d P(d) J_d and D = ln J_0 per sample, the sum is
+    mean(e^T) / mean(e^D), and the variance of its log is var(a - b) / S for
+    a, b the samples scaled to unit mean.
+    """
     n_sym = scenario.codeword_len
     dist = distance_distribution(n_sym, scenario.duty_cycles[0])
-    skipped = _skipped_strata(dist.log_probs, scenario.pd_tail_mass)
+    amplitudes = scenario.amplitudes()
+    tap_cov = scenario.tap_covariance()
+    noise_var = 2.0 * scenario.noise_var_w
+    nodes = np.tile(np.arange(1, scenario.num_nodes), 2)
+    etas = np.array(scenario.duty_cycles)[nodes]
+    zero = np.zeros((scenario.taps, n_sym))
+    total = scenario.samples_theta + n_sym * scenario.samples_pd
 
-    theta_logs = _stratum_log_samples(scenario, h1, 0, seed, scenario.samples_theta)
-    theta_acc = LogAccumulator.from_log_values(theta_logs)
-    shifted = np.exp(theta_logs - theta_logs.max())
-    qq_theta = normal_qq_corr(shifted)
+    t_logs, d_logs = np.empty(total), np.empty(total)
+    col_sum = col_sumsq = np.full(n_sym + 1, -np.inf)
+    for b, (rng, size) in enumerate(_block_streams(seed, PAIR_OVERLAP, total)):
+        h = sample_channel(tap_cov, rng, size) if h1 is None else h1
+        rows = amplitudes[nodes, None] * sample_symbols(etas, n_sym, rng, size)
+        block = slice(b * BLOCK, b * BLOCK + size)
+        d_logs[block] = log_gauss_lowrank(zero, noise_var, rows, tap_cov.factor)
+        log_j = d_logs[block, None] - 0.5 * prefix_quad_lowrank(
+            amplitudes[0] * h, noise_var, rows, tap_cov.factor)
+        t_logs[block] = logsumexp(dist.log_probs + log_j, axis=1)
+        col_sum = np.logaddexp(col_sum, logsumexp(log_j, axis=0))
+        col_sumsq = np.logaddexp(col_sumsq, logsumexp(2.0 * log_j, axis=0))
 
-    distances, log_pd, se_log_pd, qq_log_pd = [0], [theta_acc.log_mean], [0.0], [qq_theta]
-    samples_used = theta_logs.size
-    terms = [dist.log_probs[0]]          # p(0)/theta = 1 under shared samples
-    coeffs = [0.0]
-    sampled = [False]
-    for d in range(1, n_sym + 1):
-        if d in skipped:
-            terms.append(dist.log_probs[d])
-            coeffs.append(0.0)
-            sampled.append(False)
-            continue
-        logs = _stratum_log_samples(scenario, h1, d, seed, scenario.samples_pd)
-        acc = LogAccumulator.from_log_values(logs)
-        distances.append(d)
-        log_pd.append(acc.log_mean)
-        se_log_pd.append(acc.se_log_mean)
-        qq_log_pd.append(normal_qq_corr(logs))
-        samples_used += logs.size
-        terms.append(dist.log_probs[d] + acc.log_mean - theta_acc.log_mean)
-        coeffs.append(acc.se_log_mean)
-        sampled.append(True)
-
-    terms = np.array(terms)
-    log_sum = pairwise_logsumexp(terms)
-    weights = np.exp(terms - log_sum)
-    # theta divides every sampled term, so its log-error enters with the
-    # total sampled weight; each p(d) enters with its own weight
-    sampled_weight = float(weights[np.array(sampled)].sum())
-    var = (weights ** 2 * np.square(coeffs)).sum() \
-        + (sampled_weight * theta_acc.se_log_mean) ** 2
+    acc_t = LogAccumulator.from_log_values(t_logs)
+    acc_d = LogAccumulator.from_log_values(d_logs)
+    terms = np.exp(t_logs - acc_t.log_mean) - np.exp(d_logs - acc_d.log_mean)
+    var = float(terms.var(ddof=1)) / total
+    strata = [LogAccumulator(total, a, b) for a, b in zip(col_sum, col_sumsq)]
+    log_pd = np.array([acc.log_mean for acc in strata])
+    se_log_pd = np.array([acc.se_log_mean for acc in strata])
     profile = LowerBoundProfile(
-        distances=np.array(distances), log_pd=np.array(log_pd),
-        se_log_pd=np.array(se_log_pd), log_theta=theta_acc.log_mean,
-        se_log_theta=theta_acc.se_log_mean, log_distance_probs=dist.log_probs,
-        skipped=np.array(sorted(skipped), dtype=int),
-        qq_theta=qq_theta, qq_log_pd=np.array(qq_log_pd))
-    return log_sum, float(var), profile, samples_used
+        log_pd=log_pd, se_log_pd=se_log_pd, log_theta=float(log_pd[0]),
+        se_log_theta=float(se_log_pd[0]), log_distance_probs=dist.log_probs,
+        qq_ratio=normal_qq_corr(terms))
+    return acc_t.log_mean - acc_d.log_mean, var, profile, total
 
 
 def lower_bound(scenario: ScenarioConfig, h1=None, seed=None) -> BoundEstimate:
-    """C_l with a delta-method 95% CI propagated from the per-stratum errors."""
+    """C_l with a delta-method 95% CI on the ratio estimate of its sum."""
     seed = _resolve_seed(scenario, seed)
     h1 = _resolve_h1(scenario, h1, seed)
     log_sum, var, profile, samples_used = _likelihood_sum(scenario, h1, seed)
@@ -277,46 +184,34 @@ def lower_bound(scenario: ScenarioConfig, h1=None, seed=None) -> BoundEstimate:
                          samples_used=samples_used, kind="lower", profile=profile)
 
 
-def _upper_chunk(cfg: ScenarioConfig, h1, seed: int, amplitudes, tap_cov,
-                 start: int, stop: int) -> np.ndarray:
-    """Per-symbol information density samples, in bits.
-
-    The genie reveals every interferer symbol, leaving the white channel
-    r = u A_1 h_1 + z. One sample draws (channel if averaged, then u, then z)
-    and scores -log2 sum_v P(v) e^{E(v)} with E the log-likelihood ratio of
-    symbol v against the drawn u; E(u) = 0, so only the flipped symbol needs
-    evaluating.
-    """
-    eta = cfg.duty_cycles[0]
-    s2 = cfg.noise_var_w
-    a1 = amplitudes[0]
-    out = np.empty(stop - start)
-    for k, idx in enumerate(range(start, stop)):
-        rng = substream(seed, UPPER_INFO, stratum=0, index=idx)
-        h = sample_channel(tap_cov, rng) if h1 is None else h1
-        u = 1.0 if rng.random() < eta else 0.0
-        z = np.sqrt(s2) * rng.standard_normal(cfg.taps)
-        delta = (1.0 - 2.0 * u) * a1
-        e_flip = delta * (z @ h) / s2 - delta * delta * (h @ h) / (2.0 * s2)
-        log_p_u = np.log(eta) if u == 1.0 else np.log1p(-eta)
-        log_p_flip = np.log1p(-eta) if u == 1.0 else np.log(eta)
-        out[k] = -np.logaddexp(log_p_u, log_p_flip + e_flip) / LN2
-    return out
-
-
 def upper_bound(scenario: ScenarioConfig, h1=None, seed=None) -> BoundEstimate:
     """Genie-aided mutual information I(u_1; R | h_1, interferer symbols).
 
     Reads no interferer parameter at all: with the interference revealed and
-    subtracted, only the intended link remains.
+    subtracted, only the white channel r = u A_1 h_1 + z remains. A block
+    draws its channels (if averaged), then its symbols u, then its noise z;
+    each sample scores -log2 sum_v P(v) e^{E(v)} in bits, with E the
+    log-likelihood ratio of symbol v against the drawn u. E(u) = 0, so only
+    the flipped symbol needs evaluating.
     """
     seed = _resolve_seed(scenario, seed)
     h1 = _resolve_h1(scenario, h1, seed)
-    amplitudes = scenario.amplitudes()
+    eta = scenario.duty_cycles[0]
+    s2 = scenario.noise_var_w
+    a1 = scenario.amplitudes()[0]
     tap_cov = scenario.tap_covariance()
-    samples = _map_chunks(
-        lambda a, b: _upper_chunk(scenario, h1, seed, amplitudes, tap_cov, a, b),
-        scenario.samples_upper)
+    parts = []
+    for rng, size in _block_streams(seed, UPPER_INFO, scenario.samples_upper):
+        h = sample_channel(tap_cov, rng, size) if h1 is None else h1
+        u = rng.random(size) < eta
+        z = np.sqrt(s2) * rng.standard_normal((size, scenario.taps))
+        delta = np.where(u, -a1, a1)
+        e_flip = (delta * (z * h).sum(axis=1)
+                  - 0.5 * delta * delta * (h * h).sum(axis=-1)) / s2
+        log_p_u = np.where(u, np.log(eta), np.log1p(-eta))
+        log_p_flip = np.where(u, np.log1p(-eta), np.log(eta))
+        parts.append(-np.logaddexp(log_p_u, log_p_flip + e_flip) / LN2)
+    samples = np.concatenate(parts)
     mean = float(samples.mean())
     halfwidth = gaussian_ci(mean, float(samples.var(ddof=1)), samples.size)
     return BoundEstimate(rate=max(0.0, mean), ci_halfwidth=halfwidth,

@@ -9,10 +9,9 @@ Results go to one CSV with columns l_m, d_m, eta1, eta2, bound,
 rate_bits_per_symbol, ci_halfwidth, samples, seed, wall_s; the fully
 materialized config is written next to it as <out>.config.json. Output bytes
 are a pure function of (config, seed): the wall_s column is fixed at 0.0 and
-real timings go to stderr, and worker count (UWBBOUNDS_THREADS) cannot leak
-into the numbers. Each sweep point gets its own derived seed, recorded in its
-rows; the fixed channel draw comes from the base seed and is shared by the
-whole sweep.
+real timings go to stderr. Each sweep point gets its own derived seed,
+recorded in its rows; the fixed channel draw comes from the base seed and is
+shared by the whole sweep.
 """
 
 from __future__ import annotations
@@ -184,9 +183,12 @@ def figure_ratios(rows: list[ResultRow], reference_distance: float = 100.0):
     out = []
     for r in lower:
         key = (r.l_m, r.eta1, r.eta2)
+        group = f"group l={r.l_m}, eta1={r.eta1}, eta2={r.eta2}"
         if key not in reference:
-            raise ValueError(f"no row at reference distance {reference_distance} m "
-                             f"for group l={r.l_m}, eta1={r.eta1}, eta2={r.eta2}")
+            raise ValueError(f"no row at reference distance {reference_distance} m for {group}")
+        if reference[key] == 0.0:
+            raise ValueError(f"rate at reference distance {reference_distance} m is 0 "
+                             f"for {group}; the ratio is undefined")
         out.append((r, r.rate_bits_per_symbol / reference[key]))
     return out
 

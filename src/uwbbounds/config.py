@@ -10,21 +10,13 @@ the identical sweep.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .model import InvalidParameterError, ScenarioConfig
 
-_INT_KEYS = ("num_nodes", "codeword_len", "taps", "total_path_count",
-             "samples_theta", "samples_pd", "samples_upper", "seed")
-_FLOAT_KEYS = ("tx_power_w", "pathloss_b", "pathloss_alpha", "link_distance_m",
-               "noise_var_w", "captured_energy_fraction")
-_ARRAY_KEYS = ("duty_cycles", "interferer_distances_m")
-_SCHEMA_ORDER = ("num_nodes", "codeword_len", "taps", "duty_cycles", "tx_power_w",
-                 "pathloss_b", "pathloss_alpha", "link_distance_m",
-                 "interferer_distances_m", "noise_var_w", "captured_energy_fraction",
-                 "total_path_count", "samples_theta", "samples_pd", "samples_upper",
-                 "seed", "h1_mode", "sweep", "bounds")
+# config key -> ScenarioConfig field, in field order; the key "seed" sets rng_seed
+_FIELDS = {("seed" if f.name == "rng_seed" else f.name): f for f in fields(ScenarioConfig)}
 
 SWEEP_VARS = ("l", "d", "eta1", "eta2")
 BOUND_CHOICES = ("lower", "upper", "both")
@@ -76,31 +68,29 @@ def spec_from_mapping(data: dict, preset: str | None = None) -> SweepSpec:
         merged = dict(PRESETS[preset])
         merged.update(data)
         data = merged
-    allowed = set(_SCHEMA_ORDER)
     for key in data:
-        if key not in allowed:
+        if key not in _FIELDS and key not in ("sweep", "bounds"):
             raise ConfigError("unknown-key", f"unknown config key {key!r}")
 
     kwargs = {}
-    for key in _INT_KEYS:
-        if key in data:
-            if not isinstance(data[key], int) or isinstance(data[key], bool):
+    for key, spec_field in _FIELDS.items():
+        if key not in data:
+            continue
+        value, kind = data[key], type(spec_field.default)
+        if kind is int:
+            if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError("bad-type", f"{key} must be an integer")
-            kwargs["rng_seed" if key == "seed" else key] = data[key]
-    for key in _FLOAT_KEYS:
-        if key in data:
-            if not _is_number(data[key]):
+        elif kind is float:
+            if not _is_number(value):
                 raise ConfigError("bad-type", f"{key} must be a number")
-            kwargs[key] = float(data[key])
-    for key in _ARRAY_KEYS:
-        if key in data:
-            if not isinstance(data[key], list) or not all(_is_number(x) for x in data[key]):
+            value = float(value)
+        elif kind is tuple:
+            if not isinstance(value, list) or not all(_is_number(x) for x in value):
                 raise ConfigError("bad-type", f"{key} must be an array of numbers")
-            kwargs[key] = tuple(float(x) for x in data[key])
-    if "h1_mode" in data:
-        if not isinstance(data["h1_mode"], str):
-            raise ConfigError("bad-type", "h1_mode must be a string")
-        kwargs["h1_mode"] = data["h1_mode"]
+            value = tuple(float(x) for x in value)
+        elif not isinstance(value, str):
+            raise ConfigError("bad-type", f"{key} must be a string")
+        kwargs[spec_field.name] = value
 
     try:
         base = ScenarioConfig(**kwargs)
@@ -151,25 +141,10 @@ def load_config(path, preset: str | None = None) -> SweepSpec:
 
 def effective_config(spec: SweepSpec) -> dict:
     """The fully materialized config; reloading it rebuilds the same SweepSpec."""
-    cfg = spec.base
-    return {
-        "num_nodes": cfg.num_nodes,
-        "codeword_len": cfg.codeword_len,
-        "taps": cfg.taps,
-        "duty_cycles": list(cfg.duty_cycles),
-        "tx_power_w": cfg.tx_power_w,
-        "pathloss_b": cfg.pathloss_b,
-        "pathloss_alpha": cfg.pathloss_alpha,
-        "link_distance_m": cfg.link_distance_m,
-        "interferer_distances_m": list(cfg.interferer_distances_m),
-        "noise_var_w": cfg.noise_var_w,
-        "captured_energy_fraction": cfg.captured_energy_fraction,
-        "total_path_count": cfg.total_path_count,
-        "samples_theta": cfg.samples_theta,
-        "samples_pd": cfg.samples_pd,
-        "samples_upper": cfg.samples_upper,
-        "seed": cfg.rng_seed,
-        "h1_mode": cfg.h1_mode,
-        "sweep": {var: list(vals) for var, vals in spec.sweep.items()},
-        "bounds": spec.bounds,
-    }
+    config = {}
+    for key, spec_field in _FIELDS.items():
+        value = getattr(spec.base, spec_field.name)
+        config[key] = list(value) if isinstance(value, tuple) else value
+    config["sweep"] = {var: list(vals) for var, vals in spec.sweep.items()}
+    config["bounds"] = spec.bounds
+    return config

@@ -93,6 +93,17 @@ def output_moments(V, h1, A, T: TapCovariance, sigma_W2: float) -> OutputDistrib
     )
 
 
+def _capacitance_cholesky(noise_var: float, rows: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Cholesky factors (S, Jr, Jr) of the capacitance matrices
+    noise_var I + (C C^T kron G^T G), one per row stack C in rows (S, J, N)."""
+    size, j = rows.shape[:2]
+    k = j * g.shape[1]
+    gram = np.einsum("sjn,skn->sjk", rows, rows)
+    cap = np.einsum("sjk,ab->sjakb", gram, g.T @ g).reshape(size, k, k)
+    cap[:, np.arange(k), np.arange(k)] += noise_var
+    return np.linalg.cholesky(cap)
+
+
 def log_gauss_lowrank(x, noise_var: float, rows, tap_factor) -> float | np.ndarray:
     """log N(vec X; 0, noise_var I + sum_j c_j c_j^T kron G G^T).
 
@@ -124,18 +135,46 @@ def log_gauss_lowrank(x, noise_var: float, rows, tap_factor) -> float | np.ndarr
         return float(out[0]) if single else out
 
     k = j * r
-    gtg = g.T @ g
-    gram = np.einsum("sjn,skn->sjk", rows, rows)
-    cap = np.einsum("sjk,ab->sjakb", gram, gtg).reshape(size, k, k)
-    cap[:, np.arange(k), np.arange(k)] += noise_var
+    chol = _capacitance_cholesky(noise_var, rows, g)
     # w_j = G^T X c_j, the projection of x onto each rank-r block
-    w = np.einsum("ma,smn,sjn->sja", g, x, rows).reshape(size, k)
-    chol = np.linalg.cholesky(cap)
+    w = (g.T @ (x @ rows.transpose(0, 2, 1))).transpose(0, 2, 1).reshape(size, k)
     z = np.linalg.solve(chol, w[:, :, None])[:, :, 0]
     logdet_cap = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
     quad = np.maximum(xtx - np.einsum("sk,sk->s", z, z), 0.0) / noise_var
     out = -0.5 * (dim * LOG_2PI + (dim - k) * ln_s + logdet_cap + quad)
     return float(out[0]) if single else out
+
+
+def prefix_quad_lowrank(h, noise_var: float, rows, tap_factor) -> np.ndarray:
+    """Quadratic forms vec(X_d)^T Sigma^{-1} vec(X_d) for X_d = h 1_d^T, d = 0..N.
+
+    1_d marks the first d of the N symbols and Sigma is the covariance of
+    log_gauss_lowrank, so log_gauss_lowrank(X_d, ...) equals its value at
+    x = 0 minus half of entry d. With P_d the J-vector of row prefix sums up
+    to symbol d, X_d^T X_d = d ||h||^2 and G^T X_d c_j = (G^T h) P_dj, so
+    every d shares one J x J matrix Q = B^T cap^{-1} B, B = I_J kron G^T h:
+
+        vec(X_d)^T Sigma^{-1} vec(X_d) = (d ||h||^2 - P_d^T Q P_d) / noise_var.
+
+    rows is a batch (S, J, N) and h is one (M,) vector or per-instance (S, M);
+    the result is (S, N + 1).
+    """
+    rows = np.asarray(rows, dtype=float)
+    g = np.asarray(tap_factor, dtype=float)
+    size, j, n = rows.shape
+    r = g.shape[1]
+    h = np.broadcast_to(np.asarray(h, dtype=float), (size, g.shape[0]))
+
+    quad = np.arange(n + 1) * np.einsum("sm,sm->s", h, h)[:, None]
+    if j and r:
+        chol = _capacitance_cholesky(noise_var, rows, g)
+        b = np.einsum("ji,sa->sjai", np.eye(j), h @ g).reshape(size, j * r, j)
+        y = np.linalg.solve(chol, b)
+        q = y.transpose(0, 2, 1) @ y
+        prefix = np.zeros((size, j, n + 1))
+        np.cumsum(rows, axis=2, out=prefix[:, :, 1:])
+        quad -= np.einsum("sid,sil,sld->sd", prefix, q, prefix)
+    return np.maximum(quad, 0.0) / noise_var
 
 
 def log_density(dist: OutputDistribution, Y) -> float:

@@ -9,21 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy import stats
 
 
-class StreamKey(NamedTuple):
-    seed: int
-    estimator: int
-    stratum: int = 0
-    index: int = 0
-
-
 def substream(seed: int, estimator: int, stratum: int = 0, index: int = 0) -> np.random.Generator:
-    """Independent generator for one (seed, estimator, stratum, sample) cell.
+    """Independent generator for one (seed, estimator, stratum, index) cell.
 
     Philox key carries (seed, estimator); the initial counter carries
     (stratum, index) in its high words, leaving 2^64 draws of headroom per
@@ -35,8 +27,8 @@ def substream(seed: int, estimator: int, stratum: int = 0, index: int = 0) -> np
 
 
 def pairwise_logsumexp(log_values: np.ndarray) -> float:
-    """log(sum exp(v)) via a fixed halving tree; order of merges never depends
-    on worker layout, so permuted inputs agree to ~1e-15."""
+    """log(sum exp(v)) via a fixed halving tree over the input order;
+    permuted inputs agree to ~1e-15."""
     a = np.asarray(log_values, dtype=float)
     if a.size == 0:
         return -math.inf
@@ -47,38 +39,14 @@ def pairwise_logsumexp(log_values: np.ndarray) -> float:
     return float(a[0])
 
 
-@dataclass
+@dataclass(frozen=True)
 class LogAccumulator:
-    """Streaming moments of positive samples supplied as logs.
+    """Moments of positive samples supplied as logs: log(sum x) and
+    log(sum x^2) give the linear-scale mean and variance."""
 
-    Tracks log(sum x) and log(sum x^2) for the linear-scale mean/variance and
-    the plain first two moments of log x for log-normal interval work.
-    """
-
-    count: int = 0
-    log_sum: float = -math.inf
-    log_sumsq: float = -math.inf
-    sum_logs: float = 0.0
-    sumsq_logs: float = 0.0
-
-    def accumulate(self, log_x: float) -> None:
-        log_x = float(log_x)
-        if math.isnan(log_x) or log_x == -math.inf or log_x == math.inf:
-            raise ValueError(f"log sample must be finite, got {log_x}")
-        self.count += 1
-        self.log_sum = np.logaddexp(self.log_sum, log_x)
-        self.log_sumsq = np.logaddexp(self.log_sumsq, 2.0 * log_x)
-        self.sum_logs += log_x
-        self.sumsq_logs += log_x * log_x
-
-    def merge(self, other: "LogAccumulator") -> "LogAccumulator":
-        out = LogAccumulator()
-        out.count = self.count + other.count
-        out.log_sum = float(np.logaddexp(self.log_sum, other.log_sum))
-        out.log_sumsq = float(np.logaddexp(self.log_sumsq, other.log_sumsq))
-        out.sum_logs = self.sum_logs + other.sum_logs
-        out.sumsq_logs = self.sumsq_logs + other.sumsq_logs
-        return out
+    count: int
+    log_sum: float
+    log_sumsq: float
 
     @classmethod
     def from_log_values(cls, log_values: np.ndarray) -> "LogAccumulator":
@@ -87,13 +55,7 @@ class LogAccumulator:
             raise ValueError("need at least one sample")
         if not np.all(np.isfinite(a)):
             raise ValueError("log samples must be finite")
-        acc = cls()
-        acc.count = int(a.size)
-        acc.log_sum = pairwise_logsumexp(a)
-        acc.log_sumsq = pairwise_logsumexp(2.0 * a)
-        acc.sum_logs = float(np.sum(a))
-        acc.sumsq_logs = float(np.sum(a * a))
-        return acc
+        return cls(int(a.size), pairwise_logsumexp(a), pairwise_logsumexp(2.0 * a))
 
     @property
     def log_mean(self) -> float:
@@ -120,17 +82,6 @@ class LogAccumulator:
             return 0.0
         return math.exp(0.5 * lv - self.log_mean - 0.5 * math.log(self.count))
 
-    @property
-    def mean_of_logs(self) -> float:
-        return self.sum_logs / self.count
-
-    @property
-    def var_of_logs(self) -> float:
-        if self.count < 2:
-            raise ValueError("variance needs count >= 2")
-        v = (self.sumsq_logs - self.count * self.mean_of_logs**2) / (self.count - 1)
-        return max(v, 0.0)
-
 
 def gaussian_ci(mean: float, variance: float, count: int, level: float = 0.95) -> float:
     """Student-t halfwidth for the mean of `count` near-Gaussian samples."""
@@ -142,30 +93,6 @@ def gaussian_ci(mean: float, variance: float, count: int, level: float = 0.95) -
         raise ValueError("variance must be >= 0")
     t = stats.t.ppf(0.5 + level / 2.0, count - 1)
     return float(t * math.sqrt(variance / count))
-
-
-@dataclass(frozen=True)
-class LognormalInterval:
-    geometric_mean: float
-    factor: float               # multiplicative 95% factor around the geometric mean
-    arithmetic_mean: float      # bias-corrected exp(m + s^2/2)
-    level: float = 0.95
-
-
-def lognormal_ci(mean_logs: float, var_logs: float, count: int, level: float = 0.95) -> LognormalInterval:
-    """Interval for samples whose logs are near-Gaussian.
-
-    The CI is computed on the log scale and exponentiated, so it is a
-    multiplicative factor around exp(mean_logs); the point estimate for the
-    arithmetic mean carries the usual exp(s^2/2) correction.
-    """
-    hw = gaussian_ci(mean_logs, var_logs, count, level)
-    return LognormalInterval(
-        geometric_mean=math.exp(mean_logs),
-        factor=math.exp(hw),
-        arithmetic_mean=math.exp(mean_logs + 0.5 * var_logs),
-        level=level,
-    )
 
 
 def normal_qq_corr(samples: np.ndarray) -> float:

@@ -101,21 +101,31 @@ def build_tap_covariance(num_taps: int, captured_fraction: float,
     return TapCovariance(np.diag(captured_fraction * weights / weights.sum()))
 
 
-def sample_channel(tap_cov: TapCovariance, rng: np.random.Generator) -> np.ndarray:
-    """One tap vector h ~ N(0, T)."""
+def sample_channel(tap_cov: TapCovariance, rng: np.random.Generator,
+                   samples: int | None = None) -> np.ndarray:
+    """One tap vector h ~ N(0, T), or `samples` of them as rows."""
     g = tap_cov.factor
-    if g.shape[1] == 0:
-        return np.zeros(tap_cov.num_taps)
-    return g @ rng.standard_normal(g.shape[1])
+    if samples is None:
+        return g @ rng.standard_normal(g.shape[1])
+    return rng.standard_normal((samples, g.shape[1])) @ g.T
 
 
-def sample_symbols(duty_cycle: float, codeword_len: int, rng: np.random.Generator) -> np.ndarray:
-    """One on-off codeword row, iid Bernoulli(duty_cycle), dtype float."""
-    if not 0.0 < duty_cycle < 1.0:
+def sample_symbols(duty_cycle, codeword_len: int, rng: np.random.Generator,
+                   samples: int | None = None) -> np.ndarray:
+    """On-off codeword rows, iid Bernoulli(duty_cycle), dtype float.
+
+    A scalar duty cycle gives one row (codeword_len,); a vector of per-row
+    duty cycles gives one row each. `samples` adds a leading sample axis.
+    """
+    eta = np.asarray(duty_cycle, dtype=float)
+    if not np.all((eta > 0.0) & (eta < 1.0)):
         raise InvalidParameterError(f"duty_cycle must be in (0, 1), got {duty_cycle}")
     if codeword_len < 1:
         raise InvalidParameterError(f"codeword_len must be >= 1, got {codeword_len}")
-    return (rng.random(codeword_len) < duty_cycle).astype(float)
+    shape = eta.shape + (codeword_len,)
+    if samples is not None:
+        shape = (samples,) + shape
+    return (rng.random(shape) < eta[..., None]).astype(float)
 
 
 def simulate_output(codewords: np.ndarray, channels: np.ndarray, amplitudes: np.ndarray,
@@ -162,7 +172,6 @@ class ScenarioConfig:
     samples_upper: int = 100_000
     rng_seed: int = 0
     h1_mode: str = "fixed-draw"
-    pd_tail_mass: float = 0.0                         # skip strata worth <= this much P(d)
 
     def __post_init__(self):
         if self.num_nodes < 1:
@@ -207,9 +216,6 @@ class ScenarioConfig:
         if self.h1_mode not in H1_MODES:
             raise InvalidParameterError(
                 f"h1_mode must be one of {H1_MODES}, got {self.h1_mode!r}")
-        if not 0.0 <= self.pd_tail_mass < 1.0:
-            raise InvalidParameterError(
-                f"pd_tail_mass must be in [0, 1), got {self.pd_tail_mass}")
 
     def node_distances(self) -> np.ndarray:
         return np.array((self.link_distance_m,) + self.interferer_distances_m)

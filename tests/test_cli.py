@@ -1,11 +1,13 @@
 """Config ingestion, sweep driver, CSV emission, and exit codes."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import uwbbounds.cli as cli
+from uwbbounds.bounds import BoundEstimate
 from uwbbounds.cli import (CSV_COLUMNS, EstimatorFailure, figure_ratios, main,
                            read_result_csv, run_sweep, sweep_points)
 from uwbbounds.config import (ConfigError, effective_config, load_config,
@@ -218,6 +220,21 @@ def test_figure_ratios_require_reference_rows(tmp_path):
     rows = run_sweep(spec, tmp_path / "r.csv")
     with pytest.raises(ValueError):
         figure_ratios(rows, reference_distance=100.0)
+
+
+def test_figure_ratios_reject_zero_reference_rate(tmp_path, monkeypatch):
+    # lower rates clamp at 0, so a reference row can carry rate 0 exactly
+    rows = run_sweep(tiny_spec(sweep={"d": [5.0, 100.0]}, bounds="lower"),
+                     tmp_path / "r.csv")
+    rows[1] = dataclasses.replace(rows[1], rate_bits_per_symbol=0.0)
+    with pytest.raises(ValueError, match="l=3.0, eta1=0.5, eta2=0.5"):
+        figure_ratios(rows, reference_distance=100.0)
+
+    monkeypatch.setattr(cli, "lower_bound", lambda *a, **k: BoundEstimate(
+        rate=0.0, ci_halfwidth=0.0, samples_used=2, kind="lower"))
+    cfg = write_config(tmp_path, {**TINY, "sweep": {"d": [5.0, 100.0]}, "bounds": "lower"})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "z.csv"),
+                 "--ratios-out", str(tmp_path / "ratios.csv")]) == 2
 
 
 # ----------------------------------------------------------------- main

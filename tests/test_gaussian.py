@@ -9,7 +9,7 @@ import pytest
 
 from uwbbounds.gaussian import (log_density, log_density_dense,
                                 log_gauss_lowrank, oracle_J, output_moments,
-                                overlap_J, overlap_J_dense)
+                                overlap_J, overlap_J_dense, prefix_quad_lowrank)
 from uwbbounds.model import InvalidParameterError, TapCovariance, build_tap_covariance
 
 T1 = TapCovariance(np.array([[1.0]]))
@@ -116,6 +116,29 @@ class TestLogDensity:
         batch = log_gauss_lowrank(x, 1.1, rows, g)
         single = [log_gauss_lowrank(x, 1.1, rows[i], g) for i in range(4)]
         np.testing.assert_allclose(batch, single, rtol=1e-13)
+
+
+class TestPrefixQuad:
+    """All strata from one capacitance solve against one log-density per stratum."""
+
+    @pytest.mark.parametrize("num_nodes", [1, 2, 3])
+    @pytest.mark.parametrize("per_sample_h", [False, True])
+    def test_matches_log_density_per_stratum(self, num_nodes, per_sample_h):
+        rng = np.random.default_rng(10 * num_nodes + per_sample_h)
+        samples, taps, codeword_len, rank = 7, 3, 6, 2
+        g = rng.standard_normal((taps, rank)) * 0.6
+        amps = 0.3 + rng.random((2 * (num_nodes - 1), 1))
+        rows = amps * (rng.random((samples, 2 * (num_nodes - 1), codeword_len)) < 0.6)
+        h = rng.standard_normal((samples, taps) if per_sample_h else taps)
+        noise_var = 0.5 + rng.random()
+        quad = prefix_quad_lowrank(h, noise_var, rows, g)
+        at_zero = log_gauss_lowrank(np.zeros((taps, codeword_len)), noise_var, rows, g)
+        assert quad.shape == (samples, codeword_len + 1)
+        for d in range(codeword_len + 1):
+            prefix = (np.arange(codeword_len) < d).astype(float)
+            x = h[:, :, None] * prefix if per_sample_h else np.outer(h, prefix)
+            want = log_gauss_lowrank(x, noise_var, rows, g)
+            np.testing.assert_allclose(at_zero - 0.5 * quad[:, d], want, rtol=0, atol=1e-10)
 
 
 class TestOverlap:

@@ -105,6 +105,19 @@ class TestSamplers:
         assert set(np.unique(u)) <= {0.0, 1.0}
         assert u.mean() == pytest.approx(0.3, abs=0.01)
 
+    def test_block_draws(self):
+        # one call draws a whole block: a leading sample axis, per-row duty cycles
+        rng = np.random.default_rng(15)
+        u = sample_symbols([0.2, 0.7], 2000, rng, samples=50)
+        assert u.shape == (50, 2, 2000)
+        np.testing.assert_allclose(u.mean(axis=(0, 2)), [0.2, 0.7], atol=0.01)
+        t = build_tap_covariance(3, 0.5, 10)
+        h = sample_channel(t, rng, samples=40_000)
+        assert h.shape == (40_000, 3)
+        np.testing.assert_allclose(h.T @ h / h.shape[0], t.matrix, atol=0.05 * t.trace)
+        with pytest.raises(InvalidParameterError):
+            sample_symbols([0.2, 1.0], 10, rng, samples=2)
+
     def test_output_noise_free(self):
         # single always-on node, zero noise: r[n] = A h for every n
         h = np.array([[0.5, -0.25]])
