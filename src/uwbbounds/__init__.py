@@ -18,8 +18,7 @@ from .config import (PRESETS, ConfigError, SweepSpec, effective_config,
 from .gaussian import (OracleEstimate, OutputDistribution, log_density,
                        log_density_dense, oracle_J, output_moments, overlap_J,
                        overlap_J_dense)
-from .mc import (LogAccumulator, gaussian_ci, normal_qq_corr,
-                 pairwise_logsumexp, substream)
+from .mc import LogAccumulator, gaussian_ci, normal_qq_corr, substream
 from .model import (H1_MODES, InvalidParameterError, ScenarioConfig,
                     TapCovariance, build_tap_covariance, pulse_amplitude,
                     received_power, sample_channel, sample_symbols,
@@ -38,8 +37,8 @@ __all__ = [
     "figure_ratios", "gaussian_ci", "load_config", "log_density",
     "log_density_dense", "lower_bound", "normal_qq_corr",
     "oracle_J", "output_moments", "overlap_J", "overlap_J_dense",
-    "pairwise_logsumexp", "pulse_amplitude", "read_result_csv",
-    "received_power", "run_sweep", "sample_channel", "sample_symbols",
-    "simulate_output", "spec_from_mapping", "substream", "sweep_points",
-    "upper_bound", "__version__",
+    "pulse_amplitude", "read_result_csv", "received_power", "run_sweep",
+    "sample_channel", "sample_symbols", "simulate_output",
+    "spec_from_mapping", "substream", "sweep_points", "upper_bound",
+    "__version__",
 ]

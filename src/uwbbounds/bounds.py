@@ -23,10 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
-from scipy.stats import norm
 
 from .gaussian import log_gauss_lowrank, prefix_quad_lowrank
-from .mc import LogAccumulator, gaussian_ci, normal_qq_corr, substream
+from .mc import Z95, LogAccumulator, gaussian_ci, normal_qq_corr, substream
 from .model import InvalidParameterError, ScenarioConfig, sample_channel, sample_symbols
 
 # estimator ids of the substream key space
@@ -179,7 +178,7 @@ def lower_bound(scenario: ScenarioConfig, h1=None, seed=None) -> BoundEstimate:
     h1 = _resolve_h1(scenario, h1, seed)
     log_sum, var, profile, samples_used = _likelihood_sum(scenario, h1, seed)
     rate = max(0.0, -log_sum / (scenario.codeword_len * LN2))
-    halfwidth = float(norm.ppf(0.975)) * np.sqrt(var) / (scenario.codeword_len * LN2)
+    halfwidth = Z95 * np.sqrt(var) / (scenario.codeword_len * LN2)
     return BoundEstimate(rate=rate, ci_halfwidth=float(halfwidth),
                          samples_used=samples_used, kind="lower", profile=profile)
 
@@ -213,7 +212,7 @@ def upper_bound(scenario: ScenarioConfig, h1=None, seed=None) -> BoundEstimate:
         parts.append(-np.logaddexp(log_p_u, log_p_flip + e_flip) / LN2)
     samples = np.concatenate(parts)
     mean = float(samples.mean())
-    halfwidth = gaussian_ci(mean, float(samples.var(ddof=1)), samples.size)
+    halfwidth = gaussian_ci(float(samples.var(ddof=1)), samples.size)
     return BoundEstimate(rate=max(0.0, mean), ci_halfwidth=halfwidth,
                          samples_used=samples.size, kind="upper")
 
@@ -237,7 +236,7 @@ def error_probability_bound(scenario: ScenarioConfig, code_rate: float,
     h1 = _resolve_h1(scenario, h1, seed)
     log_sum, var, _, samples_used = _likelihood_sum(scenario, h1, seed)
     log2_bound = code_rate * scenario.codeword_len + log_sum / LN2
-    halfwidth = float(norm.ppf(0.975)) * np.sqrt(var) / LN2
+    halfwidth = Z95 * np.sqrt(var) / LN2
     probability = float(np.exp2(min(0.0, log2_bound)))
     return ErrorProbabilityBound(log2_bound=float(log2_bound), probability=probability,
                                  ci_halfwidth_log2=halfwidth, samples_used=samples_used)

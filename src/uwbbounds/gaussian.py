@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 from scipy.special import logsumexp
 
 from .mc import LogAccumulator
@@ -191,6 +190,7 @@ def log_density_dense(dist: OutputDistribution, Y) -> float:
     y = np.asarray(Y, dtype=float)
     if y.shape != dist.shape:
         raise InvalidParameterError(f"observation shape {y.shape} != {dist.shape}")
+    from scipy import stats     # reference path only; kept off the import path
     return float(stats.multivariate_normal(mean=dist.mean,
                                            cov=dist.dense_covariance()).logpdf(_vec(y)))
 
@@ -223,6 +223,7 @@ def overlap_J_dense(V, W, h1, A, T: TapCovariance, sigma_W2: float) -> float:
     """Dense-covariance reference for overlap_J."""
     dv, dw = _overlap_parts(V, W, h1, A, T, sigma_W2)
     cov = dv.dense_covariance() + dw.dense_covariance()
+    from scipy import stats     # reference path only; kept off the import path
     return float(stats.multivariate_normal(mean=np.zeros(cov.shape[0]),
                                            cov=cov).logpdf(dv.mean - dw.mean))
 

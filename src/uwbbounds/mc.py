@@ -1,8 +1,9 @@
 """Monte-Carlo plumbing: counter-based substreams, log-domain accumulation, CIs.
 
-Sample magnitudes span thousands of nats at physical noise levels, so every
-mean/variance here is carried as log(sum x) and log(sum x^2); nothing is ever
-exponentiated on the absolute scale.
+Every substream is keyed by (seed, estimator); its counter holds the block
+index. Sample magnitudes span thousands of nats at physical noise levels, so
+every mean/variance here is carried as log(sum x) and log(sum x^2); nothing
+is ever exponentiated on the absolute scale.
 """
 
 from __future__ import annotations
@@ -11,32 +12,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import logsumexp, ndtri, stdtrit
+
+Z95 = 1.959963984540054         # standard normal 0.975 quantile
 
 
-def substream(seed: int, estimator: int, stratum: int = 0, index: int = 0) -> np.random.Generator:
-    """Independent generator for one (seed, estimator, stratum, index) cell.
+def substream(seed: int, estimator: int, index: int = 0) -> np.random.Generator:
+    """Independent generator for block `index` of one estimator.
 
-    Philox key carries (seed, estimator); the initial counter carries
-    (stratum, index) in its high words, leaving 2^64 draws of headroom per
-    cell before any two streams could touch.
+    The Philox key carries (seed, estimator); the initial counter carries the
+    block index in its second word, leaving 2^64 draws of headroom per block
+    before any two streams could touch.
     """
     key = np.array([seed, estimator], dtype=np.uint64)
-    counter = np.array([0, index, stratum, 0], dtype=np.uint64)
+    counter = np.array([0, index, 0, 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
-
-
-def pairwise_logsumexp(log_values: np.ndarray) -> float:
-    """log(sum exp(v)) via a fixed halving tree over the input order;
-    permuted inputs agree to ~1e-15."""
-    a = np.asarray(log_values, dtype=float)
-    if a.size == 0:
-        return -math.inf
-    while a.size > 1:
-        if a.size % 2:
-            a = np.append(a, -math.inf)
-        a = np.logaddexp(a[0::2], a[1::2])
-    return float(a[0])
 
 
 @dataclass(frozen=True)
@@ -55,7 +45,7 @@ class LogAccumulator:
             raise ValueError("need at least one sample")
         if not np.all(np.isfinite(a)):
             raise ValueError("log samples must be finite")
-        return cls(int(a.size), pairwise_logsumexp(a), pairwise_logsumexp(2.0 * a))
+        return cls(int(a.size), float(logsumexp(a)), float(logsumexp(2.0 * a)))
 
     @property
     def log_mean(self) -> float:
@@ -83,28 +73,30 @@ class LogAccumulator:
         return math.exp(0.5 * lv - self.log_mean - 0.5 * math.log(self.count))
 
 
-def gaussian_ci(mean: float, variance: float, count: int, level: float = 0.95) -> float:
-    """Student-t halfwidth for the mean of `count` near-Gaussian samples."""
+def gaussian_ci(variance: float, count: int) -> float:
+    """95% Student-t halfwidth for the mean of `count` near-Gaussian samples
+    with sample variance `variance`."""
     if count < 2:
         raise ValueError("need count >= 2")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
     if variance < 0.0:
         raise ValueError("variance must be >= 0")
-    t = stats.t.ppf(0.5 + level / 2.0, count - 1)
-    return float(t * math.sqrt(variance / count))
+    return float(stdtrit(count - 1, 0.975) * math.sqrt(variance / count))
 
 
 def normal_qq_corr(samples: np.ndarray) -> float:
     """Probability-plot correlation against normal quantiles (~1 if Gaussian).
 
-    Constant samples have no quantile spread; they are reported as 1.0 since a
-    degenerate distribution cannot fail a shape check.
+    The quantiles are taken at Filliben's (1975) uniform order-statistic
+    medians. Constant samples have no quantile spread; they are reported as
+    1.0 since a degenerate distribution cannot fail a shape check.
     """
-    x = np.asarray(samples, dtype=float)
-    if x.size < 3:
+    x = np.sort(np.asarray(samples, dtype=float))
+    n = x.size
+    if n < 3:
         raise ValueError("need at least 3 samples")
-    if np.ptp(x) == 0.0:
+    if x[-1] == x[0]:
         return 1.0
-    (_, _), (_, _, r) = stats.probplot(x)
-    return float(r)
+    medians = (np.arange(1, n + 1) - 0.3175) / (n + 0.365)
+    medians[-1] = 0.5 ** (1.0 / n)
+    medians[0] = 1.0 - medians[-1]
+    return float(np.corrcoef(ndtri(medians), x)[0, 1])

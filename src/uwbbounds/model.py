@@ -13,7 +13,7 @@ its amplitude cap A_i = sqrt(P_rcv(l_i) / eta_i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -174,6 +174,11 @@ class ScenarioConfig:
     h1_mode: str = "fixed-draw"
 
     def __post_init__(self):
+        for f in fields(self):      # postponed annotations: f.type is the string "int"
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool)
+                                    or not isinstance(value, (int, np.integer))):
+                raise InvalidParameterError(f"{f.name} must be an integer, got {value!r}")
         if self.num_nodes < 1:
             raise InvalidParameterError(f"num_nodes must be >= 1, got {self.num_nodes}")
         if self.codeword_len < 1:

@@ -25,11 +25,10 @@ from uwbbounds.bounds import (distance_distribution, draw_h1,
                               error_probability_bound, estimate_pd,
                               estimate_theta, lower_bound, upper_bound)
 from uwbbounds.gaussian import log_gauss_lowrank, oracle_J, overlap_J
-from uwbbounds.mc import LogAccumulator
+from uwbbounds.mc import Z95, LogAccumulator
 from uwbbounds.model import ScenarioConfig, TapCovariance, received_power
 
 DESK = dict(codeword_len=40, taps=3)
-Z95 = 1.959963984540054
 
 
 def criterion(num, name, ok, detail):
@@ -333,9 +332,9 @@ def test_criterion_9_determinism_across_workers(tmp_path):
     outputs = []
     start = time.time()
     src_dir = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    for workers in ("1", "4"):
-        out = tmp_path / f"r{workers}.csv"
-        env = dict(os.environ, UWBBOUNDS_THREADS=workers,
+    for threads in ("1", "2"):
+        out = tmp_path / f"r{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(
                        [src_dir, env_path] if (env_path := os.environ.get("PYTHONPATH"))
                        else [src_dir]))
@@ -346,6 +345,6 @@ def test_criterion_9_determinism_across_workers(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())
     identical = outputs[0] == outputs[1]
-    criterion(9, "byte-identical CSV across worker counts", identical,
-              f"{len(outputs[0])} bytes each, workers 1 vs 4, "
+    criterion(9, "byte-identical CSV across BLAS thread counts", identical,
+              f"{len(outputs[0])} bytes each, OPENBLAS/OMP threads 1 vs 2, "
               f"{time.time() - start:.0f}s")

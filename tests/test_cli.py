@@ -52,6 +52,7 @@ def test_config_errors_name_the_offending_key(tmp_path):
         ({"definitely_not_a_key": 1}, "unknown-key", "definitely_not_a_key"),
         ({"codeword_len": "many"}, "bad-type", "codeword_len"),
         ({"codeword_len": True}, "bad-type", "codeword_len"),
+        ({"seed": 1.5}, "bad-type", "seed"),
         ({"duty_cycles": [1.5, 0.5]}, "bad-value", "duty_cycles"),
         ({"bounds": "sideways"}, "bad-value", "bounds"),
         ({"sweep": {"volume": [1]}}, "unknown-key", "volume"),

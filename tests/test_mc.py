@@ -1,27 +1,46 @@
 """Substream layout, log-domain accumulation, and interval helpers."""
 
+import math
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import logsumexp
 
-from uwbbounds.mc import (LogAccumulator, gaussian_ci, normal_qq_corr,
-                          pairwise_logsumexp, substream)
+import uwbbounds
+from uwbbounds.mc import Z95, LogAccumulator, gaussian_ci, normal_qq_corr, substream
+
+
+def test_import_leaves_scipy_stats_out():
+    # a fresh interpreter: scipy.stats costs ~0.7 s and ~45 MB to import
+    src = str(Path(uwbbounds.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import uwbbounds.cli; "
+            "sys.exit('scipy.stats' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 class TestSubstream:
     def test_reproducible(self):
-        a = substream(123, 2, stratum=4, index=7).standard_normal(16)
-        b = substream(123, 2, stratum=4, index=7).standard_normal(16)
+        a = substream(123, 2, index=7).standard_normal(16)
+        b = substream(123, 2, index=7).standard_normal(16)
         np.testing.assert_array_equal(a, b)
 
     def test_distinct_axes(self):
-        base = substream(123, 2, stratum=4, index=7).standard_normal(16)
-        for kw in ({"seed": 124}, {"estimator": 3}, {"stratum": 5}, {"index": 8}):
-            args = {"seed": 123, "estimator": 2, "stratum": 4, "index": 7}
+        base = substream(123, 2, index=7).standard_normal(16)
+        for kw in ({"seed": 124}, {"estimator": 3}, {"index": 8}):
+            args = {"seed": 123, "estimator": 2, "index": 7}
             args.update(kw)
             other = substream(**args).standard_normal(16)
             assert not np.array_equal(base, other)
+
+    def test_counter_layout(self):
+        # key (seed, estimator), block index in the counter's second word
+        ref = np.random.Generator(np.random.Philox(
+            key=np.array([123, 2], dtype=np.uint64),
+            counter=np.array([0, 7, 0, 0], dtype=np.uint64)))
+        np.testing.assert_array_equal(substream(123, 2, index=7).random(8), ref.random(8))
 
     def test_streams_uncorrelated(self):
         # adjacent indices should look independent
@@ -35,29 +54,6 @@ class TestSubstream:
         counts, _ = np.histogram(u, bins=20, range=(0.0, 1.0))
         chi2 = ((counts - 50_000.0) ** 2 / 50_000.0).sum()
         assert stats.chi2.sf(chi2, df=19) > 0.01
-
-
-class TestPairwiseLogsumexp:
-    def test_matches_scipy(self):
-        rng = np.random.default_rng(3)
-        v = rng.normal(size=1001) * 50.0
-        assert pairwise_logsumexp(v) == pytest.approx(logsumexp(v), rel=1e-12)
-
-    def test_order_of_magnitude_spread(self):
-        v = np.array([-5000.0, -5000.0, -5010.0])
-        expect = -5000.0 + np.log(2.0 + np.exp(-10.0))
-        assert pairwise_logsumexp(v) == pytest.approx(expect, abs=1e-12)
-
-    def test_split_invariance(self):
-        # combining the log-sums of blocks must equal one-shot accumulation
-        rng = np.random.default_rng(4)
-        v = rng.normal(size=777) * 100.0
-        whole = pairwise_logsumexp(v)
-        merged = np.logaddexp(pairwise_logsumexp(v[:300]), pairwise_logsumexp(v[300:]))
-        assert merged == pytest.approx(whole, rel=1e-13)
-
-    def test_empty(self):
-        assert pairwise_logsumexp(np.array([])) == -np.inf
 
 
 class TestLogAccumulator:
@@ -85,6 +81,28 @@ class TestLogAccumulator:
         with pytest.raises(ValueError):
             LogAccumulator.from_log_values(np.array([]))
 
+    def test_matches_direct_sums(self):
+        rng = np.random.default_rng(3)
+        v = rng.normal(size=1001) * 50.0
+        acc = LogAccumulator.from_log_values(v)
+        assert acc.log_sum == pytest.approx(np.log(np.exp(v).sum()), rel=1e-12)
+        assert acc.log_sumsq == pytest.approx(np.log(np.exp(2.0 * v).sum()), rel=1e-12)
+
+    def test_order_of_magnitude_spread(self):
+        acc = LogAccumulator.from_log_values(np.array([-5000.0, -5000.0, -5010.0]))
+        assert acc.log_sum == pytest.approx(-5000.0 + np.log(2.0 + np.exp(-10.0)), abs=1e-12)
+
+    def test_split_invariance(self):
+        # combining the log-sums of blocks must equal one-shot accumulation
+        rng = np.random.default_rng(4)
+        v = rng.normal(size=777) * 100.0
+        whole = LogAccumulator.from_log_values(v)
+        head = LogAccumulator.from_log_values(v[:300])
+        tail = LogAccumulator.from_log_values(v[300:])
+        assert np.logaddexp(head.log_sum, tail.log_sum) == pytest.approx(whole.log_sum, rel=1e-13)
+        assert np.logaddexp(head.log_sumsq, tail.log_sumsq) == pytest.approx(
+            whole.log_sumsq, rel=1e-13)
+
     def test_se_matches_direct(self):
         rng = np.random.default_rng(5)
         x = np.abs(rng.normal(size=500)) + 0.1
@@ -94,16 +112,34 @@ class TestLogAccumulator:
 
 
 class TestIntervals:
+    def test_z95_is_normal_quantile(self):
+        assert Z95 == stats.norm.ppf(0.975)
+
+    @pytest.mark.parametrize("count", [2, 3, 4000])
+    def test_gaussian_ci_is_student_t(self, count):
+        expect = stats.t.ppf(0.975, count - 1) * math.sqrt(2.5 / count)
+        assert gaussian_ci(2.5, count) == expect
+
     def test_gaussian_ci_frozen(self):
         # t_{0.975, 2} * sqrt(1/3) = 4.302653 * 0.5773503
-        assert gaussian_ci(2.0, 1.0, 3) == pytest.approx(2.4841377, rel=1e-6)
+        assert gaussian_ci(1.0, 3) == pytest.approx(2.4841377, rel=1e-6)
 
     def test_gaussian_ci_shrinks(self):
         # large n: t -> z, halfwidth -> 1.96 / sqrt(n)
-        assert gaussian_ci(0.0, 1.0, 10_000) == pytest.approx(0.0196, abs=1e-4)
+        assert gaussian_ci(1.0, 10_000) == pytest.approx(0.0196, abs=1e-4)
 
     def test_qq_corr(self):
         rng = np.random.default_rng(7)
         assert normal_qq_corr(rng.normal(size=5000)) > 0.999
         assert normal_qq_corr(rng.exponential(size=5000)) < 0.99
         assert normal_qq_corr(np.zeros(10)) == 1.0
+
+    @pytest.mark.parametrize("size", [5000, 40_500])
+    @pytest.mark.parametrize("shape", ["normal", "exponential", "cubed-normal"])
+    def test_qq_corr_matches_probplot(self, shape, size):
+        rng = np.random.default_rng(size)
+        x = {"normal": lambda: rng.normal(size=size),
+             "exponential": lambda: rng.exponential(size=size),
+             "cubed-normal": lambda: rng.normal(size=size) ** 3}[shape]()
+        (_, _), (_, _, r) = stats.probplot(x)
+        assert normal_qq_corr(x) == pytest.approx(r, abs=1e-12)

@@ -166,6 +166,19 @@ class TestScenarioConfig:
         with pytest.raises(InvalidParameterError, match="interferer_distances_m"):
             ScenarioConfig(interferer_distances_m=())
 
+    @pytest.mark.parametrize("name, value", [
+        ("rng_seed", 1.5), ("rng_seed", True), ("num_nodes", True),
+        ("codeword_len", 40.0), ("taps", np.float64(3.0)), ("total_path_count", 68.0),
+        ("samples_theta", 100.0), ("samples_pd", 1e3), ("samples_upper", np.bool_(True)),
+    ])
+    def test_integer_fields_reject_non_integers(self, name, value):
+        with pytest.raises(InvalidParameterError, match=f"{name} must be an integer"):
+            ScenarioConfig(**{name: value})
+
+    def test_integer_fields_accept_numpy_integers(self):
+        cfg = ScenarioConfig(codeword_len=np.int32(40), rng_seed=np.uint64(7))
+        assert cfg.codeword_len == 40 and cfg.rng_seed == 7
+
     def test_single_node(self):
         cfg = ScenarioConfig(num_nodes=1, duty_cycles=(0.5,), interferer_distances_m=())
         assert cfg.amplitudes().shape == (1,)
