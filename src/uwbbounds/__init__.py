@@ -8,9 +8,8 @@ radio. All randomness is counter-based: results are reproducible bit-for-bit
 from a single seed.
 """
 
-from .bounds import (BoundEstimate, DistanceDistribution, ErrorProbabilityBound,
-                     LowerBoundProfile, distance_distribution, draw_h1,
-                     error_probability_bound, estimate_pd, estimate_theta,
+from .bounds import (BoundEstimate, ErrorProbabilityBound, LowerBoundProfile,
+                     draw_h1, error_probability_bound, log_distance_probs,
                      lower_bound, upper_bound)
 from .cli import ResultRow, figure_ratios, read_result_csv, run_sweep, sweep_points
 from .config import (PRESETS, ConfigError, SweepSpec, effective_config,
@@ -21,24 +20,21 @@ from .gaussian import (OracleEstimate, OutputDistribution, log_density,
 from .mc import LogAccumulator, gaussian_ci, normal_qq_corr, substream
 from .model import (H1_MODES, InvalidParameterError, ScenarioConfig,
                     TapCovariance, build_tap_covariance, pulse_amplitude,
-                    received_power, sample_channel, sample_symbols,
-                    simulate_output)
+                    received_power, sample_channel, sample_symbols)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundEstimate", "ConfigError", "DistanceDistribution",
-    "ErrorProbabilityBound", "H1_MODES", "InvalidParameterError",
-    "LogAccumulator", "LowerBoundProfile", "OracleEstimate",
-    "OutputDistribution", "PRESETS", "ResultRow", "ScenarioConfig",
-    "SweepSpec", "TapCovariance", "build_tap_covariance",
-    "distance_distribution", "draw_h1", "effective_config",
-    "error_probability_bound", "estimate_pd", "estimate_theta",
+    "BoundEstimate", "ConfigError", "ErrorProbabilityBound", "H1_MODES",
+    "InvalidParameterError", "LogAccumulator", "LowerBoundProfile",
+    "OracleEstimate", "OutputDistribution", "PRESETS", "ResultRow",
+    "ScenarioConfig", "SweepSpec", "TapCovariance", "build_tap_covariance",
+    "draw_h1", "effective_config", "error_probability_bound",
     "figure_ratios", "gaussian_ci", "load_config", "log_density",
-    "log_density_dense", "lower_bound", "normal_qq_corr",
-    "oracle_J", "output_moments", "overlap_J", "overlap_J_dense",
-    "pulse_amplitude", "read_result_csv", "received_power", "run_sweep",
-    "sample_channel", "sample_symbols", "simulate_output",
+    "log_density_dense", "log_distance_probs", "lower_bound",
+    "normal_qq_corr", "oracle_J", "output_moments", "overlap_J",
+    "overlap_J_dense", "pulse_amplitude", "read_result_csv",
+    "received_power", "run_sweep", "sample_channel", "sample_symbols",
     "spec_from_mapping", "substream", "sweep_points", "upper_bound",
     "__version__",
 ]

@@ -8,9 +8,13 @@ giving
 
 with theta = p(0) the self-overlap of the marginalized output law and p(d)
 the expected overlap between codewords at Hamming distance d, averaged over
-interferer codewords. Upper bound (genie): mutual information of the single
-on-off symbol through the white channel when all interferer symbols are
-revealed, so it depends on no interferer parameter.
+interferer codewords. `lower_bound` estimates every one of these in one pass:
+its profile carries ln p(d) for d = 0..N (ln theta is the d = 0 entry), ln P(d)
+and the log of the sum, and `error_probability_bound` reads the error bound
+at any rate off that profile without drawing again. Upper bound (genie):
+mutual information of the single on-off symbol through the white channel
+when all interferer symbols are revealed, so it depends on no interferer
+parameter.
 
 Both estimators draw their samples in blocks of BLOCK; block b draws from the
 counter-based substream keyed by (seed, estimator, b), in a fixed order
@@ -44,16 +48,10 @@ def _block_streams(seed: int, estimator: int, total: int):
         yield substream(seed, estimator, index=b), min(BLOCK, total - start)
 
 
-@dataclass(frozen=True)
-class DistanceDistribution:
-    """Law of the Hamming distance between two iid Bernoulli(eta) codewords."""
-
-    probs: np.ndarray
-    log_probs: np.ndarray
-
-
-def distance_distribution(N: int, eta1: float) -> DistanceDistribution:
-    """P(d) = C(N,d) (2 eta (1-eta))^d (eta^2 + (1-eta)^2)^{N-d}, d = 0..N."""
+def log_distance_probs(N: int, eta1: float) -> np.ndarray:
+    """ln P(d), d = 0..N, for the Hamming distance between two iid
+    Bernoulli(eta1) codewords:
+    P(d) = C(N,d) (2 eta (1-eta))^d (eta^2 + (1-eta)^2)^{N-d}."""
     if N < 1:
         raise InvalidParameterError(f"N must be >= 1, got {N}")
     if not 0.0 < eta1 < 1.0:
@@ -61,8 +59,7 @@ def distance_distribution(N: int, eta1: float) -> DistanceDistribution:
     d = np.arange(N + 1)
     flip = 2.0 * eta1 * (1.0 - eta1)      # per-symbol disagreement probability
     log_binom = gammaln(N + 1) - gammaln(d + 1) - gammaln(N - d + 1)
-    log_probs = log_binom + d * np.log(flip) + (N - d) * np.log1p(-flip)
-    return DistanceDistribution(np.exp(log_probs), log_probs)
+    return log_binom + d * np.log(flip) + (N - d) * np.log1p(-flip)
 
 
 def _resolve_seed(cfg: ScenarioConfig, seed) -> int:
@@ -82,35 +79,16 @@ def _resolve_h1(cfg: ScenarioConfig, h1, seed: int):
     return None     # averaged: drawn per sample inside the estimators
 
 
-def estimate_pd(scenario: ScenarioConfig, h1, d: int, seed=None) -> tuple[float, float]:
-    """(ln p(d), standard error of the log) for one Hamming-distance stratum,
-    read from the lower bound's pass over interferer draws."""
-    if not 0 <= d <= scenario.codeword_len:
-        raise InvalidParameterError(
-            f"d must be in [0, {scenario.codeword_len}], got {d}")
-    seed = _resolve_seed(scenario, seed)
-    profile = _likelihood_sum(scenario, _resolve_h1(scenario, h1, seed), seed)[2]
-    return float(profile.log_pd[d]), float(profile.se_log_pd[d])
-
-
-def estimate_theta(scenario: ScenarioConfig, h1=None, seed=None) -> tuple[float, float]:
-    """(ln theta, standard error of the log): theta = p(0), the expected
-    self-overlap J([e_0, U], [e_0, V], h_1) over independent interferer
-    codewords. The standard error is the Gaussian one on the raw samples,
-    expressed relative to the mean."""
-    return estimate_pd(scenario, h1, 0, seed)
-
-
 @dataclass(frozen=True)
 class LowerBoundProfile:
-    """Per-stratum diagnostics behind one lower-bound figure; every stratum
-    averages the same interferer draws."""
+    """Every quantity behind one lower-bound figure; all strata average the
+    same interferer draws."""
 
-    log_pd: np.ndarray          # ln p(d), d = 0..N
+    log_pd: np.ndarray          # ln p(d), d = 0..N; ln theta = log_pd[0]
     se_log_pd: np.ndarray
-    log_theta: float            # ln p(0)
-    se_log_theta: float
     log_distance_probs: np.ndarray   # ln P(d), d = 0..N
+    log_sum: float              # ln sum_d P(d) p(d)/theta, before the rate clamp
+    se_log_sum: float           # delta-method standard error of log_sum
     qq_ratio: float             # normal quantile correlation of the ratio terms
 
 
@@ -125,8 +103,8 @@ class BoundEstimate:
     profile: LowerBoundProfile | None = None
 
 
-def _likelihood_sum(scenario: ScenarioConfig, h1, seed: int):
-    """ln sum_d P(d) p(d)/theta with a delta-method variance, from one pass.
+def lower_bound(scenario: ScenarioConfig, h1=None, seed=None) -> BoundEstimate:
+    """C_l with a delta-method 95% CI on the ratio estimate of its sum.
 
     Every sample draws (the channel if averaged, then the I-1 interferer rows
     of the first codeword and those of the second) and gives ln J_d for all
@@ -135,8 +113,10 @@ def _likelihood_sum(scenario: ScenarioConfig, h1, seed: int):
     mean(e^T) / mean(e^D), and the variance of its log is var(a - b) / S for
     a, b the samples scaled to unit mean.
     """
+    seed = _resolve_seed(scenario, seed)
+    h1 = _resolve_h1(scenario, h1, seed)
     n_sym = scenario.codeword_len
-    dist = distance_distribution(n_sym, scenario.duty_cycles[0])
+    log_probs = log_distance_probs(n_sym, scenario.duty_cycles[0])
     amplitudes = scenario.amplitudes()
     tap_cov = scenario.tap_covariance()
     noise_var = 2.0 * scenario.noise_var_w
@@ -154,33 +134,24 @@ def _likelihood_sum(scenario: ScenarioConfig, h1, seed: int):
         d_logs[block] = log_gauss_lowrank(zero, noise_var, rows, tap_cov.factor)
         log_j = d_logs[block, None] - 0.5 * prefix_quad_lowrank(
             amplitudes[0] * h, noise_var, rows, tap_cov.factor)
-        t_logs[block] = logsumexp(dist.log_probs + log_j, axis=1)
+        t_logs[block] = logsumexp(log_probs + log_j, axis=1)
         col_sum = np.logaddexp(col_sum, logsumexp(log_j, axis=0))
         col_sumsq = np.logaddexp(col_sumsq, logsumexp(2.0 * log_j, axis=0))
 
     acc_t = LogAccumulator.from_log_values(t_logs)
     acc_d = LogAccumulator.from_log_values(d_logs)
     terms = np.exp(t_logs - acc_t.log_mean) - np.exp(d_logs - acc_d.log_mean)
-    var = float(terms.var(ddof=1)) / total
+    log_sum = acc_t.log_mean - acc_d.log_mean
+    se_log_sum = float(np.sqrt(terms.var(ddof=1) / total))
     strata = [LogAccumulator(total, a, b) for a, b in zip(col_sum, col_sumsq)]
-    log_pd = np.array([acc.log_mean for acc in strata])
-    se_log_pd = np.array([acc.se_log_mean for acc in strata])
     profile = LowerBoundProfile(
-        log_pd=log_pd, se_log_pd=se_log_pd, log_theta=float(log_pd[0]),
-        se_log_theta=float(se_log_pd[0]), log_distance_probs=dist.log_probs,
+        log_pd=np.array([acc.log_mean for acc in strata]),
+        se_log_pd=np.array([acc.se_log_mean for acc in strata]),
+        log_distance_probs=log_probs, log_sum=log_sum, se_log_sum=se_log_sum,
         qq_ratio=normal_qq_corr(terms))
-    return acc_t.log_mean - acc_d.log_mean, var, profile, total
-
-
-def lower_bound(scenario: ScenarioConfig, h1=None, seed=None) -> BoundEstimate:
-    """C_l with a delta-method 95% CI on the ratio estimate of its sum."""
-    seed = _resolve_seed(scenario, seed)
-    h1 = _resolve_h1(scenario, h1, seed)
-    log_sum, var, profile, samples_used = _likelihood_sum(scenario, h1, seed)
-    rate = max(0.0, -log_sum / (scenario.codeword_len * LN2))
-    halfwidth = Z95 * np.sqrt(var) / (scenario.codeword_len * LN2)
-    return BoundEstimate(rate=rate, ci_halfwidth=float(halfwidth),
-                         samples_used=samples_used, kind="lower", profile=profile)
+    return BoundEstimate(rate=max(0.0, -log_sum / (n_sym * LN2)),
+                         ci_halfwidth=Z95 * se_log_sum / (n_sym * LN2),
+                         samples_used=total, kind="lower", profile=profile)
 
 
 def upper_bound(scenario: ScenarioConfig, h1=None, seed=None) -> BoundEstimate:
@@ -224,19 +195,19 @@ class ErrorProbabilityBound:
     log2_bound: float           # may be far below the floating-point floor
     probability: float          # min(1, 2^log2_bound)
     ci_halfwidth_log2: float
-    samples_used: int
 
 
-def error_probability_bound(scenario: ScenarioConfig, code_rate: float,
-                            h1=None, seed=None) -> ErrorProbabilityBound:
-    """P(err) <= 2^{C_R N} sum_d P(d) p(d) / theta at block length N."""
-    if code_rate < 0.0:
+def error_probability_bound(estimate: BoundEstimate,
+                            code_rate: float) -> ErrorProbabilityBound:
+    """P(err) <= 2^{C_R N} sum_d P(d) p(d) / theta at block length N, read off
+    a lower-bound estimate's profile; draws nothing."""
+    profile = estimate.profile
+    if profile is None:
+        raise InvalidParameterError(
+            f"the error bound needs a lower-bound estimate, got kind {estimate.kind!r}")
+    if not code_rate >= 0.0:
         raise InvalidParameterError(f"code_rate must be >= 0, got {code_rate}")
-    seed = _resolve_seed(scenario, seed)
-    h1 = _resolve_h1(scenario, h1, seed)
-    log_sum, var, _, samples_used = _likelihood_sum(scenario, h1, seed)
-    log2_bound = code_rate * scenario.codeword_len + log_sum / LN2
-    halfwidth = Z95 * np.sqrt(var) / LN2
-    probability = float(np.exp2(min(0.0, log2_bound)))
-    return ErrorProbabilityBound(log2_bound=float(log2_bound), probability=probability,
-                                 ci_halfwidth_log2=halfwidth, samples_used=samples_used)
+    log2_bound = code_rate * (profile.log_pd.size - 1) + profile.log_sum / LN2
+    return ErrorProbabilityBound(log2_bound=float(log2_bound),
+                                 probability=float(np.exp2(min(0.0, log2_bound))),
+                                 ci_halfwidth_log2=Z95 * profile.se_log_sum / LN2)

@@ -10,6 +10,7 @@ the identical sweep.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -115,6 +116,8 @@ def spec_from_mapping(data: dict, preset: str | None = None) -> SweepSpec:
         if not all(_is_number(x) for x in values):
             raise ConfigError("bad-type", f"sweep.{var} must contain only numbers")
         vals = tuple(float(x) for x in values)
+        if not all(math.isfinite(x) for x in vals):
+            raise ConfigError("bad-value", f"sweep.{var} values must be finite")
         if var in ("eta1", "eta2") and not all(0.0 < x < 1.0 for x in vals):
             raise ConfigError("bad-value", f"sweep.{var} values must be in (0, 1)")
         if var in ("l", "d") and not all(x > 0.0 for x in vals):

@@ -128,21 +128,6 @@ def sample_symbols(duty_cycle, codeword_len: int, rng: np.random.Generator,
     return (rng.random(shape) < eta[..., None]).astype(float)
 
 
-def simulate_output(codewords: np.ndarray, channels: np.ndarray, amplitudes: np.ndarray,
-                    noise_var_w: float, rng: np.random.Generator) -> np.ndarray:
-    """Received M x N block for given codewords (I x N) and channels (I x M)."""
-    u = np.asarray(codewords, dtype=float)
-    h = np.asarray(channels, dtype=float)
-    a = np.asarray(amplitudes, dtype=float)
-    if u.ndim != 2 or h.ndim != 2 or u.shape[0] != h.shape[0] or a.shape != (u.shape[0],):
-        raise InvalidParameterError(
-            f"shape mismatch: codewords {u.shape}, channels {h.shape}, amplitudes {a.shape}")
-    if noise_var_w < 0.0:
-        raise InvalidParameterError(f"noise_var_w must be >= 0, got {noise_var_w}")
-    clean = (h.T * a) @ u
-    return clean + np.sqrt(noise_var_w) * rng.standard_normal(clean.shape)
-
-
 H1_MODES = ("fixed-draw", "averaged")
 
 
@@ -174,20 +159,22 @@ class ScenarioConfig:
     h1_mode: str = "fixed-draw"
 
     def __post_init__(self):
-        for f in fields(self):      # postponed annotations: f.type is the string "int"
+        object.__setattr__(self, "duty_cycles", tuple(float(x) for x in self.duty_cycles))
+        object.__setattr__(self, "interferer_distances_m",
+                           tuple(float(x) for x in self.interferer_distances_m))
+        for f in fields(self):      # postponed annotations: f.type is a string
             value = getattr(self, f.name)
             if f.type == "int" and (isinstance(value, bool)
                                     or not isinstance(value, (int, np.integer))):
                 raise InvalidParameterError(f"{f.name} must be an integer, got {value!r}")
+            if f.type.startswith(("float", "tuple")) and not np.all(np.isfinite(value)):
+                raise InvalidParameterError(f"{f.name} must be finite, got {value!r}")
         if self.num_nodes < 1:
             raise InvalidParameterError(f"num_nodes must be >= 1, got {self.num_nodes}")
         if self.codeword_len < 1:
             raise InvalidParameterError(f"codeword_len must be >= 1, got {self.codeword_len}")
         if self.taps < 1:
             raise InvalidParameterError(f"taps must be >= 1, got {self.taps}")
-        object.__setattr__(self, "duty_cycles", tuple(float(x) for x in self.duty_cycles))
-        object.__setattr__(self, "interferer_distances_m",
-                           tuple(float(x) for x in self.interferer_distances_m))
         if len(self.duty_cycles) != self.num_nodes:
             raise InvalidParameterError(
                 f"duty_cycles needs {self.num_nodes} entries, got {len(self.duty_cycles)}")

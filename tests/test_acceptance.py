@@ -21,9 +21,8 @@ import time
 
 import numpy as np
 
-from uwbbounds.bounds import (distance_distribution, draw_h1,
-                              error_probability_bound, estimate_pd,
-                              estimate_theta, lower_bound, upper_bound)
+from uwbbounds.bounds import (draw_h1, error_probability_bound, log_distance_probs,
+                              lower_bound, upper_bound)
 from uwbbounds.gaussian import log_gauss_lowrank, oracle_J, overlap_J
 from uwbbounds.mc import Z95, LogAccumulator
 from uwbbounds.model import ScenarioConfig, TapCovariance, received_power
@@ -107,13 +106,13 @@ def test_criterion_2_analytic_regression():
             captured_energy_fraction=1.0, total_path_count=1,
             samples_theta=32, samples_pd=32, samples_upper=32)
         h1 = np.array([0.6])
-        log_theta, _ = estimate_theta(cfg, h1=h1)
-        theta_err = abs(np.exp(log_theta) * np.sqrt(4.0 * np.pi) - 1.0)
+        lo = lower_bound(cfg, h1=h1)
+        theta_err = abs(np.exp(lo.profile.log_pd[0]) * np.sqrt(4.0 * np.pi) - 1.0)
 
         a1_h = np.sqrt(2.0 / eta) * h1[0]
         target = -np.log2(eta ** 2 + (1 - eta) ** 2
                           + 2 * eta * (1 - eta) * np.exp(-a1_h ** 2 / 4.0))
-        rate_err = abs(lower_bound(cfg, h1=h1).rate - target)
+        rate_err = abs(lo.rate - target)
         worst = max(worst, theta_err, rate_err)
     criterion(2, "analytic single-pulse chain", worst < 1e-9,
               f"worst |error| {worst:.2e} < 1e-9 over eta in (0.3, 0.5)")
@@ -133,7 +132,7 @@ def test_criterion_3_distance_distribution_enumeration():
             enumerated = np.bincount(pair_d.ravel(),
                                      weights=np.outer(p_code, p_code).ravel(),
                                      minlength=n + 1)
-            gap = np.abs(distance_distribution(n, eta).probs - enumerated).max()
+            gap = np.abs(np.exp(log_distance_probs(n, eta)) - enumerated).max()
             worst = max(worst, gap)
     criterion(3, "distance distribution vs enumeration", worst < 1e-12,
               f"worst |gap| {worst:.2e} < 1e-12 for N <= 10, eta in (0.1, 0.25, 0.5)")
@@ -159,8 +158,10 @@ def test_criterion_4_proposition_1():
 
     h_a, h_b = draw_h1(cfg, seed=101), draw_h1(cfg, seed=202)
     assert not np.array_equal(h_a, h_b)
-    log_a, se_a = estimate_theta(cfg, h1=h_a, seed=101)
-    log_b, se_b = estimate_theta(cfg, h1=h_b, seed=202)
+    prof_a = lower_bound(cfg, h1=h_a, seed=101).profile
+    prof_b = lower_bound(cfg, h1=h_b, seed=202).profile
+    log_a, se_a = prof_a.log_pd[0], prof_a.se_log_pd[0]
+    log_b, se_b = prof_b.log_pd[0], prof_b.se_log_pd[0]
     gap, tol = abs(log_a - log_b), Z95 * np.hypot(se_a, se_b)
     ok &= gap <= tol
     details.append(f"theta h1-invariance |dlog|={gap:.4f} <= {tol:.4f}")
@@ -312,8 +313,8 @@ def test_criterion_8_ci_methodology_paper_preset():
     h1 = draw_h1(cfg)
     lo = lower_bound(cfg, h1=h1)
     prof = lo.profile
-    rel_theta = Z95 * prof.se_log_theta
-    err = error_probability_bound(cfg, code_rate=max(0.0, lo.rate - 0.05), h1=h1)
+    rel_theta = Z95 * prof.se_log_pd[0]
+    err = error_probability_bound(lo, code_rate=max(0.0, lo.rate - 0.05))
     rel_aggregate = err.ci_halfwidth_log2 * np.log(2.0)
     ok = rel_theta < 0.10 and rel_aggregate < 0.50
     criterion(8, "paper-preset CI methodology", ok,

@@ -5,10 +5,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
-from uwbbounds.bounds import (distance_distribution, draw_h1,
-                              error_probability_bound, estimate_pd,
-                              estimate_theta, lower_bound, upper_bound)
+import uwbbounds.bounds
+from uwbbounds.bounds import (draw_h1, error_probability_bound, log_distance_probs,
+                              lower_bound, upper_bound)
 from uwbbounds.gaussian import log_gauss_lowrank
 from uwbbounds.mc import LogAccumulator
 from uwbbounds.model import InvalidParameterError, ScenarioConfig
@@ -43,26 +44,26 @@ def same_estimate(a, b):
         return True
     pa, pb = a.profile, b.profile
     return all(np.array_equal(getattr(pa, f), getattr(pb, f))
-               for f in ("log_pd", "se_log_pd", "log_theta", "se_log_theta",
-                         "log_distance_probs", "qq_ratio"))
+               for f in ("log_pd", "se_log_pd", "log_distance_probs",
+                         "log_sum", "se_log_sum", "qq_ratio"))
 
 
 # ---------------------------------------------------------------- distance law
 
 
 def test_distance_distribution_frozen_values():
-    dist = distance_distribution(2, 0.5)
-    assert np.allclose(dist.probs, [0.25, 0.5, 0.25], atol=1e-15)
-    dist = distance_distribution(3, 0.25)
+    probs = np.exp(log_distance_probs(2, 0.5))
+    assert np.allclose(probs, [0.25, 0.5, 0.25], atol=1e-15)
+    probs = np.exp(log_distance_probs(3, 0.25))
     # flip = 2 * 0.25 * 0.75 = 0.375; P(1) = 3 * 0.375 * 0.625^2
-    assert dist.probs[1] == pytest.approx(0.439453125, abs=1e-15)
+    assert probs[1] == pytest.approx(0.439453125, abs=1e-15)
 
 
 def test_distance_distribution_normalized():
     for n, eta in [(1, 0.5), (7, 0.1), (40, 0.3), (80, 0.5)]:
-        dist = distance_distribution(n, eta)
-        assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(np.exp(dist.log_probs), dist.probs, rtol=1e-14)
+        log_probs = log_distance_probs(n, eta)
+        assert np.exp(log_probs).sum() == pytest.approx(1.0, abs=1e-12)
+        assert logsumexp(log_probs) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_distance_distribution_matches_enumeration():
@@ -76,16 +77,15 @@ def test_distance_distribution_matches_enumeration():
                 ones_w = bin(w).count("1")
                 pw = eta ** ones_w * (1.0 - eta) ** (n - ones_w)
                 probs[bin(v ^ w).count("1")] += pv * pw
-        dist = distance_distribution(n, eta)
-        assert np.allclose(dist.probs, probs, atol=1e-13)
+        assert np.allclose(np.exp(log_distance_probs(n, eta)), probs, atol=1e-13)
 
 
 def test_distance_distribution_validates():
     with pytest.raises(InvalidParameterError):
-        distance_distribution(0, 0.5)
+        log_distance_probs(0, 0.5)
     for eta in (0.0, 1.0, -0.1):
         with pytest.raises(InvalidParameterError):
-            distance_distribution(4, eta)
+            log_distance_probs(4, eta)
 
 
 # ----------------------------------------------------- exact single-node chain
@@ -98,11 +98,12 @@ def test_single_pulse_estimates_match_closed_form():
     a1 = np.sqrt(power / eta)
     gamma = (a1 * h1[0]) ** 2 / (4.0 * sigma2)
 
-    log_theta, se_theta = estimate_theta(cfg, h1=h1)
+    prof = lower_bound(cfg, h1=h1).profile
+    log_theta, se_theta = prof.log_pd[0], prof.se_log_pd[0]
     assert log_theta == pytest.approx(-0.5 * np.log(4.0 * np.pi * sigma2), abs=1e-12)
     assert se_theta <= 1e-6
 
-    log_p1, se_p1 = estimate_pd(cfg, h1, 1)
+    log_p1, se_p1 = prof.log_pd[1], prof.se_log_pd[1]
     assert log_p1 == pytest.approx(log_theta - gamma, abs=1e-12)
     assert se_p1 <= 1e-6
 
@@ -126,14 +127,33 @@ def test_single_pulse_lower_bound_matches_closed_form():
 def test_single_pulse_error_bound_matches_closed_form():
     cfg = single_pulse_config()
     h1 = np.array([0.7])
-    rate = lower_bound(cfg, h1=h1).rate
+    lo = lower_bound(cfg, h1=h1)
+    rate = lo.rate
     for code_rate in (0.0, 0.5 * rate, rate, rate + 0.3):
-        err = error_probability_bound(cfg, code_rate, h1=h1)
+        err = error_probability_bound(lo, code_rate)
         assert err.log2_bound == pytest.approx(code_rate - rate, abs=1e-10)
         assert err.probability == pytest.approx(min(1.0, 2.0 ** (code_rate - rate)), rel=1e-10)
     assert err.probability <= 1.0
     with pytest.raises(InvalidParameterError):
-        error_probability_bound(cfg, -0.1, h1=h1)
+        error_probability_bound(lo, -0.1)
+    with pytest.raises(InvalidParameterError, match="lower-bound estimate"):
+        error_probability_bound(upper_bound(cfg, h1=h1), 0.1)
+
+
+def test_error_bound_reads_the_estimate_without_drawing(monkeypatch):
+    cfg = small_config()
+    lo = lower_bound(cfg)
+    prof = lo.profile
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("error_probability_bound drew samples")
+
+    monkeypatch.setattr(uwbbounds.bounds, "substream", no_draws)
+    err = error_probability_bound(lo, 0.5 * lo.rate)
+    assert err.log2_bound == pytest.approx(
+        0.5 * lo.rate * cfg.codeword_len + prof.log_sum / np.log(2.0), abs=1e-12)
+    assert err.ci_halfwidth_log2 == pytest.approx(
+        lo.ci_halfwidth * cfg.codeword_len, rel=1e-12)
 
 
 def test_log_pd_linear_in_d_without_interferers():
@@ -143,9 +163,10 @@ def test_log_pd_linear_in_d_without_interferers():
                               captured_energy_fraction=0.9)
     h1 = np.array([0.8, -0.5])
     slope = (cfg.tx_power_w / cfg.duty_cycles[0]) * float(h1 @ h1) / (4.0 * cfg.noise_var_w)
-    log_theta, _ = estimate_theta(cfg, h1=h1)
+    prof = lower_bound(cfg, h1=h1).profile
+    log_theta = prof.log_pd[0]
     for d in range(cfg.codeword_len + 1):
-        log_pd, se = estimate_pd(cfg, h1, d)
+        log_pd, se = prof.log_pd[d], prof.se_log_pd[d]
         assert se <= 1e-6
         assert log_pd == pytest.approx(log_theta - d * slope, abs=1e-10)
 
@@ -154,34 +175,28 @@ def test_log_pd_linear_in_d_without_interferers():
 
 
 def test_theta_equals_distance_zero_stratum_exactly():
-    cfg = small_config()
-    h1 = draw_h1(cfg)
-    assert estimate_theta(cfg, h1=h1) == estimate_pd(cfg, h1, 0)
+    # the sum's numerator averages the same draws as the strata and its
+    # denominator theta is the d = 0 stratum, so the sum is their ratio
+    prof = lower_bound(small_config()).profile
+    assert prof.log_sum == pytest.approx(
+        logsumexp(prof.log_distance_probs + prof.log_pd) - prof.log_pd[0], abs=1e-12)
 
 
 def test_theta_ignores_h1_exactly():
     # the distance-0 overlap has zero mean difference, so h1 cancels
     cfg = small_config()
-    t_a = estimate_theta(cfg, h1=np.array([0.5, -0.2, 0.1]))
-    t_b = estimate_theta(cfg, h1=np.array([3.0, 1.0, -2.0]))
-    assert t_a == t_b
+    p_a = lower_bound(cfg, h1=np.array([0.5, -0.2, 0.1])).profile
+    p_b = lower_bound(cfg, h1=np.array([3.0, 1.0, -2.0])).profile
+    assert (p_a.log_pd[0], p_a.se_log_pd[0]) == (p_b.log_pd[0], p_b.se_log_pd[0])
 
 
 def test_pd_at_most_theta():
     cfg = small_config()
-    h1 = draw_h1(cfg)
-    log_theta, se_theta = estimate_theta(cfg, h1=h1)
+    prof = lower_bound(cfg, h1=draw_h1(cfg)).profile
+    log_theta, se_theta = prof.log_pd[0], prof.se_log_pd[0]
     for d in (1, 3, 7, 10):
-        log_pd, se_pd = estimate_pd(cfg, h1, d)
+        log_pd, se_pd = prof.log_pd[d], prof.se_log_pd[d]
         assert log_pd <= log_theta + 3.0 * np.hypot(se_pd, se_theta)
-
-
-def test_estimate_pd_validates_distance():
-    cfg = small_config()
-    h1 = draw_h1(cfg)
-    for d in (-1, cfg.codeword_len + 1):
-        with pytest.raises(InvalidParameterError):
-            estimate_pd(cfg, h1, d)
 
 
 def overlap_log_samples(cfg, h1, diff, budget, rng):
@@ -201,8 +216,9 @@ def test_pd_depends_only_on_distance_not_placement():
     cfg = small_config(codeword_len=12, interferer_distances_m=(2.0,),
                        samples_pd=1500)
     h1 = draw_h1(cfg)
+    prof = lower_bound(cfg, h1=h1).profile
     rng = np.random.default_rng(77)
-    # as many draws as estimate_pd averages, so both sides share one budget
+    # as many draws as the lower bound's pass averages, so both sides share one budget
     budget = cfg.samples_theta + cfg.codeword_len * cfg.samples_pd
     for d, scattered in [(1, [5]), (3, [2, 7, 11])]:
         leading = np.zeros(cfg.codeword_len)
@@ -216,7 +232,7 @@ def test_pd_depends_only_on_distance_not_placement():
         combined = 1.96 * np.hypot(acc_a.se_log_mean, acc_b.se_log_mean)
         assert abs(acc_a.log_mean - acc_b.log_mean) <= combined
         # and the stratum estimator agrees with the leading placement
-        log_pd, se_pd = estimate_pd(cfg, h1, d)
+        log_pd, se_pd = prof.log_pd[d], prof.se_log_pd[d]
         combined = 1.96 * np.hypot(acc_a.se_log_mean, se_pd)
         assert abs(acc_a.log_mean - log_pd) <= combined
 
@@ -254,9 +270,9 @@ def test_averaged_mode_draws_channels_per_sample():
     est = lower_bound(cfg)
     assert est.rate >= 0.0 and np.isfinite(est.rate)
     # distance-1 samples now vary through the channel draw
-    _, se = estimate_pd(dataclasses.replace(cfg, num_nodes=1, duty_cycles=(0.5,),
-                                            interferer_distances_m=()), None, 1)
-    assert se > 0.0
+    alone = lower_bound(dataclasses.replace(cfg, num_nodes=1, duty_cycles=(0.5,),
+                                            interferer_distances_m=()))
+    assert alone.profile.se_log_pd[1] > 0.0
     # an explicit h1 overrides the mode
     h1 = np.array([0.3, 0.2, -0.1])
     fixed = dataclasses.replace(cfg, h1_mode="fixed-draw")
@@ -274,7 +290,7 @@ def test_lower_bound_profile_accounting():
     assert prof.log_pd.shape == prof.se_log_pd.shape == (n + 1,)
     assert est.samples_used == cfg.samples_theta + n * cfg.samples_pd
     assert prof.log_distance_probs.shape == (n + 1,)
-    assert prof.log_theta == prof.log_pd[0]
+    assert est.rate == max(0.0, -prof.log_sum / (n * np.log(2.0)))
     assert -1.0 <= prof.qq_ratio <= 1.0
 
 

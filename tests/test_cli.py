@@ -57,6 +57,11 @@ def test_config_errors_name_the_offending_key(tmp_path):
         ({"bounds": "sideways"}, "bad-value", "bounds"),
         ({"sweep": {"volume": [1]}}, "unknown-key", "volume"),
         ({"sweep": {"eta1": [0.0]}}, "bad-value", "eta1"),
+        ({"link_distance_m": float("nan")}, "bad-value", "link_distance_m"),
+        ({"noise_var_w": float("inf")}, "bad-value", "noise_var_w"),
+        ({"interferer_distances_m": [float("inf")]}, "bad-value", "interferer_distances_m"),
+        ({"sweep": {"d": [2, float("inf")]}}, "bad-value", "sweep.d"),
+        ({"sweep": {"l": [float("nan")]}}, "bad-value", "sweep.l"),
     ]
     for payload, code, key in cases:
         with pytest.raises(ConfigError) as excinfo:

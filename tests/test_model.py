@@ -5,7 +5,7 @@ import pytest
 
 from uwbbounds.model import (InvalidParameterError, ScenarioConfig, TapCovariance,
                              build_tap_covariance, pulse_amplitude, received_power,
-                             sample_channel, sample_symbols, simulate_output)
+                             sample_channel, sample_symbols)
 
 
 class TestPathloss:
@@ -118,28 +118,6 @@ class TestSamplers:
         with pytest.raises(InvalidParameterError):
             sample_symbols([0.2, 1.0], 10, rng, samples=2)
 
-    def test_output_noise_free(self):
-        # single always-on node, zero noise: r[n] = A h for every n
-        h = np.array([[0.5, -0.25]])
-        u = np.ones((1, 4))
-        r = simulate_output(u, h, np.array([3.0]), 0.0, np.random.default_rng(0))
-        np.testing.assert_allclose(r, np.tile(3.0 * h.T, (1, 4)), rtol=1e-14)
-
-    def test_output_superposition(self):
-        rng = np.random.default_rng(13)
-        u = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
-        h = np.array([[1.0, 2.0], [-1.0, 0.5]])
-        a = np.array([2.0, 3.0])
-        r = simulate_output(u, h, a, 0.0, rng)
-        expect = np.array([[2.0, -3.0, 2.0 - 3.0], [4.0, 1.5, 4.0 + 1.5]])
-        np.testing.assert_allclose(r, expect, rtol=1e-14)
-
-    def test_output_noise_variance(self):
-        rng = np.random.default_rng(14)
-        r = simulate_output(np.zeros((1, 50_000)), np.zeros((1, 2)), np.array([1.0]),
-                            4.0, rng)
-        assert r.var() == pytest.approx(4.0, rel=0.02)
-
 
 class TestScenarioConfig:
     def test_defaults_are_consistent(self):
@@ -173,6 +151,15 @@ class TestScenarioConfig:
     ])
     def test_integer_fields_reject_non_integers(self, name, value):
         with pytest.raises(InvalidParameterError, match=f"{name} must be an integer"):
+            ScenarioConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("link_distance_m", np.nan), ("noise_var_w", np.inf), ("tx_power_w", -np.inf),
+        ("pathloss_alpha", np.nan), ("captured_energy_fraction", np.nan),
+        ("duty_cycles", (0.5, np.nan)), ("interferer_distances_m", (np.inf,)),
+    ])
+    def test_float_fields_reject_non_finite(self, name, value):
+        with pytest.raises(InvalidParameterError, match=f"{name} must be finite"):
             ScenarioConfig(**{name: value})
 
     def test_integer_fields_accept_numpy_integers(self):
