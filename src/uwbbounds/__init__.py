@@ -11,7 +11,6 @@ from a single seed.
 from .bounds import (BoundEstimate, ErrorProbabilityBound, LowerBoundProfile,
                      draw_h1, error_probability_bound, log_distance_probs,
                      lower_bound, upper_bound)
-from .cli import ResultRow, figure_ratios, read_result_csv, run_sweep, sweep_points
 from .config import (PRESETS, ConfigError, SweepSpec, effective_config,
                      load_config, spec_from_mapping)
 from .gaussian import (OracleEstimate, OutputDistribution, log_density,
@@ -27,14 +26,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundEstimate", "ConfigError", "ErrorProbabilityBound", "H1_MODES",
     "InvalidParameterError", "LogAccumulator", "LowerBoundProfile",
-    "OracleEstimate", "OutputDistribution", "PRESETS", "ResultRow",
-    "ScenarioConfig", "SweepSpec", "TapCovariance", "build_tap_covariance",
-    "draw_h1", "effective_config", "error_probability_bound",
-    "figure_ratios", "gaussian_ci", "load_config", "log_density",
-    "log_density_dense", "log_distance_probs", "lower_bound",
-    "normal_qq_corr", "oracle_J", "output_moments", "overlap_J",
-    "overlap_J_dense", "pulse_amplitude", "read_result_csv",
-    "received_power", "run_sweep", "sample_channel", "sample_symbols",
-    "spec_from_mapping", "substream", "sweep_points", "upper_bound",
-    "__version__",
+    "OracleEstimate", "OutputDistribution", "PRESETS", "ScenarioConfig",
+    "SweepSpec", "TapCovariance", "build_tap_covariance", "draw_h1",
+    "effective_config", "error_probability_bound", "gaussian_ci",
+    "load_config", "log_density", "log_density_dense",
+    "log_distance_probs", "lower_bound", "normal_qq_corr", "oracle_J",
+    "output_moments", "overlap_J", "overlap_J_dense", "pulse_amplitude",
+    "received_power", "sample_channel", "sample_symbols",
+    "spec_from_mapping", "substream", "upper_bound", "__version__",
 ]

@@ -11,9 +11,11 @@ with one scaled symbol row c_j = A_i v_i per marginalized node and T = G G^T.
 The pair overlap J(V, W, h_1) = int P(Y|V,h_1) P(Y|W,h_1) dY is the Gaussian
 product integral N(mu_V - mu_W; 0, Sigma_V + Sigma_W).
 
-All densities are evaluated in natural-log domain through a rank-update
-factorization whose capacitance matrix is (J r) x (J r): at full scale the
-covariance is 400 x 400 but J r is ~10, and direct densities underflow.
+Direct densities underflow, so all densities are evaluated in natural-log
+domain. At full scale the covariance is 400 x 400; its rank updates meet in
+the (J r) x (J r) capacitance sigma_W^2 I + (C C^T kron G^T G), which the
+eigenvectors U kron W of C C^T and G^T G diagonalise, so one J x J and one
+r x r eigendecomposition give its determinant and inverse.
 A dense path and two brute-force oracles (grid quadrature and nested Monte
 Carlo, both built on the plain white-noise density) exist for validation.
 """
@@ -92,55 +94,43 @@ def output_moments(V, h1, A, T: TapCovariance, sigma_W2: float) -> OutputDistrib
     )
 
 
-def _capacitance_cholesky(noise_var: float, rows: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Cholesky factors (S, Jr, Jr) of the capacitance matrices
-    noise_var I + (C C^T kron G^T G), one per row stack C in rows (S, J, N)."""
-    size, j = rows.shape[:2]
-    k = j * g.shape[1]
-    gram = np.einsum("sjn,skn->sjk", rows, rows)
-    cap = np.einsum("sjk,ab->sjakb", gram, g.T @ g).reshape(size, k, k)
-    cap[:, np.arange(k), np.arange(k)] += noise_var
-    return np.linalg.cholesky(cap)
+def _capacitance_eigs(noise_var: float, rows: np.ndarray, g: np.ndarray):
+    """Eigen-factorization of the capacitance matrices noise_var I + (C C^T kron
+    G^T G), one per row stack C in rows (S, J, N). With C C^T = U diag(mu) U^T
+    and G^T G = W diag(lam) W^T, U kron W diagonalises each; returns the
+    eigenvalues mu_k lam_a + noise_var as (S, J, r), U as (S, J, J) and W."""
+    mu, u = np.linalg.eigh(rows @ rows.transpose(0, 2, 1))
+    lam, w = np.linalg.eigh(g.T @ g)
+    return mu[:, :, None] * lam + noise_var, u, w
 
 
 def log_gauss_lowrank(x, noise_var: float, rows, tap_factor) -> float | np.ndarray:
     """log N(vec X; 0, noise_var I + sum_j c_j c_j^T kron G G^T).
 
-    x is one (M, N) matrix or a batch (S, M, N); rows holds the c_j as
-    (J, N) or per-instance (S, J, N); either argument broadcasts against the
-    other. Determinant and quadratic form go through the (J r)-dimensional
-    capacitance matrix, so cost is O(MN Jr + (Jr)^3) per instance.
+    x is one (M, N) matrix; rows holds the c_j as (J, N), or per-instance as
+    (S, J, N) for one density each. Determinant and quadratic form are sums
+    over the J r capacitance eigenvalues, so cost is O(MN Jr + J^3) per
+    instance.
     """
     x = np.asarray(x, dtype=float)
     rows = np.asarray(rows, dtype=float)
     g = np.asarray(tap_factor, dtype=float)
-    single = x.ndim == 2 and rows.ndim == 2
-    if x.ndim == 2:
-        x = x[None]
-    if rows.ndim == 2:
+    single = rows.ndim == 2
+    if single:
         rows = rows[None]
-    size = max(x.shape[0], rows.shape[0])
-    m, n = x.shape[1:]
-    j, r = rows.shape[1], g.shape[1]
-    dim = m * n
+    dim = x.size
     ln_s = np.log(noise_var)
+    xtx = float(np.sum(x * x))
 
-    x = np.broadcast_to(x, (size, m, n))
-    rows = np.broadcast_to(rows, (size, j, n))
-    xtx = np.einsum("smn,smn->s", x, x)
-
-    if j == 0 or r == 0:
-        out = -0.5 * (dim * (LOG_2PI + ln_s) + xtx / noise_var)
-        return float(out[0]) if single else out
-
-    k = j * r
-    chol = _capacitance_cholesky(noise_var, rows, g)
-    # w_j = G^T X c_j, the projection of x onto each rank-r block
-    w = (g.T @ (x @ rows.transpose(0, 2, 1))).transpose(0, 2, 1).reshape(size, k)
-    z = np.linalg.solve(chol, w[:, :, None])[:, :, 0]
-    logdet_cap = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-    quad = np.maximum(xtx - np.einsum("sk,sk->s", z, z), 0.0) / noise_var
-    out = -0.5 * (dim * LOG_2PI + (dim - k) * ln_s + logdet_cap + quad)
+    if rows.shape[1] == 0 or g.shape[1] == 0:
+        out = np.full(rows.shape[0], -0.5 * (dim * (LOG_2PI + ln_s) + xtx / noise_var))
+    else:
+        eig, u, w = _capacitance_eigs(noise_var, rows, g)
+        # z = U^T (C X^T G) W: the projections G^T X c_j in the eigenbasis
+        z = u.transpose(0, 2, 1) @ (rows @ (x.T @ g)) @ w
+        logdet_cap = np.log(eig).sum(axis=(1, 2))
+        quad = np.maximum(xtx - (z * z / eig).sum(axis=(1, 2)), 0.0) / noise_var
+        out = -0.5 * (dim * LOG_2PI + (dim - eig[0].size) * ln_s + logdet_cap + quad)
     return float(out[0]) if single else out
 
 
@@ -150,10 +140,12 @@ def prefix_quad_lowrank(h, noise_var: float, rows, tap_factor) -> np.ndarray:
     1_d marks the first d of the N symbols and Sigma is the covariance of
     log_gauss_lowrank, so log_gauss_lowrank(X_d, ...) equals its value at
     x = 0 minus half of entry d. With P_d the J-vector of row prefix sums up
-    to symbol d, X_d^T X_d = d ||h||^2 and G^T X_d c_j = (G^T h) P_dj, so
-    every d shares one J x J matrix Q = B^T cap^{-1} B, B = I_J kron G^T h:
+    to symbol d, X_d^T X_d = d ||h||^2 and G^T X_d c_j = (G^T h) P_dj, so in
+    the capacitance eigenbasis, with beta = W^T G^T h,
 
-        vec(X_d)^T Sigma^{-1} vec(X_d) = (d ||h||^2 - P_d^T Q P_d) / noise_var.
+        vec(X_d)^T Sigma^{-1} vec(X_d)
+            = (d ||h||^2 - sum_k w_k (U^T P_d)_k^2) / noise_var,
+        w_k = sum_a beta_a^2 / (mu_k lam_a + noise_var).
 
     rows is a batch (S, J, N) and h is one (M,) vector or per-instance (S, M);
     the result is (S, N + 1).
@@ -161,18 +153,17 @@ def prefix_quad_lowrank(h, noise_var: float, rows, tap_factor) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     g = np.asarray(tap_factor, dtype=float)
     size, j, n = rows.shape
-    r = g.shape[1]
     h = np.broadcast_to(np.asarray(h, dtype=float), (size, g.shape[0]))
 
     quad = np.arange(n + 1) * np.einsum("sm,sm->s", h, h)[:, None]
-    if j and r:
-        chol = _capacitance_cholesky(noise_var, rows, g)
-        b = np.einsum("ji,sa->sjai", np.eye(j), h @ g).reshape(size, j * r, j)
-        y = np.linalg.solve(chol, b)
-        q = y.transpose(0, 2, 1) @ y
+    if j and g.shape[1]:
+        eig, u, w = _capacitance_eigs(noise_var, rows, g)
+        beta = h @ g @ w
+        weight = np.einsum("sa,ska->sk", beta * beta, 1.0 / eig)
         prefix = np.zeros((size, j, n + 1))
         np.cumsum(rows, axis=2, out=prefix[:, :, 1:])
-        quad -= np.einsum("sid,sil,sld->sd", prefix, q, prefix)
+        p = u.transpose(0, 2, 1) @ prefix
+        quad -= np.einsum("sk,skd->sd", weight, p * p)
     return np.maximum(quad, 0.0) / noise_var
 
 

@@ -159,16 +159,20 @@ class ScenarioConfig:
     h1_mode: str = "fixed-draw"
 
     def __post_init__(self):
-        object.__setattr__(self, "duty_cycles", tuple(float(x) for x in self.duty_cycles))
-        object.__setattr__(self, "interferer_distances_m",
-                           tuple(float(x) for x in self.interferer_distances_m))
         for f in fields(self):      # postponed annotations: f.type is a string
             value = getattr(self, f.name)
             if f.type == "int" and (isinstance(value, bool)
                                     or not isinstance(value, (int, np.integer))):
                 raise InvalidParameterError(f"{f.name} must be an integer, got {value!r}")
-            if f.type.startswith(("float", "tuple")) and not np.all(np.isfinite(value)):
-                raise InvalidParameterError(f"{f.name} must be finite, got {value!r}")
+            if f.type.startswith(("float", "tuple")):
+                entries = tuple(value) if f.type.startswith("tuple") else (value,)
+                if not all(isinstance(x, (int, float, np.integer, np.floating))
+                           and not isinstance(x, bool) for x in entries):
+                    raise InvalidParameterError(f"{f.name} must be a real number, got {value!r}")
+                if not np.all(np.isfinite(entries)):
+                    raise InvalidParameterError(f"{f.name} must be finite, got {value!r}")
+                if f.type.startswith("tuple"):
+                    object.__setattr__(self, f.name, tuple(float(x) for x in entries))
         if self.num_nodes < 1:
             raise InvalidParameterError(f"num_nodes must be >= 1, got {self.num_nodes}")
         if self.codeword_len < 1:

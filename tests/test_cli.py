@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,6 +259,19 @@ def test_main_run_and_validate(tmp_path, capsys):
     assert main(["validate", "--config", cfg]) == 0
     printed = json.loads(capsys.readouterr().out)
     assert spec_from_mapping(printed) == load_config(cfg)
+
+
+def test_module_entry_point_runs_without_warnings(tmp_path):
+    # the package must not import .cli, or `python -m uwbbounds.cli` warns
+    # that the module is already in sys.modules before it runs
+    cfg = write_config(tmp_path, {**TINY, "sweep": {"d": [5.0]}})
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "uwbbounds.cli",
+         "validate", "--config", cfg],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_main_seed_override_changes_results(tmp_path):

@@ -99,15 +99,6 @@ class TestLogDensity:
         vals = np.exp([log_density(d, [[y]]) for y in grid])
         assert np.trapezoid(vals, grid) == pytest.approx(1.0, abs=1e-6)
 
-    def test_batched_matches_loop(self):
-        rng = np.random.default_rng(8)
-        g = rng.standard_normal((3, 2))
-        rows = rng.standard_normal((6, 4, 5))
-        x = rng.standard_normal((6, 3, 5))
-        batch = log_gauss_lowrank(x, 0.8, rows, g)
-        single = [log_gauss_lowrank(x[i], 0.8, rows[i], g) for i in range(6)]
-        np.testing.assert_allclose(batch, single, rtol=1e-13)
-
     def test_batched_broadcast_x(self):
         rng = np.random.default_rng(9)
         g = rng.standard_normal((2, 2))
@@ -134,11 +125,35 @@ class TestPrefixQuad:
         quad = prefix_quad_lowrank(h, noise_var, rows, g)
         at_zero = log_gauss_lowrank(np.zeros((taps, codeword_len)), noise_var, rows, g)
         assert quad.shape == (samples, codeword_len + 1)
-        for d in range(codeword_len + 1):
-            prefix = (np.arange(codeword_len) < d).astype(float)
-            x = h[:, :, None] * prefix if per_sample_h else np.outer(h, prefix)
-            want = log_gauss_lowrank(x, noise_var, rows, g)
-            np.testing.assert_allclose(at_zero - 0.5 * quad[:, d], want, rtol=0, atol=1e-10)
+        for s in range(samples):
+            h_s = h[s] if per_sample_h else h
+            for d in range(codeword_len + 1):
+                prefix = (np.arange(codeword_len) < d).astype(float)
+                want = log_gauss_lowrank(np.outer(h_s, prefix), noise_var, rows[s], g)
+                assert at_zero[s] - 0.5 * quad[s, d] == pytest.approx(want, rel=0, abs=1e-10)
+
+    def test_matches_dense_physical_scale_singular_gram(self):
+        # I = 3 at physical scale; each instance has an all-zero interferer row
+        # and two equal rows, so its J x J row gram is singular (rank 2 of 4)
+        from scipy import stats
+        rng = np.random.default_rng(19)
+        t = build_tap_covariance(5, 0.14, 68)
+        noise_var, codeword_len, samples = 2e-13, 80, 2
+        amps = np.array([[0.0], [1.1e-6], [1.1e-6], [7e-7]])
+        rows = amps * (rng.random((samples, 4, codeword_len)) < 0.5)
+        rows[:, 2] = rows[:, 1]
+        h = 2.9e-6 * rng.standard_normal((samples, 5)) * np.sqrt(np.diag(t.matrix))
+        quad = prefix_quad_lowrank(h, noise_var, rows, t.factor)
+        for s in range(samples):
+            cov = noise_var * np.eye(5 * codeword_len)
+            for c in rows[s]:
+                cov += np.kron(np.outer(c, c), t.matrix)
+            law = stats.multivariate_normal(mean=np.zeros(cov.shape[0]), cov=cov)
+            at_zero = law.logpdf(np.zeros(cov.shape[0]))
+            for d in (0, 1, 17, 80):
+                x = np.outer(h[s], np.arange(codeword_len) < d)
+                want = -2.0 * (law.logpdf(x.T.ravel()) - at_zero)
+                assert quad[s, d] == pytest.approx(want, rel=1e-10)
 
 
 class TestOverlap:

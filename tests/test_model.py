@@ -162,6 +162,21 @@ class TestScenarioConfig:
         with pytest.raises(InvalidParameterError, match=f"{name} must be finite"):
             ScenarioConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("link_distance_m", "3"), ("noise_var_w", None), ("tx_power_w", True),
+        ("pathloss_b", np.bool_(True)), ("duty_cycles", ("0.5", 0.5)),
+        ("interferer_distances_m", ("x",)), ("interferer_distances_m", (None,)),
+    ])
+    def test_float_fields_reject_non_numbers(self, name, value):
+        with pytest.raises(InvalidParameterError, match=f"{name} must be a real number"):
+            ScenarioConfig(**{name: value})
+
+    def test_float_fields_accept_numpy_and_int_entries(self):
+        cfg = ScenarioConfig(link_distance_m=np.float32(2.5),
+                             duty_cycles=[np.float64(0.25), 1 / 2],
+                             interferer_distances_m=np.array([4]))
+        assert cfg.duty_cycles == (0.25, 0.5) and cfg.interferer_distances_m == (4.0,)
+
     def test_integer_fields_accept_numpy_integers(self):
         cfg = ScenarioConfig(codeword_len=np.int32(40), rng_seed=np.uint64(7))
         assert cfg.codeword_len == 40 and cfg.rng_seed == 7
