@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .gaussian import log_gauss_lowrank, prefix_quad_lowrank
+from .gaussian import log_gauss_lowrank
 from .mc import Z95, LogAccumulator, gaussian_ci, normal_qq_corr, substream
 from .model import InvalidParameterError, ScenarioConfig, sample_channel, sample_symbols
 
@@ -122,7 +122,6 @@ def lower_bound(scenario: ScenarioConfig, h1=None, seed=None) -> BoundEstimate:
     noise_var = 2.0 * scenario.noise_var_w
     nodes = np.tile(np.arange(1, scenario.num_nodes), 2)
     etas = np.array(scenario.duty_cycles)[nodes]
-    zero = np.zeros((scenario.taps, n_sym))
     total = scenario.samples_theta + n_sym * scenario.samples_pd
 
     t_logs, d_logs = np.empty(total), np.empty(total)
@@ -130,10 +129,10 @@ def lower_bound(scenario: ScenarioConfig, h1=None, seed=None) -> BoundEstimate:
     for b, (rng, size) in enumerate(_block_streams(seed, PAIR_OVERLAP, total)):
         h = sample_channel(tap_cov, rng, size) if h1 is None else h1
         rows = amplitudes[nodes, None] * sample_symbols(etas, n_sym, rng, size)
+        x = np.multiply.outer(amplitudes[0] * h, np.ones(n_sym))    # A_1 h 1^T
+        log_j = log_gauss_lowrank(x, noise_var, rows, tap_cov.factor)
         block = slice(b * BLOCK, b * BLOCK + size)
-        d_logs[block] = log_gauss_lowrank(zero, noise_var, rows, tap_cov.factor)
-        log_j = d_logs[block, None] - 0.5 * prefix_quad_lowrank(
-            amplitudes[0] * h, noise_var, rows, tap_cov.factor)
+        d_logs[block] = log_j[:, 0]
         t_logs[block] = logsumexp(log_probs + log_j, axis=1)
         col_sum = np.logaddexp(col_sum, logsumexp(log_j, axis=0))
         col_sumsq = np.logaddexp(col_sumsq, logsumexp(2.0 * log_j, axis=0))

@@ -84,11 +84,9 @@ def spec_from_mapping(data: dict, preset: str | None = None) -> SweepSpec:
         elif kind is float:
             if not _is_number(value):
                 raise ConfigError("bad-type", f"{key} must be a number")
-            value = float(value)
         elif kind is tuple:
             if not isinstance(value, list) or not all(_is_number(x) for x in value):
                 raise ConfigError("bad-type", f"{key} must be an array of numbers")
-            value = tuple(float(x) for x in value)
         elif not isinstance(value, str):
             raise ConfigError("bad-type", f"{key} must be a string")
         kwargs[spec_field.name] = value
@@ -115,7 +113,10 @@ def spec_from_mapping(data: dict, preset: str | None = None) -> SweepSpec:
             raise ConfigError("bad-type", f"sweep.{var} must be a non-empty array")
         if not all(_is_number(x) for x in values):
             raise ConfigError("bad-type", f"sweep.{var} must contain only numbers")
-        vals = tuple(float(x) for x in values)
+        try:
+            vals = tuple(float(x) for x in values)
+        except OverflowError:       # a JSON integer beyond the float range
+            raise ConfigError("bad-value", f"sweep.{var} values must be finite") from None
         if not all(math.isfinite(x) for x in vals):
             raise ConfigError("bad-value", f"sweep.{var} values must be finite")
         if var in ("eta1", "eta2") and not all(0.0 < x < 1.0 for x in vals):

@@ -15,7 +15,10 @@ Direct densities underflow, so all densities are evaluated in natural-log
 domain. At full scale the covariance is 400 x 400; its rank updates meet in
 the (J r) x (J r) capacitance sigma_W^2 I + (C C^T kron G^T G), which the
 eigenvectors U kron W of C C^T and G^T G diagonalise, so one J x J and one
-r x r eigendecomposition give its determinant and inverse.
+r x r eigendecomposition give its determinant and inverse. The covariance
+does not depend on x, so one factorization per instance gives the density
+at every column prefix of x (the profile over Hamming strata that the lower
+bound needs) from running sums over the symbols.
 A dense path and two brute-force oracles (grid quadrature and nested Monte
 Carlo, both built on the plain white-noise density) exist for validation.
 """
@@ -104,67 +107,52 @@ def _capacitance_eigs(noise_var: float, rows: np.ndarray, g: np.ndarray):
     return mu[:, :, None] * lam + noise_var, u, w
 
 
-def log_gauss_lowrank(x, noise_var: float, rows, tap_factor) -> float | np.ndarray:
-    """log N(vec X; 0, noise_var I + sum_j c_j c_j^T kron G G^T).
+def log_gauss_lowrank(x, noise_var: float, rows, tap_factor) -> np.ndarray:
+    """log N(vec X_d; 0, noise_var I + sum_j c_j c_j^T kron G G^T), d = 0..N.
 
-    x is one (M, N) matrix; rows holds the c_j as (J, N), or per-instance as
-    (S, J, N) for one density each. Determinant and quadratic form are sums
-    over the J r capacitance eigenvalues, so cost is O(MN Jr + J^3) per
-    instance.
+    X_d is x with every column after the first d set to zero, so entry 0 is
+    the density at zero and entry N the density at x. x is one (M, N) matrix
+    or per-instance (S, M, N); rows holds the c_j as (J, N), or per-instance
+    as (S, J, N). The result is (N + 1,) for one instance and (S, N + 1) for
+    a batch. One capacitance factorization serves every prefix: in its
+    eigenbasis, with z_d = sum_{n<d} (U^T C)_{kn} (W^T G^T x)_{an},
+
+        vec(X_d)^T Sigma^{-1} vec(X_d)
+            = (sum_{n<d} ||x_n||^2 - sum_{k,a} z_{dka}^2 / eig_{ka}) / noise_var,
+
+    so cost is O(MNr + JN(J + r) + J^3) per instance.
     """
     x = np.asarray(x, dtype=float)
     rows = np.asarray(rows, dtype=float)
     g = np.asarray(tap_factor, dtype=float)
-    single = rows.ndim == 2
-    if single:
-        rows = rows[None]
-    dim = x.size
-    ln_s = np.log(noise_var)
-    xtx = float(np.sum(x * x))
-
-    if rows.shape[1] == 0 or g.shape[1] == 0:
-        out = np.full(rows.shape[0], -0.5 * (dim * (LOG_2PI + ln_s) + xtx / noise_var))
-    else:
-        eig, u, w = _capacitance_eigs(noise_var, rows, g)
-        # z = U^T (C X^T G) W: the projections G^T X c_j in the eigenbasis
-        z = u.transpose(0, 2, 1) @ (rows @ (x.T @ g)) @ w
-        logdet_cap = np.log(eig).sum(axis=(1, 2))
-        quad = np.maximum(xtx - (z * z / eig).sum(axis=(1, 2)), 0.0) / noise_var
-        out = -0.5 * (dim * LOG_2PI + (dim - eig[0].size) * ln_s + logdet_cap + quad)
-    return float(out[0]) if single else out
-
-
-def prefix_quad_lowrank(h, noise_var: float, rows, tap_factor) -> np.ndarray:
-    """Quadratic forms vec(X_d)^T Sigma^{-1} vec(X_d) for X_d = h 1_d^T, d = 0..N.
-
-    1_d marks the first d of the N symbols and Sigma is the covariance of
-    log_gauss_lowrank, so log_gauss_lowrank(X_d, ...) equals its value at
-    x = 0 minus half of entry d. With P_d the J-vector of row prefix sums up
-    to symbol d, X_d^T X_d = d ||h||^2 and G^T X_d c_j = (G^T h) P_dj, so in
-    the capacitance eigenbasis, with beta = W^T G^T h,
-
-        vec(X_d)^T Sigma^{-1} vec(X_d)
-            = (d ||h||^2 - sum_k w_k (U^T P_d)_k^2) / noise_var,
-        w_k = sum_a beta_a^2 / (mu_k lam_a + noise_var).
-
-    rows is a batch (S, J, N) and h is one (M,) vector or per-instance (S, M);
-    the result is (S, N + 1).
-    """
-    rows = np.asarray(rows, dtype=float)
-    g = np.asarray(tap_factor, dtype=float)
-    size, j, n = rows.shape
-    h = np.broadcast_to(np.asarray(h, dtype=float), (size, g.shape[0]))
-
-    quad = np.arange(n + 1) * np.einsum("sm,sm->s", h, h)[:, None]
-    if j and g.shape[1]:
-        eig, u, w = _capacitance_eigs(noise_var, rows, g)
-        beta = h @ g @ w
-        weight = np.einsum("sa,ska->sk", beta * beta, 1.0 / eig)
-        prefix = np.zeros((size, j, n + 1))
-        np.cumsum(rows, axis=2, out=prefix[:, :, 1:])
-        p = u.transpose(0, 2, 1) @ prefix
-        quad -= np.einsum("sk,skd->sd", weight, p * p)
-    return np.maximum(quad, 0.0) / noise_var
+    single = rows.ndim == 2 and x.ndim == 2
+    rows = rows if rows.ndim == 3 else rows[None]
+    x = x if x.ndim == 3 else x[None]
+    _, m, n = x.shape
+    dim = m * n
+    eig, u, w = _capacitance_eigs(noise_var, rows, g)
+    size = np.broadcast_shapes(rows.shape[:1], x.shape[:1])[0]
+    quad = np.zeros((size, n + 1))
+    quad[:, 1:] = np.cumsum(np.einsum("smn,smn->sn", x, x), axis=1)
+    # symbols lead and instances trail, so each prefix step below adds one
+    # contiguous (J, S) slab; np.cumsum over the symbol axis measured slower
+    row_proj = np.ascontiguousarray((u.transpose(0, 2, 1) @ rows).T)    # (N, J, S)
+    tap_proj = ((g @ w).T @ x).T                                        # (N, r, S or 1)
+    z = np.empty((n, rows.shape[1], size))
+    fit = np.zeros((n, size))
+    # one tap eigenvector at a time keeps every temporary at (N, J, S)
+    for a, inv_eig in enumerate(np.ascontiguousarray((1.0 / eig).T)):
+        np.multiply(row_proj, tap_proj[:, a, None, :], out=z)
+        for d in range(1, n):
+            z[d] += z[d - 1]
+        z *= z
+        z *= inv_eig
+        fit += z.sum(axis=1)
+    quad[:, 1:] -= fit.T
+    quad = np.maximum(quad, 0.0) / noise_var
+    logdet_cap = np.log(eig).sum(axis=(1, 2))[:, None]
+    out = -0.5 * (dim * LOG_2PI + (dim - eig[0].size) * np.log(noise_var) + logdet_cap + quad)
+    return out[0] if single else out
 
 
 def log_density(dist: OutputDistribution, Y) -> float:
@@ -172,8 +160,8 @@ def log_density(dist: OutputDistribution, Y) -> float:
     y = np.asarray(Y, dtype=float)
     if y.shape != dist.shape:
         raise InvalidParameterError(f"observation shape {y.shape} != {dist.shape}")
-    return log_gauss_lowrank(y - dist.mean_matrix, dist.noise_var,
-                             dist.scaled_rows, dist.tap_factor)
+    return float(log_gauss_lowrank(y - dist.mean_matrix, dist.noise_var,
+                                   dist.scaled_rows, dist.tap_factor)[-1])
 
 
 def log_density_dense(dist: OutputDistribution, Y) -> float:
@@ -206,8 +194,8 @@ def overlap_J(V, W, h1, A, T: TapCovariance, sigma_W2: float) -> float:
     rows = np.vstack([dv.scaled_rows, dw.scaled_rows])
     if rows.shape[0] > 1:
         rows = rows[np.lexsort(rows.T[::-1])]
-    return log_gauss_lowrank(dv.mean_matrix - dw.mean_matrix,
-                             dv.noise_var + dw.noise_var, rows, dv.tap_factor)
+    return float(log_gauss_lowrank(dv.mean_matrix - dw.mean_matrix,
+                                   dv.noise_var + dw.noise_var, rows, dv.tap_factor)[-1])
 
 
 def overlap_J_dense(V, W, h1, A, T: TapCovariance, sigma_W2: float) -> float:

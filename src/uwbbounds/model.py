@@ -165,14 +165,20 @@ class ScenarioConfig:
                                     or not isinstance(value, (int, np.integer))):
                 raise InvalidParameterError(f"{f.name} must be an integer, got {value!r}")
             if f.type.startswith(("float", "tuple")):
-                entries = tuple(value) if f.type.startswith("tuple") else (value,)
-                if not all(isinstance(x, (int, float, np.integer, np.floating))
-                           and not isinstance(x, bool) for x in entries):
+                sequence = f.type.startswith("tuple")
+                entries = tuple(value) if sequence and np.iterable(value) else (value,)
+                if sequence != np.iterable(value) or not all(
+                        isinstance(x, (int, float, np.integer, np.floating))
+                        and not isinstance(x, bool) for x in entries):
                     raise InvalidParameterError(f"{f.name} must be a real number, got {value!r}")
+                try:
+                    entries = tuple(float(x) for x in entries)
+                except OverflowError:
+                    raise InvalidParameterError(
+                        f"{f.name} must be a real number in float range") from None
                 if not np.all(np.isfinite(entries)):
                     raise InvalidParameterError(f"{f.name} must be finite, got {value!r}")
-                if f.type.startswith("tuple"):
-                    object.__setattr__(self, f.name, tuple(float(x) for x in entries))
+                object.__setattr__(self, f.name, entries if sequence else entries[0])
         if self.num_nodes < 1:
             raise InvalidParameterError(f"num_nodes must be >= 1, got {self.num_nodes}")
         if self.codeword_len < 1:

@@ -148,7 +148,7 @@ def overlap_log_samples(cfg, h1, diff, budget, rng):
     rows = amps[1] * (rng.random((budget, 2 * n_intf, cfg.codeword_len)) < eta2)
     x = amps[0] * np.outer(np.asarray(h1), diff)
     return log_gauss_lowrank(x, 2.0 * cfg.noise_var_w, rows,
-                             cfg.tap_covariance().factor)
+                             cfg.tap_covariance().factor)[..., -1]
 
 
 def test_criterion_4_proposition_1():

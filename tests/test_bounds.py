@@ -208,7 +208,7 @@ def overlap_log_samples(cfg, h1, diff, budget, rng):
     eta2 = cfg.duty_cycles[1]
     rows = amps[1] * (rng.random((budget, 2 * n_intf, cfg.codeword_len)) < eta2)
     x = amps[0] * np.outer(np.asarray(h1), diff)
-    return log_gauss_lowrank(x, 2.0 * cfg.noise_var_w, rows, tap_cov.factor)
+    return log_gauss_lowrank(x, 2.0 * cfg.noise_var_w, rows, tap_cov.factor)[..., -1]
 
 
 def test_pd_depends_only_on_distance_not_placement():

@@ -74,6 +74,17 @@ def test_config_errors_name_the_offending_key(tmp_path):
         assert key in str(excinfo.value)
 
 
+@pytest.mark.parametrize("payload, key", [
+    ({"link_distance_m": 10 ** 400}, "link_distance_m"),
+    ({"duty_cycles": [0.5, 10 ** 400]}, "duty_cycles"),
+    ({"sweep": {"l": [10 ** 400]}}, "sweep.l"),
+])
+def test_validate_rejects_integers_beyond_float_range(tmp_path, capsys, payload, key):
+    assert main(["validate", "--config", write_config(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error [bad-value]") and key in err
+
+
 def test_config_file_errors(tmp_path):
     with pytest.raises(ConfigError) as excinfo:
         load_config(tmp_path / "absent.json")

@@ -9,7 +9,7 @@ import pytest
 
 from uwbbounds.gaussian import (log_density, log_density_dense,
                                 log_gauss_lowrank, oracle_J, output_moments,
-                                overlap_J, overlap_J_dense, prefix_quad_lowrank)
+                                overlap_J, overlap_J_dense)
 from uwbbounds.model import InvalidParameterError, TapCovariance, build_tap_covariance
 
 T1 = TapCovariance(np.array([[1.0]]))
@@ -104,13 +104,14 @@ class TestLogDensity:
         g = rng.standard_normal((2, 2))
         rows = rng.standard_normal((4, 2, 3))
         x = rng.standard_normal((2, 3))
-        batch = log_gauss_lowrank(x, 1.1, rows, g)
-        single = [log_gauss_lowrank(x, 1.1, rows[i], g) for i in range(4)]
+        batch = log_gauss_lowrank(x, 1.1, rows, g)[..., -1]
+        single = [log_gauss_lowrank(x, 1.1, rows[i], g)[..., -1] for i in range(4)]
         np.testing.assert_allclose(batch, single, rtol=1e-13)
 
 
 class TestPrefixQuad:
-    """All strata from one capacitance solve against one log-density per stratum."""
+    """Every column prefix from one capacitance factorization against one
+    density per prefix."""
 
     @pytest.mark.parametrize("num_nodes", [1, 2, 3])
     @pytest.mark.parametrize("per_sample_h", [False, True])
@@ -122,15 +123,15 @@ class TestPrefixQuad:
         rows = amps * (rng.random((samples, 2 * (num_nodes - 1), codeword_len)) < 0.6)
         h = rng.standard_normal((samples, taps) if per_sample_h else taps)
         noise_var = 0.5 + rng.random()
-        quad = prefix_quad_lowrank(h, noise_var, rows, g)
-        at_zero = log_gauss_lowrank(np.zeros((taps, codeword_len)), noise_var, rows, g)
-        assert quad.shape == (samples, codeword_len + 1)
+        prof = log_gauss_lowrank(np.multiply.outer(h, np.ones(codeword_len)),
+                                 noise_var, rows, g)
+        assert prof.shape == (samples, codeword_len + 1)
         for s in range(samples):
             h_s = h[s] if per_sample_h else h
             for d in range(codeword_len + 1):
                 prefix = (np.arange(codeword_len) < d).astype(float)
-                want = log_gauss_lowrank(np.outer(h_s, prefix), noise_var, rows[s], g)
-                assert at_zero[s] - 0.5 * quad[s, d] == pytest.approx(want, rel=0, abs=1e-10)
+                want = log_gauss_lowrank(np.outer(h_s, prefix), noise_var, rows[s], g)[-1]
+                assert prof[s, d] == pytest.approx(want, rel=0, abs=1e-10)
 
     def test_matches_dense_physical_scale_singular_gram(self):
         # I = 3 at physical scale; each instance has an all-zero interferer row
@@ -143,7 +144,8 @@ class TestPrefixQuad:
         rows = amps * (rng.random((samples, 4, codeword_len)) < 0.5)
         rows[:, 2] = rows[:, 1]
         h = 2.9e-6 * rng.standard_normal((samples, 5)) * np.sqrt(np.diag(t.matrix))
-        quad = prefix_quad_lowrank(h, noise_var, rows, t.factor)
+        prof = log_gauss_lowrank(np.multiply.outer(h, np.ones(codeword_len)),
+                                 noise_var, rows, t.factor)
         for s in range(samples):
             cov = noise_var * np.eye(5 * codeword_len)
             for c in rows[s]:
@@ -153,7 +155,34 @@ class TestPrefixQuad:
             for d in (0, 1, 17, 80):
                 x = np.outer(h[s], np.arange(codeword_len) < d)
                 want = -2.0 * (law.logpdf(x.T.ravel()) - at_zero)
-                assert quad[s, d] == pytest.approx(want, rel=1e-10)
+                assert -2.0 * (prof[s, d] - prof[s, 0]) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("kind", ["general", "signed"])
+    def test_per_instance_x_matches_dense(self, kind):
+        # a full-rank x and a mixed-sign difference h s^T, s in {+-1}^N, one per
+        # instance; neither is the all-+ rank-1 x the lower bound passes
+        from scipy import stats
+        rng = np.random.default_rng(23)
+        samples, taps, codeword_len, rank = 3, 3, 9, 2
+        g = rng.standard_normal((taps, rank)) * 0.6
+        rows = (0.3 + rng.random((4, 1))) * (rng.random((samples, 4, codeword_len)) < 0.6)
+        if kind == "general":
+            x = rng.standard_normal((samples, taps, codeword_len))
+        else:
+            signs = rng.choice([-1.0, 1.0], size=(samples, codeword_len))
+            x = rng.standard_normal((samples, taps))[:, :, None] * signs[:, None, :]
+            assert np.all(np.abs(signs).sum(axis=1) > np.abs(signs.sum(axis=1)))
+        noise_var = 0.5 + rng.random()
+        prof = log_gauss_lowrank(x, noise_var, rows, g)
+        assert prof.shape == (samples, codeword_len + 1)
+        for s in range(samples):
+            cov = noise_var * np.eye(taps * codeword_len)
+            for c in rows[s]:
+                cov += np.kron(np.outer(c, c), g @ g.T)
+            law = stats.multivariate_normal(mean=np.zeros(cov.shape[0]), cov=cov)
+            for d in (0, 1, 4, codeword_len):
+                x_d = x[s] * (np.arange(codeword_len) < d)
+                assert prof[s, d] == pytest.approx(law.logpdf(x_d.T.ravel()), rel=1e-10)
 
 
 class TestOverlap:

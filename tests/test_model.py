@@ -166,6 +166,8 @@ class TestScenarioConfig:
         ("link_distance_m", "3"), ("noise_var_w", None), ("tx_power_w", True),
         ("pathloss_b", np.bool_(True)), ("duty_cycles", ("0.5", 0.5)),
         ("interferer_distances_m", ("x",)), ("interferer_distances_m", (None,)),
+        ("duty_cycles", 0.5), ("interferer_distances_m", None),
+        pytest.param("link_distance_m", 10 ** 400, id="link_distance_m-huge-int"),
     ])
     def test_float_fields_reject_non_numbers(self, name, value):
         with pytest.raises(InvalidParameterError, match=f"{name} must be a real number"):
