@@ -26,10 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .gaussian import log_gauss_lowrank
-from .mc import Z95, LogAccumulator, gaussian_ci, normal_qq_corr, substream
+from .mc import (Z95, LogAccumulator, gaussian_ci, log_sums, logsumexp, normal_qq_corr,
+                 substream)
 from .model import InvalidParameterError, ScenarioConfig, sample_channel, sample_symbols
 
 # estimator ids of the substream key space
@@ -73,7 +74,15 @@ def draw_h1(cfg: ScenarioConfig, seed=None) -> np.ndarray:
 
 def _resolve_h1(cfg: ScenarioConfig, h1, seed: int):
     if h1 is not None:
-        return np.asarray(h1, dtype=float)
+        try:
+            h1 = np.asarray(h1, dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidParameterError(f"h1 must be numeric, got {h1!r}") from None
+        if h1.shape != (cfg.taps,) or not np.all(np.isfinite(h1)):
+            raise InvalidParameterError(
+                f"h1 must hold {cfg.taps} finite taps, got shape {h1.shape} with "
+                f"{np.count_nonzero(~np.isfinite(h1))} non-finite entries")
+        return h1
     if cfg.h1_mode == "fixed-draw":
         return draw_h1(cfg, seed)
     return None     # averaged: drawn per sample inside the estimators
@@ -134,8 +143,9 @@ def lower_bound(scenario: ScenarioConfig, h1=None, seed=None) -> BoundEstimate:
         block = slice(b * BLOCK, b * BLOCK + size)
         d_logs[block] = log_j[:, 0]
         t_logs[block] = logsumexp(log_probs + log_j, axis=1)
-        col_sum = np.logaddexp(col_sum, logsumexp(log_j, axis=0))
-        col_sumsq = np.logaddexp(col_sumsq, logsumexp(2.0 * log_j, axis=0))
+        block_sum, block_sumsq = log_sums(log_j, axis=0)
+        col_sum = np.logaddexp(col_sum, block_sum)
+        col_sumsq = np.logaddexp(col_sumsq, block_sumsq)
 
     acc_t = LogAccumulator.from_log_values(t_logs)
     acc_d = LogAccumulator.from_log_values(d_logs)

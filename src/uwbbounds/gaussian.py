@@ -28,9 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .mc import LogAccumulator
+from .mc import LogAccumulator, logsumexp
 from .model import InvalidParameterError, TapCovariance
 
 LOG_2PI = float(np.log(2.0 * np.pi))

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, ndtri, stdtrit
+from scipy.special import ndtri, stdtrit
 
 Z95 = 1.959963984540054         # standard normal 0.975 quantile
 
@@ -27,6 +27,39 @@ def substream(seed: int, estimator: int, index: int = 0) -> np.random.Generator:
     key = np.array([seed, estimator], dtype=np.uint64)
     counter = np.array([0, index, 0, 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+def _shifted_exp(a, axis):
+    """exp(a - m) in one fresh buffer, and m squeezed along `axis`: m is the
+    maximum of each slice, or 0 where that maximum is -inf, +inf or NaN (so an
+    all -inf slice sums to 0, and +inf or NaN carry through the sum)."""
+    a = np.asarray(a, dtype=float)
+    peak = np.max(a, axis=axis, keepdims=True)
+    peak = np.where(np.isfinite(peak), peak, 0.0)
+    buf = np.subtract(a, peak, out=np.empty(a.shape))
+    with np.errstate(over="ignore"):    # only where the slice holds +inf or NaN
+        np.exp(buf, out=buf)
+    return buf, np.squeeze(peak, axis=axis)
+
+
+def _log_sum(buf, shift, axis):
+    with np.errstate(divide="ignore"):  # an all -inf slice: ln 0 = -inf
+        return np.log(buf.sum(axis=axis)) + shift
+
+
+def logsumexp(a, axis=None):
+    """ln sum exp(a) along `axis` (all of `a` if None), by a max shift."""
+    buf, shift = _shifted_exp(a, axis)
+    return _log_sum(buf, shift, axis)
+
+
+def log_sums(a, axis=None):
+    """(ln sum e^a, ln sum e^{2a}) along `axis` from one exp: the shifted
+    exponentials are summed, squared in place and summed again."""
+    buf, shift = _shifted_exp(a, axis)
+    log_sum = _log_sum(buf, shift, axis)
+    np.square(buf, out=buf)
+    return log_sum, _log_sum(buf, 2.0 * shift, axis)
 
 
 @dataclass(frozen=True)
@@ -45,7 +78,8 @@ class LogAccumulator:
             raise ValueError("need at least one sample")
         if not np.all(np.isfinite(a)):
             raise ValueError("log samples must be finite")
-        return cls(int(a.size), float(logsumexp(a)), float(logsumexp(2.0 * a)))
+        log_sum, log_sumsq = log_sums(a)
+        return cls(int(a.size), float(log_sum), float(log_sumsq))
 
     @property
     def log_mean(self) -> float:

@@ -294,6 +294,44 @@ def test_lower_bound_profile_accounting():
     assert -1.0 <= prof.qq_ratio <= 1.0
 
 
+def test_lower_bound_reductions_match_stacked_samples(monkeypatch):
+    # 10 + 10 * 130 = 1310 draws: two full blocks and a partial third
+    cfg = small_config(samples_theta=10, samples_pd=130)
+    assert 2 * uwbbounds.bounds.BLOCK < cfg.samples_theta + 10 * cfg.samples_pd \
+        < 3 * uwbbounds.bounds.BLOCK
+    blocks = []
+
+    def recording(*args):
+        out = log_gauss_lowrank(*args)
+        blocks.append(out.copy())
+        return out
+
+    monkeypatch.setattr(uwbbounds.bounds, "log_gauss_lowrank", recording)
+    prof = lower_bound(cfg).profile
+    assert len(blocks) == 3
+    log_j = np.concatenate(blocks)
+    strata = [LogAccumulator.from_log_values(col) for col in log_j.T]
+    np.testing.assert_allclose(prof.log_pd, [acc.log_mean for acc in strata], rtol=1e-12)
+    np.testing.assert_allclose(prof.se_log_pd, [acc.se_log_mean for acc in strata],
+                               rtol=1e-12)
+    # ln mean(e^T) - ln mean(e^D), T = ln sum_d P(d) J_d and D = ln J_0
+    direct = logsumexp(logsumexp(prof.log_distance_probs + log_j, axis=1)) \
+        - logsumexp(log_j[:, 0])
+    assert prof.log_sum == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("estimator", [lower_bound, upper_bound])
+@pytest.mark.parametrize("shape", ["long", "short", "matrix", "nan", "ragged"])
+def test_bad_h1_is_a_named_error(estimator, shape):
+    cfg = small_config()
+    taps = cfg.taps
+    h1 = {"long": np.ones(taps + 4), "short": np.ones(taps - 1),
+          "matrix": np.ones((2, taps)), "nan": [1.0, np.nan, 0.0],
+          "ragged": [[1.0], [2.0, 3.0]]}[shape]
+    with pytest.raises(InvalidParameterError, match="h1"):
+        estimator(cfg, h1=h1)
+
+
 def test_lower_bound_ci_covers_high_budget_rate():
     # replicate study: the delta-method CI of the ratio estimator should
     # cover a 200x-budget estimate about 95% of the time

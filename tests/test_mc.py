@@ -3,14 +3,20 @@
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy import stats
 
 import uwbbounds
-from uwbbounds.mc import Z95, LogAccumulator, gaussian_ci, normal_qq_corr, substream
+import uwbbounds.bounds
+import uwbbounds.gaussian
+import uwbbounds.mc
+from uwbbounds.mc import (Z95, LogAccumulator, gaussian_ci, log_sums, logsumexp,
+                          normal_qq_corr, substream)
 
 
 def test_import_leaves_scipy_stats_out():
@@ -54,6 +60,44 @@ class TestSubstream:
         counts, _ = np.histogram(u, bins=20, range=(0.0, 1.0))
         chi2 = ((counts - 50_000.0) ** 2 / 50_000.0).sum()
         assert stats.chi2.sf(chi2, df=19) > 0.01
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize("centre", [-1.6e3, 1.6e3])
+    @pytest.mark.parametrize("axis", [None, 0, 1])
+    def test_matches_scipy(self, axis, centre):
+        # paper-scale ln J: thousands of nats, tens of nats of spread
+        a = centre + 30.0 * np.random.default_rng(11).normal(size=(37, 81))
+        expect = scipy.special.logsumexp(a, axis=axis)
+        np.testing.assert_allclose(logsumexp(a, axis=axis), expect, rtol=1e-14, atol=0)
+        log_sum, log_sumsq = log_sums(a, axis=axis)
+        np.testing.assert_allclose(log_sum, expect, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(
+            log_sumsq, scipy.special.logsumexp(2.0 * a, axis=axis), rtol=1e-14, atol=0)
+
+    def test_edge_values(self):
+        inf, nan = np.inf, np.nan
+        a = np.array([[-inf, 3.0, 1.0],     # some -inf entries
+                      [-inf, -inf, -inf],   # all -inf: -inf, no warning
+                      [inf, 2.0, -inf],     # +inf
+                      [1e3, nan, 2.0],      # NaN propagates
+                      [inf, nan, 1e3]])
+        expect = [np.logaddexp(3.0, 1.0), -inf, inf, nan, nan]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = logsumexp(a, axis=1)
+            sums = log_sums(a, axis=1)
+            whole = logsumexp(np.full(4, -inf))
+        np.testing.assert_array_equal(got, expect)
+        np.testing.assert_array_equal(got, scipy.special.logsumexp(a, axis=1))
+        np.testing.assert_array_equal(sums[0], expect)
+        np.testing.assert_array_equal(sums[1], [np.logaddexp(6.0, 2.0), -inf, inf, nan, nan])
+        assert whole == -inf
+
+    def test_package_binds_only_this_logsumexp(self):
+        for module in (uwbbounds.bounds, uwbbounds.gaussian, uwbbounds.mc):
+            assert module.logsumexp is uwbbounds.mc.logsumexp, module.__name__
+            assert scipy.special.logsumexp not in vars(module).values(), module.__name__
 
 
 class TestLogAccumulator:
