@@ -23,10 +23,10 @@ inside the block. Results are therefore a pure function of (scenario, seed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .gaussian import log_gauss_lowrank
 from .mc import (Z95, LogAccumulator, gaussian_ci, log_sums, logsumexp, normal_qq_corr,
@@ -59,12 +59,20 @@ def log_distance_probs(N: int, eta1: float) -> np.ndarray:
         raise InvalidParameterError(f"eta1 must be in (0, 1), got {eta1}")
     d = np.arange(N + 1)
     flip = 2.0 * eta1 * (1.0 - eta1)      # per-symbol disagreement probability
-    log_binom = gammaln(N + 1) - gammaln(d + 1) - gammaln(N - d + 1)
+    log_fact = np.array([math.lgamma(k + 1) for k in range(N + 1)])    # ln k!
+    log_binom = log_fact[N] - log_fact - log_fact[::-1]
     return log_binom + d * np.log(flip) + (N - d) * np.log1p(-flip)
 
 
 def _resolve_seed(cfg: ScenarioConfig, seed) -> int:
-    return cfg.rng_seed if seed is None else int(seed)
+    """`seed`, or the scenario's rng_seed if None; held to rng_seed's rule."""
+    if seed is None:
+        return cfg.rng_seed
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise InvalidParameterError(f"seed must be an integer, got {seed!r}")
+    if not 0 <= seed < 2**64:
+        raise InvalidParameterError(f"seed must be a u64, got {seed}")
+    return int(seed)
 
 
 def draw_h1(cfg: ScenarioConfig, seed=None) -> np.ndarray:

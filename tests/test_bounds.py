@@ -5,7 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 import uwbbounds.bounds
 from uwbbounds.bounds import (draw_h1, error_probability_bound, log_distance_probs,
@@ -78,6 +78,19 @@ def test_distance_distribution_matches_enumeration():
                 pw = eta ** ones_w * (1.0 - eta) ** (n - ones_w)
                 probs[bin(v ^ w).count("1")] += pv * pw
         assert np.allclose(np.exp(log_distance_probs(n, eta)), probs, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 80, 1000, 10_000])
+@pytest.mark.parametrize("eta", [0.01, 0.2, 0.5])
+def test_distance_distribution_matches_gammaln(n, eta):
+    d = np.arange(n + 1)
+    flip = 2.0 * eta * (1.0 - eta)
+    expect = (gammaln(n + 1) - gammaln(d + 1) - gammaln(n - d + 1)
+              + d * np.log(flip) + (n - d) * np.log1p(-flip))
+    # ln C(n, d) is a difference of terms as large as ln n!, and either side
+    # rounds each of them: a few ulps of ln n! on top of rel 1e-12
+    np.testing.assert_allclose(log_distance_probs(n, eta), expect, rtol=1e-12,
+                               atol=8 * np.spacing(gammaln(n + 1)))
 
 
 def test_distance_distribution_validates():
@@ -262,6 +275,21 @@ def test_default_h1_is_the_seeded_draw():
     assert same_estimate(lower_bound(cfg), lower_bound(cfg, h1=draw_h1(cfg)))
     assert draw_h1(cfg).shape == (cfg.taps,)
     assert not np.array_equal(draw_h1(cfg), draw_h1(cfg, seed=1))
+
+
+@pytest.mark.parametrize("estimator", [lower_bound, upper_bound, draw_h1])
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "3", np.float64(2.0)])
+def test_bad_seed_is_a_named_error(estimator, seed):
+    # the rule of ScenarioConfig.rng_seed: an int, not a bool, in [0, 2^64)
+    with pytest.raises(InvalidParameterError, match="seed"):
+        estimator(small_config(), seed=seed)
+
+
+def test_seed_accepts_the_u64_range():
+    cfg = small_config()
+    assert np.array_equal(draw_h1(cfg, seed=np.uint64(5)), draw_h1(cfg, seed=5))
+    assert draw_h1(cfg, seed=2**64 - 1).shape == (cfg.taps,)
+    assert np.array_equal(draw_h1(cfg, seed=0), draw_h1(dataclasses.replace(cfg, rng_seed=0)))
 
 
 def test_averaged_mode_draws_channels_per_sample():

@@ -285,6 +285,28 @@ def test_module_entry_point_runs_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_run_loads_no_scipy(tmp_path):
+    # a fresh interpreter: scipy.special alone costs ~0.25 s and ~10 MB to
+    # import, and numpy 2 loads numpy.random lazily, so the package loads it
+    # up front rather than in the first row
+    cfg = write_config(tmp_path, {**TINY, "sweep": {"d": [5.0]}, "bounds": "both"})
+    out = tmp_path / "r.csv"
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = f"""
+import sys
+sys.path.insert(0, {src!r})
+import uwbbounds
+assert "numpy.random" in sys.modules, "numpy.random is left to the first row"
+from uwbbounds.cli import main
+status = main(["run", "--config", {cfg!r}, "--out", {str(out)!r}])
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert status == 0 and not loaded, (status, loaded)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert [row.bound for row in read_result_csv(out)] == ["lower", "upper"]
+
+
 def test_main_seed_override_changes_results(tmp_path):
     cfg = write_config(tmp_path, {**TINY, "bounds": "lower"})
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

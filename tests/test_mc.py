@@ -16,7 +16,7 @@ import uwbbounds.bounds
 import uwbbounds.gaussian
 import uwbbounds.mc
 from uwbbounds.mc import (Z95, LogAccumulator, gaussian_ci, log_sums, logsumexp,
-                          normal_qq_corr, substream)
+                          normal_qq_corr, normal_quantile, substream, t_quantile_975)
 
 
 def test_import_leaves_scipy_stats_out():
@@ -155,6 +155,28 @@ class TestLogAccumulator:
         assert acc.se_log_mean == pytest.approx(direct, rel=1e-10)
 
 
+class TestQuantiles:
+    def test_t_quantile_matches_scipy(self):
+        # the Newton branch below df = 1000, Cornish-Fisher from there on
+        dfs = list(range(1, 1001)) + [3999, 19999, 24999, 99999, 10**7]
+        got = [t_quantile_975(df) for df in dfs]
+        np.testing.assert_allclose(got, stats.t.ppf(0.975, dfs), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n", [3, 40_500, 1_000_000])
+    def test_normal_quantile_matches_ndtri_on_filliben_medians(self, n):
+        medians = (np.arange(1, n + 1) - 0.3175) / (n + 0.365)
+        medians[-1] = 0.5 ** (1.0 / n)
+        medians[0] = 1.0 - medians[-1]
+        np.testing.assert_allclose(normal_quantile(medians), scipy.special.ndtri(medians),
+                                   rtol=1e-14, atol=0)
+
+    def test_normal_quantile_extremes(self):
+        p = np.array([1e-300, 1e-20, 0.5, 1.0 - 1e-16])
+        np.testing.assert_allclose(normal_quantile(p), scipy.special.ndtri(p),
+                                   rtol=1e-14, atol=0)
+        assert normal_quantile(0.975) == pytest.approx(Z95, rel=1e-15)
+
+
 class TestIntervals:
     def test_z95_is_normal_quantile(self):
         assert Z95 == stats.norm.ppf(0.975)
@@ -162,7 +184,7 @@ class TestIntervals:
     @pytest.mark.parametrize("count", [2, 3, 4000])
     def test_gaussian_ci_is_student_t(self, count):
         expect = stats.t.ppf(0.975, count - 1) * math.sqrt(2.5 / count)
-        assert gaussian_ci(2.5, count) == expect
+        assert gaussian_ci(2.5, count) == pytest.approx(expect, rel=1e-13)
 
     def test_gaussian_ci_frozen(self):
         # t_{0.975, 2} * sqrt(1/3) = 4.302653 * 0.5773503
