@@ -8,8 +8,9 @@ giving
 
 with theta = p(0) the self-overlap of the marginalized output law and p(d)
 the expected overlap between codewords at Hamming distance d, averaged over
-interferer codewords. `lower_bound` estimates every one of these in one pass:
-its profile carries ln p(d) for d = 0..N (ln theta is the d = 0 entry), ln P(d)
+interferer codewords. `lower_bound` estimates every one of these in one pass,
+with one rank-1 kernel call per block of draws for all d at once: its
+profile carries ln p(d) for d = 0..N (ln theta is the d = 0 entry), ln P(d)
 and the log of the sum, and `error_probability_bound` reads the error bound
 at any rate off that profile without drawing again. Upper bound (genie):
 mutual information of the single on-off symbol through the white channel
@@ -125,10 +126,12 @@ def lower_bound(scenario: ScenarioConfig, h1=None, seed=None) -> BoundEstimate:
 
     Every sample draws (the channel if averaged, then the I-1 interferer rows
     of the first codeword and those of the second) and gives ln J_d for all
-    d = 0..N, so the strata share samples_theta + N samples_pd draws. With
-    T = ln sum_d P(d) J_d and D = ln J_0 per sample, the sum is
-    mean(e^T) / mean(e^D), and the variance of its log is var(a - b) / S for
-    a, b the samples scaled to unit mean.
+    d = 0..N, so the strata share samples_theta + N samples_pd draws: the
+    kernel gets the difference column A_1 h, and the mean difference of
+    stratum d is its prefix A_1 h 1_d^T, codewords that differ in the first
+    d symbols. With T = ln sum_d P(d) J_d and D = ln J_0 per sample, the sum
+    is mean(e^T) / mean(e^D), and the variance of its log is var(a - b) / S
+    for a, b the samples scaled to unit mean.
     """
     seed = _resolve_seed(scenario, seed)
     h1 = _resolve_h1(scenario, h1, seed)
@@ -146,8 +149,8 @@ def lower_bound(scenario: ScenarioConfig, h1=None, seed=None) -> BoundEstimate:
     for b, (rng, size) in enumerate(_block_streams(seed, PAIR_OVERLAP, total)):
         h = sample_channel(tap_cov, rng, size) if h1 is None else h1
         rows = amplitudes[nodes, None] * sample_symbols(etas, n_sym, rng, size)
-        x = np.multiply.outer(amplitudes[0] * h, np.ones(n_sym))    # A_1 h 1^T
-        log_j = log_gauss_lowrank(x, noise_var, rows, tap_cov.factor)
+        log_j = log_gauss_lowrank((amplitudes[0] * h)[..., None], noise_var, rows,
+                                  tap_cov.factor)
         block = slice(b * BLOCK, b * BLOCK + size)
         d_logs[block] = log_j[:, 0]
         t_logs[block] = logsumexp(log_probs + log_j, axis=1)

@@ -272,7 +272,12 @@ def main(argv=None) -> int:
             for name, ok, detail in checks:
                 print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
             return 0 if all(ok for _, ok, _ in checks) else 1
-        # run
+        # run; an output path that cannot be a file fails here, before any estimator
+        for path in map(Path, filter(None, (args.out, args.ratios_out))):
+            if not path.parent.is_dir():
+                raise ValueError(f"output directory not found: {path.parent} (for {path})")
+            if path.is_dir():
+                raise ValueError(f"output path is a directory: {path}")
         if args.config is not None:
             spec = load_config(args.config, preset=args.preset)
         else:

@@ -136,7 +136,7 @@ def load_config(path, preset: str | None = None) -> SweepSpec:
         raise ConfigError("missing-file", f"config file not found: {p}")
     try:
         data = json.loads(p.read_text(), object_pairs_hook=_reject_duplicates)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ConfigError("malformed-json", f"{p}: {err}") from err
     if not isinstance(data, dict):
         raise ConfigError("malformed-json", f"{p}: top level must be an object")

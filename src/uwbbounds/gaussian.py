@@ -15,10 +15,12 @@ Direct densities underflow, so all densities are evaluated in natural-log
 domain. At full scale the covariance is 400 x 400; its rank updates meet in
 the (J r) x (J r) capacitance sigma_W^2 I + (C C^T kron G^T G), which the
 eigenvectors U kron W of C C^T and G^T G diagonalise, so one J x J and one
-r x r eigendecomposition give its determinant and inverse. The covariance
-does not depend on x, so one factorization per instance gives the density
-at every column prefix of x (the profile over Hamming strata that the lower
-bound needs) from running sums over the symbols.
+r x r eigendecomposition give its determinant and inverse. Every mean
+difference the bounds need is rank 1, a column x = A_1 h_1 times a symbol
+pattern, and symbol signs fold into the rows. So one factorization per
+instance gives the density at every column prefix x 1_d^T (the profile over
+Hamming strata that the lower bound needs) from one running sum over the
+symbols.
 A dense path and two brute-force oracles (grid quadrature and nested Monte
 Carlo, both built on the plain white-noise density) exist for validation.
 """
@@ -109,17 +111,20 @@ def _capacitance_eigs(noise_var: float, rows: np.ndarray, g: np.ndarray):
 def log_gauss_lowrank(x, noise_var: float, rows, tap_factor) -> np.ndarray:
     """log N(vec X_d; 0, noise_var I + sum_j c_j c_j^T kron G G^T), d = 0..N.
 
-    X_d is x with every column after the first d set to zero, so entry 0 is
-    the density at zero and entry N the density at x. x is one (M, N) matrix
-    or per-instance (S, M, N); rows holds the c_j as (J, N), or per-instance
-    as (S, J, N). The result is (N + 1,) for one instance and (S, N + 1) for
-    a batch. One capacitance factorization serves every prefix: in its
-    eigenbasis, with z_d = sum_{n<d} (U^T C)_{kn} (W^T G^T x)_{an},
+    x is the difference column, one (M, 1) or per-instance (S, M, 1), and
+    X_d = x 1_d^T puts it in the first d of the N symbols, so entry 0 is the
+    density at zero and entry N the density at x 1^T. rows holds the c_j as
+    (J, N), or per-instance as (S, J, N). The result is (N + 1,) for one
+    instance and (S, N + 1) for a batch. One capacitance factorization serves
+    every prefix: in its eigenbasis, with beta = W^T G^T x, P = U^T cumsum(C)
+    and weight_k = sum_a beta_a^2 / eig_ka,
 
         vec(X_d)^T Sigma^{-1} vec(X_d)
-            = (sum_{n<d} ||x_n||^2 - sum_{k,a} z_{dka}^2 / eig_{ka}) / noise_var,
+            = (d ||x||^2 - sum_k P_{kd}^2 weight_k) / noise_var,
 
-    so cost is O(MNr + JN(J + r) + J^3) per instance.
+    so cost is O(J^2 N + (J + M) r + J^3) per instance. Signs need no argument:
+    for s in {+-1}^N, C diag(s) has the gram of C, so the density of
+    vec(x (s * 1_d)^T) under rows C is that of vec(X_d) under C diag(s).
     """
     x = np.asarray(x, dtype=float)
     rows = np.asarray(rows, dtype=float)
@@ -127,40 +132,19 @@ def log_gauss_lowrank(x, noise_var: float, rows, tap_factor) -> np.ndarray:
     single = rows.ndim == 2 and x.ndim == 2
     rows = rows if rows.ndim == 3 else rows[None]
     x = x if x.ndim == 3 else x[None]
-    _, m, n = x.shape
+    m, n = x.shape[1], rows.shape[2]
     dim = m * n
     eig, u, w = _capacitance_eigs(noise_var, rows, g)
-    size = np.broadcast_shapes(rows.shape[:1], x.shape[:1])[0]
-    quad = np.zeros((size, n + 1))
-    quad[:, 1:] = np.cumsum(np.einsum("smn,smn->sn", x, x), axis=1)
-    # symbols lead and instances trail, so each prefix step below adds one
-    # contiguous (J, S) slab; np.cumsum over the symbol axis measured slower
-    row_proj = np.ascontiguousarray((u.transpose(0, 2, 1) @ rows).T)    # (N, J, S)
-    tap_proj = ((g @ w).T @ x).T                                        # (N, r, S or 1)
-    z = np.empty((n, rows.shape[1], size))
-    fit = np.zeros((n, size))
-    # one tap eigenvector at a time keeps every temporary at (N, J, S)
-    for a, inv_eig in enumerate(np.ascontiguousarray((1.0 / eig).T)):
-        np.multiply(row_proj, tap_proj[:, a, None, :], out=z)
-        for d in range(1, n):
-            z[d] += z[d - 1]
-        z *= z
-        z *= inv_eig
-        fit += z.sum(axis=1)
-    quad[:, 1:] -= fit.T
+    beta = x.transpose(0, 2, 1) @ (g @ w)                       # (S or 1, 1, r)
+    weight = (beta * beta / eig).sum(axis=2)                    # (S, J)
+    prefix = u.transpose(0, 2, 1) @ np.cumsum(rows, axis=2)     # (S, J, N)
+    fit = (weight[:, None, :] @ (prefix * prefix))[:, 0]        # (S, N)
+    quad = np.zeros((fit.shape[0], n + 1))
+    quad[:, 1:] = np.arange(1, n + 1) * (x * x).sum(axis=(1, 2))[:, None] - fit
     quad = np.maximum(quad, 0.0) / noise_var
     logdet_cap = np.log(eig).sum(axis=(1, 2))[:, None]
     out = -0.5 * (dim * LOG_2PI + (dim - eig[0].size) * np.log(noise_var) + logdet_cap + quad)
     return out[0] if single else out
-
-
-def log_density(dist: OutputDistribution, Y) -> float:
-    """Natural log of P(Y | V, h_1) through the structured factorization."""
-    y = np.asarray(Y, dtype=float)
-    if y.shape != dist.shape:
-        raise InvalidParameterError(f"observation shape {y.shape} != {dist.shape}")
-    return float(log_gauss_lowrank(y - dist.mean_matrix, dist.noise_var,
-                                   dist.scaled_rows, dist.tap_factor)[-1])
 
 
 def log_density_dense(dist: OutputDistribution, Y) -> float:
@@ -185,16 +169,23 @@ def overlap_J(V, W, h1, A, T: TapCovariance, sigma_W2: float) -> float:
     """ln J(V, W, h_1) = ln int P(Y|V,h_1) P(Y|W,h_1) dY.
 
     The product integral of two Gaussians is the density of the mean
-    difference under the summed covariance: white floor 2 sigma_W^2 and the
-    scaled symbol rows of both codeword matrices. Rows are put in canonical
-    order so the result is exactly symmetric under swapping V and W.
+    difference A_1 h_1 (v_1 - w_1)^T under the summed covariance: white floor
+    2 sigma_W^2 and the scaled symbol rows of both codeword matrices. Rows are
+    put in canonical order, then folded so the difference is a column prefix:
+    the d symbols where v_1 != w_1 move first, in order, and their columns
+    take the sign of v_1 - w_1. Swapping V and W negates those columns, which
+    leaves the kernel's gram and squared prefix sums bit for bit unchanged.
     """
     dv, dw = _overlap_parts(V, W, h1, A, T, sigma_W2)
     rows = np.vstack([dv.scaled_rows, dw.scaled_rows])
     if rows.shape[0] > 1:
         rows = rows[np.lexsort(rows.T[::-1])]
-    return float(log_gauss_lowrank(dv.mean_matrix - dw.mean_matrix,
-                                   dv.noise_var + dw.noise_var, rows, dv.tap_factor)[-1])
+    diff = _as_codewords(V)[0] - _as_codewords(W)[0]
+    order = np.argsort(diff == 0.0, kind="stable")
+    rows = rows[:, order] * np.where(diff[order] < 0.0, -1.0, 1.0)
+    x = float(np.asarray(A, dtype=float)[0]) * np.asarray(h1, dtype=float)[:, None]
+    return float(log_gauss_lowrank(x, dv.noise_var + dw.noise_var, rows,
+                                   dv.tap_factor)[np.count_nonzero(diff)])
 
 
 def overlap_J_dense(V, W, h1, A, T: TapCovariance, sigma_W2: float) -> float:

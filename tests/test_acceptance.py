@@ -146,9 +146,11 @@ def overlap_log_samples(cfg, h1, diff, budget, rng):
     amps = cfg.amplitudes()
     eta2 = cfg.duty_cycles[1]
     rows = amps[1] * (rng.random((budget, 2 * n_intf, cfg.codeword_len)) < eta2)
-    x = amps[0] * np.outer(np.asarray(h1), diff)
+    # the placed symbols move first, so the difference is a column prefix
+    rows = rows[..., np.argsort(diff == 0.0, kind="stable")]
+    x = amps[0] * np.asarray(h1)[:, None]
     return log_gauss_lowrank(x, 2.0 * cfg.noise_var_w, rows,
-                             cfg.tap_covariance().factor)[..., -1]
+                             cfg.tap_covariance().factor)[..., np.count_nonzero(diff)]
 
 
 def test_criterion_4_proposition_1():

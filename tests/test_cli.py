@@ -27,7 +27,10 @@ def tiny_spec(**extra):
 
 def write_config(tmp_path, payload):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(payload))
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        path.write_text(json.dumps(payload))
     return str(path)
 
 
@@ -66,6 +69,7 @@ def test_config_errors_name_the_offending_key(tmp_path):
         ({"interferer_distances_m": [float("inf")]}, "bad-value", "interferer_distances_m"),
         ({"sweep": {"d": [2, float("inf")]}}, "bad-value", "sweep.d"),
         ({"sweep": {"l": [float("nan")]}}, "bad-value", "sweep.l"),
+        (b'{"seed": "\xff"}', "malformed-json", "cfg.json"),
     ]
     for payload, code, key in cases:
         with pytest.raises(ConfigError) as excinfo:
@@ -305,6 +309,23 @@ assert status == 0 and not loaded, (status, loaded)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert [row.bound for row in read_result_csv(out)] == ["lower", "upper"]
+
+
+@pytest.mark.parametrize("flag", ["--out", "--ratios-out"])
+@pytest.mark.parametrize("target, message", [("absent/x.csv", "output directory not found"),
+                                             ("a_directory", "output path is a directory")])
+def test_run_into_unwritable_path_fails_before_estimating(tmp_path, monkeypatch, capsys,
+                                                          flag, target, message):
+    cfg = write_config(tmp_path, {**TINY, "sweep": {"d": [5.0, 100.0]}, "bounds": "lower"})
+    (tmp_path / "a_directory").mkdir()
+    monkeypatch.setattr(cli, "lower_bound", lambda *a, **k: pytest.fail("estimator ran"))
+    paths = {"--out": str(tmp_path / "r.csv"), "--ratios-out": str(tmp_path / "q.csv")}
+    paths[flag] = str(tmp_path / target)
+    argv = ["run", "--config", cfg] + [arg for item in paths.items() for arg in item]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and paths[flag] in err
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "a_directory", tmp_path / "cfg.json"]
 
 
 def test_main_seed_override_changes_results(tmp_path):

@@ -7,7 +7,7 @@ closed-form marginalization and product integral are right.
 import numpy as np
 import pytest
 
-from uwbbounds.gaussian import (log_density, log_density_dense,
+from uwbbounds.gaussian import (OutputDistribution, log_density_dense,
                                 log_gauss_lowrank, oracle_J, output_moments,
                                 overlap_J, overlap_J_dense)
 from uwbbounds.model import InvalidParameterError, TapCovariance, build_tap_covariance
@@ -57,27 +57,35 @@ class TestOutputMoments:
             output_moments(np.array([[0.5]]), np.array([1.0]), np.array([1.0]), T1, 1.0)
 
 
+def dense_law(noise_var, rows, g):
+    """The kernel's Gaussian, mean 0, as an explicit-covariance distribution
+    whose log_density_dense at Y is the log density of vec(Y)."""
+    return OutputDistribution(np.zeros((g.shape[0], rows.shape[-1])), noise_var, rows, g)
+
+
 class TestLogDensity:
     def test_standard_normal_at_zero(self):
         d = output_moments(np.zeros((1, 1)), np.zeros(1), np.ones(1), T1, 1.0)
-        assert log_density(d, np.zeros((1, 1))) == pytest.approx(-0.9189385, abs=1e-6)
+        assert log_density_dense(d, np.zeros((1, 1))) == pytest.approx(-0.9189385, abs=1e-6)
 
     def test_scalar_variance_two(self):
         # N(2; 0, 2) = exp(-1)/sqrt(4 pi), via pure noise and via interference
         want = -0.5 * np.log(4.0 * np.pi) - 1.0
         d_noise = output_moments(np.zeros((1, 1)), np.zeros(1), np.ones(1), T1, 2.0)
-        assert log_density(d_noise, [[2.0]]) == pytest.approx(want, abs=1e-12)
+        assert log_density_dense(d_noise, [[2.0]]) == pytest.approx(want, abs=1e-12)
         d_intf = output_moments(np.array([[0.0], [1.0]]), np.zeros(1),
                                 np.ones(2), T1, 1.0)
-        assert log_density(d_intf, [[2.0]]) == pytest.approx(want, abs=1e-12)
+        assert log_density_dense(d_intf, [[2.0]]) == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("num_nodes,taps,codeword_len", [(1, 2, 3), (2, 3, 4), (3, 5, 7)])
     def test_matches_dense(self, num_nodes, taps, codeword_len):
+        # the kernel at Y = mean + x 1^T, x a random column
         rng = np.random.default_rng(10 * num_nodes + taps)
         v, _, h1, a, t, sigma2 = random_instance(rng, num_nodes, taps, codeword_len)
         d = output_moments(v, h1, a, t, sigma2)
-        y = d.mean_matrix + rng.standard_normal((taps, codeword_len))
-        assert log_density(d, y) == pytest.approx(log_density_dense(d, y), rel=1e-10)
+        x = rng.standard_normal((taps, 1))
+        got = log_gauss_lowrank(x, d.noise_var, d.scaled_rows, d.tap_factor)[-1]
+        assert got == pytest.approx(log_density_dense(d, d.mean_matrix + x), rel=1e-10)
 
     def test_matches_dense_physical_scale(self):
         rng = np.random.default_rng(77)
@@ -86,32 +94,33 @@ class TestLogDensity:
         h1 = rng.standard_normal(5) * np.sqrt(np.diag(t.matrix))
         a = np.array([2.9e-6, 5e-7])
         d = output_moments(v, h1, a, t, 1e-13)
-        y = d.mean_matrix + 3e-7 * rng.standard_normal((5, 80))
-        assert log_density(d, y) == pytest.approx(log_density_dense(d, y), rel=1e-10)
+        x = 3e-7 * rng.standard_normal((5, 1))
+        got = log_gauss_lowrank(x, d.noise_var, d.scaled_rows, d.tap_factor)[-1]
+        assert got == pytest.approx(log_density_dense(d, d.mean_matrix + x), rel=1e-10)
 
     def test_integrates_to_one(self):
-        # M = N = 1 marginal: trapezoid of exp(log_density) over +-10 sd
+        # M = N = 1 marginal: trapezoid of exp(log_density_dense) over +-10 sd
         t = TapCovariance(np.array([[0.4]]))
         d = output_moments(np.array([[1.0], [1.0]]), np.array([0.8]),
                            np.array([1.0, 0.9]), t, 0.6)
         sd = np.sqrt(0.6 + 0.81 * 0.4)
         grid = np.linspace(d.mean[0] - 10 * sd, d.mean[0] + 10 * sd, 4001)
-        vals = np.exp([log_density(d, [[y]]) for y in grid])
+        vals = np.exp([log_density_dense(d, [[y]]) for y in grid])
         assert np.trapezoid(vals, grid) == pytest.approx(1.0, abs=1e-6)
 
     def test_batched_broadcast_x(self):
         rng = np.random.default_rng(9)
         g = rng.standard_normal((2, 2))
         rows = rng.standard_normal((4, 2, 3))
-        x = rng.standard_normal((2, 3))
-        batch = log_gauss_lowrank(x, 1.1, rows, g)[..., -1]
-        single = [log_gauss_lowrank(x, 1.1, rows[i], g)[..., -1] for i in range(4)]
+        x = rng.standard_normal((2, 1))
+        batch = log_gauss_lowrank(x, 1.1, rows, g)
+        single = [log_gauss_lowrank(x, 1.1, rows[i], g) for i in range(4)]
         np.testing.assert_allclose(batch, single, rtol=1e-13)
 
 
 class TestPrefixQuad:
     """Every column prefix from one capacitance factorization against one
-    density per prefix."""
+    dense density per prefix."""
 
     @pytest.mark.parametrize("num_nodes", [1, 2, 3])
     @pytest.mark.parametrize("per_sample_h", [False, True])
@@ -123,14 +132,13 @@ class TestPrefixQuad:
         rows = amps * (rng.random((samples, 2 * (num_nodes - 1), codeword_len)) < 0.6)
         h = rng.standard_normal((samples, taps) if per_sample_h else taps)
         noise_var = 0.5 + rng.random()
-        prof = log_gauss_lowrank(np.multiply.outer(h, np.ones(codeword_len)),
-                                 noise_var, rows, g)
+        prof = log_gauss_lowrank(h[..., None], noise_var, rows, g)
         assert prof.shape == (samples, codeword_len + 1)
         for s in range(samples):
             h_s = h[s] if per_sample_h else h
+            law = dense_law(noise_var, rows[s], g)
             for d in range(codeword_len + 1):
-                prefix = (np.arange(codeword_len) < d).astype(float)
-                want = log_gauss_lowrank(np.outer(h_s, prefix), noise_var, rows[s], g)[-1]
+                want = log_density_dense(law, np.outer(h_s, np.arange(codeword_len) < d))
                 assert prof[s, d] == pytest.approx(want, rel=0, abs=1e-10)
 
     def test_matches_dense_physical_scale_singular_gram(self):
@@ -144,8 +152,7 @@ class TestPrefixQuad:
         rows = amps * (rng.random((samples, 4, codeword_len)) < 0.5)
         rows[:, 2] = rows[:, 1]
         h = 2.9e-6 * rng.standard_normal((samples, 5)) * np.sqrt(np.diag(t.matrix))
-        prof = log_gauss_lowrank(np.multiply.outer(h, np.ones(codeword_len)),
-                                 noise_var, rows, t.factor)
+        prof = log_gauss_lowrank(h[..., None], noise_var, rows, t.factor)
         for s in range(samples):
             cov = noise_var * np.eye(5 * codeword_len)
             for c in rows[s]:
@@ -157,32 +164,34 @@ class TestPrefixQuad:
                 want = -2.0 * (law.logpdf(x.T.ravel()) - at_zero)
                 assert -2.0 * (prof[s, d] - prof[s, 0]) == pytest.approx(want, rel=1e-10)
 
-    @pytest.mark.parametrize("kind", ["general", "signed"])
+    @pytest.mark.parametrize("kind", ["signed", "difference"])
     def test_per_instance_x_matches_dense(self, kind):
-        # a full-rank x and a mixed-sign difference h s^T, s in {+-1}^N, one per
-        # instance; neither is the all-+ rank-1 x the lower bound passes
-        from scipy import stats
+        # one column per instance and mean differences that are not the
+        # all-+ prefix x 1_d^T: "signed" is x (s * 1_d)^T, s in {+-1}^N, with
+        # all of s folded into the rows; "difference" is x delta^T with d
+        # entries of delta in {-1, +1} scattered among zeros, folded as
+        # overlap_J does
         rng = np.random.default_rng(23)
         samples, taps, codeword_len, rank = 3, 3, 9, 2
         g = rng.standard_normal((taps, rank)) * 0.6
         rows = (0.3 + rng.random((4, 1))) * (rng.random((samples, 4, codeword_len)) < 0.6)
-        if kind == "general":
-            x = rng.standard_normal((samples, taps, codeword_len))
-        else:
-            signs = rng.choice([-1.0, 1.0], size=(samples, codeword_len))
-            x = rng.standard_normal((samples, taps))[:, :, None] * signs[:, None, :]
-            assert np.all(np.abs(signs).sum(axis=1) > np.abs(signs.sum(axis=1)))
+        x = rng.standard_normal((samples, taps, 1))
         noise_var = 0.5 + rng.random()
-        prof = log_gauss_lowrank(x, noise_var, rows, g)
-        assert prof.shape == (samples, codeword_len + 1)
-        for s in range(samples):
-            cov = noise_var * np.eye(taps * codeword_len)
-            for c in rows[s]:
-                cov += np.kron(np.outer(c, c), g @ g.T)
-            law = stats.multivariate_normal(mean=np.zeros(cov.shape[0]), cov=cov)
-            for d in (0, 1, 4, codeword_len):
-                x_d = x[s] * (np.arange(codeword_len) < d)
-                assert prof[s, d] == pytest.approx(law.logpdf(x_d.T.ravel()), rel=1e-10)
+        for d in (0, 1, 4, codeword_len):
+            signs = rng.choice([-1.0, 1.0], size=codeword_len)
+            if kind == "signed":
+                diff = signs * (np.arange(codeword_len) < d)
+                folded = rows * signs
+            else:
+                diff = np.zeros(codeword_len)
+                diff[rng.choice(codeword_len, size=d, replace=False)] = signs[:d]
+                order = np.argsort(diff == 0.0, kind="stable")
+                folded = rows[:, :, order] * np.where(diff[order] < 0.0, -1.0, 1.0)
+            prof = log_gauss_lowrank(x, noise_var, folded, g)
+            assert prof.shape == (samples, codeword_len + 1)
+            for s in range(samples):
+                want = log_density_dense(dense_law(noise_var, rows[s], g), np.outer(x[s], diff))
+                assert prof[s, d] == pytest.approx(want, rel=1e-10)
 
 
 class TestOverlap:
