@@ -12,10 +12,12 @@ interferer codewords. `lower_bound` estimates every one of these in one pass,
 with one rank-1 kernel call per block of draws for all d at once: its
 profile carries ln p(d) for d = 0..N (ln theta is the d = 0 entry), ln P(d)
 and the log of the sum, and `error_probability_bound` reads the error bound
-at any rate off that profile without drawing again. Upper bound (genie):
-mutual information of the single on-off symbol through the white channel
-when all interferer symbols are revealed, so it depends on no interferer
-parameter.
+at any rate off that profile without drawing again. With h1_mode "averaged"
+the lower bound draws no channel: each draw's overlaps are averaged over
+h_1 ~ N(0, T) in closed form, so only the interferer symbols are sampled.
+Upper bound (genie): mutual information of the single on-off symbol through
+the white channel when all interferer symbols are revealed, so it depends on
+no interferer parameter; in averaged mode it samples h_1 per draw.
 
 Both estimators draw their samples in blocks of BLOCK; block b draws from the
 counter-based substream keyed by (seed, estimator, b), in a fixed order
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import log_gauss_lowrank
+from .gaussian import log_gauss_lowrank, log_gauss_lowrank_marginal
 from .mc import (Z95, LogAccumulator, gaussian_ci, log_sums, logsumexp, normal_qq_corr,
                  substream)
 from .model import InvalidParameterError, ScenarioConfig, sample_channel, sample_symbols
@@ -94,7 +96,7 @@ def _resolve_h1(cfg: ScenarioConfig, h1, seed: int):
         return h1
     if cfg.h1_mode == "fixed-draw":
         return draw_h1(cfg, seed)
-    return None     # averaged: drawn per sample inside the estimators
+    return None     # averaged: lower_bound integrates h1 out, upper_bound draws it
 
 
 @dataclass(frozen=True)
@@ -124,12 +126,14 @@ class BoundEstimate:
 def lower_bound(scenario: ScenarioConfig, h1=None, seed=None) -> BoundEstimate:
     """C_l with a delta-method 95% CI on the ratio estimate of its sum.
 
-    Every sample draws (the channel if averaged, then the I-1 interferer rows
-    of the first codeword and those of the second) and gives ln J_d for all
-    d = 0..N, so the strata share samples_theta + N samples_pd draws: the
-    kernel gets the difference column A_1 h, and the mean difference of
-    stratum d is its prefix A_1 h 1_d^T, codewords that differ in the first
-    d symbols. With T = ln sum_d P(d) J_d and D = ln J_0 per sample, the sum
+    Every sample draws the I-1 interferer rows of the first codeword and
+    those of the second, and gives ln J_d for all d = 0..N, so the strata
+    share samples_theta + N samples_pd draws: the kernel gets the difference
+    column A_1 h, and the mean difference of stratum d is its prefix
+    A_1 h 1_d^T, codewords that differ in the first d symbols. With no h1 in
+    averaged mode, J_d is replaced by its exact expectation over
+    h ~ N(0, T), which leaves J_0 unchanged. With T = ln sum_d P(d) J_d and
+    D = ln J_0 per sample, the sum
     is mean(e^T) / mean(e^D), and the variance of its log is var(a - b) / S
     for a, b the samples scaled to unit mean.
     """
@@ -147,10 +151,13 @@ def lower_bound(scenario: ScenarioConfig, h1=None, seed=None) -> BoundEstimate:
     t_logs, d_logs = np.empty(total), np.empty(total)
     col_sum = col_sumsq = np.full(n_sym + 1, -np.inf)
     for b, (rng, size) in enumerate(_block_streams(seed, PAIR_OVERLAP, total)):
-        h = sample_channel(tap_cov, rng, size) if h1 is None else h1
         rows = amplitudes[nodes, None] * sample_symbols(etas, n_sym, rng, size)
-        log_j = log_gauss_lowrank((amplitudes[0] * h)[..., None], noise_var, rows,
-                                  tap_cov.factor)
+        if h1 is None:
+            log_j = log_gauss_lowrank_marginal(amplitudes[0], noise_var, rows,
+                                               tap_cov.factor)
+        else:
+            log_j = log_gauss_lowrank((amplitudes[0] * h1)[..., None], noise_var, rows,
+                                      tap_cov.factor)
         block = slice(b * BLOCK, b * BLOCK + size)
         d_logs[block] = log_j[:, 0]
         t_logs[block] = logsumexp(log_probs + log_j, axis=1)

@@ -272,12 +272,25 @@ def main(argv=None) -> int:
             for name, ok, detail in checks:
                 print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
             return 0 if all(ok for _, ok, _ in checks) else 1
-        # run; an output path that cannot be a file fails here, before any estimator
+        # run; an output path that cannot be a file, or that names the same
+        # file as another path of the run, fails here, before any estimator
         for path in map(Path, filter(None, (args.out, args.ratios_out))):
             if not path.parent.is_dir():
                 raise ValueError(f"output directory not found: {path.parent} (for {path})")
             if path.is_dir():
                 raise ValueError(f"output path is a directory: {path}")
+        out = Path(args.out)
+        named = {"--config": args.config, "--out": args.out,
+                 "<out>.config.json": out.with_name(out.name + ".config.json"),
+                 "--ratios-out": args.ratios_out}
+        seen: dict[Path, str] = {}
+        for flag, path in named.items():
+            if path is None:
+                continue
+            resolved = Path(path).resolve()
+            if resolved in seen:
+                raise ValueError(f"{seen[resolved]} and {flag} name the same file: {path}")
+            seen[resolved] = flag
         if args.config is not None:
             spec = load_config(args.config, preset=args.preset)
         else:

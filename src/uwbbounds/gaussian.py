@@ -20,7 +20,10 @@ difference the bounds need is rank 1, a column x = A_1 h_1 times a symbol
 pattern, and symbol signs fold into the rows. So one factorization per
 instance gives the density at every column prefix x 1_d^T (the profile over
 Hamming strata that the lower bound needs) from one running sum over the
-symbols.
+symbols. When h_1 ~ N(0, T) is averaged over rather than fixed, the same
+factorization gives that profile's exact expectation over h_1: in the tap
+eigenbasis the quadratic form is a weighted sum of r independent chi-square
+terms, whose Gaussian expectation is a product of (1 + q)^(-1/2) factors.
 A dense path and two brute-force oracles (grid quadrature and nested Monte
 Carlo, both built on the plain white-noise density) exist for validation.
 """
@@ -98,14 +101,31 @@ def output_moments(V, h1, A, T: TapCovariance, sigma_W2: float) -> OutputDistrib
     )
 
 
-def _capacitance_eigs(noise_var: float, rows: np.ndarray, g: np.ndarray):
-    """Eigen-factorization of the capacitance matrices noise_var I + (C C^T kron
-    G^T G), one per row stack C in rows (S, J, N). With C C^T = U diag(mu) U^T
-    and G^T G = W diag(lam) W^T, U kron W diagonalises each; returns the
-    eigenvalues mu_k lam_a + noise_var as (S, J, r), U as (S, J, J) and W."""
+def _capacitance_prefix(noise_var: float, rows: np.ndarray, g: np.ndarray):
+    """The factorization every prefix density shares, one per row stack C in
+    rows (J, N) or (S, J, N). With C C^T = U diag(mu) U^T and
+    G^T G = W diag(lam) W^T, U kron W diagonalises the capacitance
+    noise_var I + (C C^T kron G^T G). Returns its eigenvalues
+    eig = mu_k lam_a + noise_var as (S, J, r), lam, W, the projected prefix
+    sums P = U^T cumsum(C) as (S, J, N) and the constant c (S, 1) with
+    ln N(0; 0, Sigma) = -c / 2 for Sigma in (M N) dimensions."""
+    rows = rows if rows.ndim == 3 else rows[None]
     mu, u = np.linalg.eigh(rows @ rows.transpose(0, 2, 1))
     lam, w = np.linalg.eigh(g.T @ g)
-    return mu[:, :, None] * lam + noise_var, u, w
+    eig = mu[:, :, None] * lam + noise_var
+    prefix = u.transpose(0, 2, 1) @ np.cumsum(rows, axis=2)
+    dim = g.shape[0] * rows.shape[2]
+    const = (dim * LOG_2PI + (dim - eig[0].size) * np.log(noise_var)
+             + np.log(eig).sum(axis=(1, 2))[:, None])
+    return eig, lam, w, prefix, const
+
+
+def _prefix_profile(const: np.ndarray, quad: np.ndarray) -> np.ndarray:
+    """-(c + quad_d) / 2 for d = 0..N, given quad_d for d = 1..N as (S, N);
+    quad_0 = 0, so entry 0 is the density at zero."""
+    full = np.zeros((quad.shape[0], quad.shape[1] + 1))
+    full[:, 1:] = quad
+    return -0.5 * (const + full)
 
 
 def log_gauss_lowrank(x, noise_var: float, rows, tap_factor) -> np.ndarray:
@@ -130,21 +150,41 @@ def log_gauss_lowrank(x, noise_var: float, rows, tap_factor) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     g = np.asarray(tap_factor, dtype=float)
     single = rows.ndim == 2 and x.ndim == 2
-    rows = rows if rows.ndim == 3 else rows[None]
     x = x if x.ndim == 3 else x[None]
-    m, n = x.shape[1], rows.shape[2]
-    dim = m * n
-    eig, u, w = _capacitance_eigs(noise_var, rows, g)
+    eig, _, w, prefix, const = _capacitance_prefix(noise_var, rows, g)
     beta = x.transpose(0, 2, 1) @ (g @ w)                       # (S or 1, 1, r)
     weight = (beta * beta / eig).sum(axis=2)                    # (S, J)
-    prefix = u.transpose(0, 2, 1) @ np.cumsum(rows, axis=2)     # (S, J, N)
     fit = (weight[:, None, :] @ (prefix * prefix))[:, 0]        # (S, N)
-    quad = np.zeros((fit.shape[0], n + 1))
-    quad[:, 1:] = np.arange(1, n + 1) * (x * x).sum(axis=(1, 2))[:, None] - fit
-    quad = np.maximum(quad, 0.0) / noise_var
-    logdet_cap = np.log(eig).sum(axis=(1, 2))[:, None]
-    out = -0.5 * (dim * LOG_2PI + (dim - eig[0].size) * np.log(noise_var) + logdet_cap + quad)
+    quad = np.arange(1, prefix.shape[2] + 1) * (x * x).sum(axis=(1, 2))[:, None] - fit
+    out = _prefix_profile(const, np.maximum(quad, 0.0) / noise_var)
     return out[0] if single else out
+
+
+def log_gauss_lowrank_marginal(amplitude: float, noise_var: float, rows,
+                               tap_factor) -> np.ndarray:
+    """ln E_h N(vec(A h 1_d^T); 0, Sigma) over h ~ N(0, G G^T), d = 0..N.
+
+    The profile of log_gauss_lowrank at x = A h with the column integrated
+    out in closed form: it equals ln N(0; 0, Sigma + A^2 (1_d 1_d^T kron T)),
+    T = G G^T. Write h = G W zeta, zeta ~ N(0, I_r). Then ||x||^2 =
+    A^2 sum_a lam_a zeta_a^2 and beta_a = A lam_a zeta_a, so the quadratic
+    form of prefix d is sum_a q_da zeta_a^2 with
+
+        q_da = (A^2 lam_a / noise_var) (d - lam_a sum_k P_kd^2 / eig_ka) >= 0,
+
+    and E exp(-q zeta^2 / 2) = (1 + q)^(-1/2) gives
+    ln J_0 - sum_a log1p(q_da) / 2. rows is (J, N) or (S, J, N); the result
+    is (S, N + 1), with entry 0 the density at zero as in log_gauss_lowrank.
+    Cost is O(J^2 N + J r N + J^3) per instance.
+    """
+    rows = np.asarray(rows, dtype=float)
+    g = np.asarray(tap_factor, dtype=float)
+    eig, lam, _, prefix, const = _capacitance_prefix(noise_var, rows, g)
+    gain = (amplitude * amplitude / noise_var) * lam
+    fit = (gain * lam / eig).transpose(0, 2, 1) @ (prefix * prefix)    # (S, r, N)
+    q = np.subtract(gain[:, None] * np.arange(1, prefix.shape[2] + 1), fit, out=fit)
+    np.maximum(q, 0.0, out=q)
+    return _prefix_profile(const, np.log1p(q, out=q).sum(axis=1))
 
 
 def log_density_dense(dist: OutputDistribution, Y) -> float:

@@ -295,15 +295,27 @@ def test_seed_accepts_the_u64_range():
     assert np.array_equal(draw_h1(cfg, seed=0), draw_h1(dataclasses.replace(cfg, rng_seed=0)))
 
 
-def test_averaged_mode_draws_channels_per_sample():
+def test_averaged_mode_integrates_h1_in_closed_form(monkeypatch):
     cfg = small_config(h1_mode="averaged", samples_theta=200, samples_pd=200,
                        samples_upper=500)
+    monkeypatch.setattr(uwbbounds.bounds, "sample_channel",
+                        lambda *args: pytest.fail("the averaged lower bound drew h1"))
     est = lower_bound(cfg)
     assert est.rate >= 0.0 and np.isfinite(est.rate)
-    # distance-1 samples now vary through the channel draw
-    alone = lower_bound(dataclasses.replace(cfg, num_nodes=1, duty_cycles=(0.5,),
-                                            interferer_distances_m=()))
-    assert alone.profile.se_log_pd[1] > 0.0
+    # without interferers every draw gives the same exact profile
+    # ln J_0 - sum_a log1p(A_1^2 lam_a d / sigma^2) / 2, so the CI is 0
+    alone_cfg = dataclasses.replace(cfg, num_nodes=1, duty_cycles=(0.5,),
+                                    interferer_distances_m=())
+    alone = lower_bound(alone_cfg)
+    assert alone.ci_halfwidth == 0.0 and np.all(alone.profile.se_log_pd == 0.0)
+    noise_var = 2.0 * alone_cfg.noise_var_w
+    lam = np.linalg.eigvalsh(alone_cfg.tap_covariance().matrix)
+    gain = alone_cfg.amplitudes()[0] ** 2 * lam / noise_var
+    d = np.arange(alone_cfg.codeword_len + 1)
+    dim = alone_cfg.taps * alone_cfg.codeword_len
+    want = (-0.5 * dim * np.log(2.0 * np.pi * noise_var)
+            - 0.5 * np.log1p(np.outer(d, gain)).sum(axis=1))
+    np.testing.assert_allclose(alone.profile.log_pd, want, rtol=1e-12)
     # an explicit h1 overrides the mode
     h1 = np.array([0.3, 0.2, -0.1])
     fixed = dataclasses.replace(cfg, h1_mode="fixed-draw")
@@ -363,17 +375,27 @@ def test_bad_h1_is_a_named_error(estimator, shape):
         estimator(cfg, h1=h1)
 
 
+def ci_coverage(cfg, h1=None):
+    """Share of 100 seeds whose 95% CI covers a 200x-budget estimate."""
+    reference = lower_bound(dataclasses.replace(cfg, samples_theta=20000,
+                                                samples_pd=20000), h1=h1, seed=12345)
+    estimates = [lower_bound(cfg, h1=h1, seed=seed) for seed in range(100)]
+    return np.mean([abs(e.rate - reference.rate) <= e.ci_halfwidth for e in estimates])
+
+
 def test_lower_bound_ci_covers_high_budget_rate():
     # replicate study: the delta-method CI of the ratio estimator should
     # cover a 200x-budget estimate about 95% of the time
     cfg = small_config(codeword_len=12, interferer_distances_m=(10.0,),
                        samples_theta=100, samples_pd=100)
-    h1 = draw_h1(cfg)
-    reference = lower_bound(dataclasses.replace(cfg, samples_theta=20000,
-                                                samples_pd=20000), h1=h1, seed=12345)
-    estimates = [lower_bound(cfg, h1=h1, seed=seed) for seed in range(100)]
-    coverage = np.mean([abs(e.rate - reference.rate) <= e.ci_halfwidth for e in estimates])
-    assert 0.85 <= coverage <= 1.0
+    assert 0.85 <= ci_coverage(cfg, draw_h1(cfg)) <= 1.0
+
+
+def test_averaged_lower_bound_ci_covers_high_budget_rate():
+    # the same study with h1 integrated out of every draw
+    cfg = small_config(codeword_len=12, interferer_distances_m=(10.0,),
+                       samples_theta=100, samples_pd=100, h1_mode="averaged")
+    assert 0.85 <= ci_coverage(cfg) <= 1.0
 
 
 def test_bounds_ordered_when_noise_dominates():

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +327,39 @@ def test_run_into_unwritable_path_fails_before_estimating(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and paths[flag] in err
     assert sorted(tmp_path.iterdir()) == [tmp_path / "a_directory", tmp_path / "cfg.json"]
+
+
+@pytest.mark.parametrize("config, out, ratios, pair", [
+    ("cfg.json", "cfg.json", None, "--config and --out"),
+    ("cfg.json", "r.csv", "./r.csv", "--out and --ratios-out"),
+    ("cfg.json", "r.csv", "r.csv.config.json", "<out>.config.json and --ratios-out"),
+    ("r.csv.config.json", "./r.csv", None, "--config and <out>.config.json"),
+])
+def test_run_with_colliding_paths_fails_before_estimating(tmp_path, monkeypatch, capsys,
+                                                          config, out, ratios, pair):
+    monkeypatch.chdir(tmp_path)
+    payload = json.dumps({**TINY, "bounds": "lower"})
+    Path(config).write_text(payload)
+    monkeypatch.setattr(cli, "lower_bound", lambda *a, **k: pytest.fail("estimator ran"))
+    argv = ["run", "--config", config, "--out", out]
+    argv += ["--ratios-out", ratios] if ratios else []
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {pair} name the same file")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [config]
+    assert Path(config).read_text() == payload
+
+
+def test_averaged_rows_stay_finite_at_extreme_snr(tmp_path):
+    # A_1^2 / sigma^2 near 1e33: the closed-form h1 average sums log1p terms
+    # and must neither overflow nor warn
+    cfg = write_config(tmp_path, {**TINY, "h1_mode": "averaged", "link_distance_m": 1e-9})
+    out = tmp_path / "r.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    rows = read_result_csv(out)
+    assert [row.bound for row in rows] == ["lower", "upper"]
+    assert all(np.isfinite([row.rate_bits_per_symbol, row.ci_halfwidth]).all() for row in rows)
 
 
 def test_main_seed_override_changes_results(tmp_path):

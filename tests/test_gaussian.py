@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from uwbbounds.gaussian import (OutputDistribution, log_density_dense,
-                                log_gauss_lowrank, oracle_J, output_moments,
-                                overlap_J, overlap_J_dense)
+                                log_gauss_lowrank, log_gauss_lowrank_marginal, oracle_J,
+                                output_moments, overlap_J, overlap_J_dense)
 from uwbbounds.model import InvalidParameterError, TapCovariance, build_tap_covariance
 
 T1 = TapCovariance(np.array([[1.0]]))
@@ -192,6 +192,58 @@ class TestPrefixQuad:
             for s in range(samples):
                 want = log_density_dense(dense_law(noise_var, rows[s], g), np.outer(x[s], diff))
                 assert prof[s, d] == pytest.approx(want, rel=1e-10)
+
+
+class TestChannelMarginal:
+    """The prefix profile with x = A h integrated over h ~ N(0, T) against the
+    dense law N(0; 0, Sigma + A^2 (1_d 1_d^T kron T)) of every prefix."""
+
+    @pytest.mark.parametrize("num_nodes", [1, 2, 3])
+    def test_matches_dense_law(self, num_nodes):
+        from scipy import stats
+        rng = np.random.default_rng(40 + num_nodes)
+        samples, taps, codeword_len, rank = 3, 3, 6, 2
+        g = rng.standard_normal((taps, rank)) * 0.6
+        amps = 0.3 + rng.random((2 * (num_nodes - 1), 1))
+        rows = amps * (rng.random((samples, 2 * (num_nodes - 1), codeword_len)) < 0.6)
+        amplitude, noise_var = 1.3, 0.5 + rng.random()
+        prof = log_gauss_lowrank_marginal(amplitude, noise_var, rows, g)
+        assert prof.shape == (samples, codeword_len + 1)
+        t = g @ g.T
+        for s in range(samples):
+            cov = dense_law(noise_var, rows[s], g).dense_covariance()
+            for d in range(codeword_len + 1):
+                prefix = np.arange(codeword_len) < d
+                law = cov + amplitude ** 2 * np.kron(np.outer(prefix, prefix), t)
+                want = stats.multivariate_normal(np.zeros(len(law)), law).logpdf(0.0)
+                assert prof[s, d] == pytest.approx(want, rel=1e-10)
+
+    def test_matches_dense_law_physical_scale(self):
+        # desk-like scale: noise 2e-13, amplitudes near 1e-6, a singular
+        # row gram (an all-zero row and two equal rows), N = 40
+        from scipy import stats
+        rng = np.random.default_rng(29)
+        t = build_tap_covariance(3, 0.14, 68)
+        noise_var, codeword_len = 2e-13, 40
+        amps = np.array([[0.0], [1.1e-6], [1.1e-6], [7e-7]])
+        rows = amps * (rng.random((1, 4, codeword_len)) < 0.5)
+        rows[:, 2] = rows[:, 1]
+        prof = log_gauss_lowrank_marginal(2.9e-6, noise_var, rows, t.factor)
+        cov = dense_law(noise_var, rows[0], t.factor).dense_covariance()
+        for d in (0, 1, 17, codeword_len):
+            prefix = np.arange(codeword_len) < d
+            law = cov + 2.9e-6 ** 2 * np.kron(np.outer(prefix, prefix), t.matrix)
+            want = stats.multivariate_normal(np.zeros(len(law)), law).logpdf(0.0)
+            assert prof[0, d] == pytest.approx(want, rel=1e-10)
+
+    def test_density_at_zero_is_the_kernels(self):
+        # d = 0 has no channel term, so theta's samples do not move
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal((3, 2))
+        rows = rng.standard_normal((4, 2, 7))
+        marginal = log_gauss_lowrank_marginal(0.8, 1.1, rows, g)
+        kernel = log_gauss_lowrank(np.zeros((3, 1)), 1.1, rows, g)
+        assert np.array_equal(marginal[:, 0], kernel[:, 0])
 
 
 class TestOverlap:
