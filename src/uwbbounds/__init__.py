@@ -13,8 +13,6 @@ from .bounds import (BoundEstimate, ErrorProbabilityBound, LowerBoundProfile,
                      lower_bound, upper_bound)
 from .config import (PRESETS, ConfigError, SweepSpec, effective_config,
                      load_config, spec_from_mapping)
-from .gaussian import (OracleEstimate, OutputDistribution, log_density_dense,
-                       oracle_J, output_moments, overlap_J, overlap_J_dense)
 from .mc import LogAccumulator, gaussian_ci, normal_qq_corr, substream
 from .model import (H1_MODES, InvalidParameterError, ScenarioConfig,
                     TapCovariance, build_tap_covariance, pulse_amplitude,
@@ -24,13 +22,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundEstimate", "ConfigError", "ErrorProbabilityBound", "H1_MODES",
-    "InvalidParameterError", "LogAccumulator", "LowerBoundProfile",
-    "OracleEstimate", "OutputDistribution", "PRESETS", "ScenarioConfig",
-    "SweepSpec", "TapCovariance", "build_tap_covariance", "draw_h1",
-    "effective_config", "error_probability_bound", "gaussian_ci",
-    "load_config", "log_density_dense",
-    "log_distance_probs", "lower_bound", "normal_qq_corr", "oracle_J",
-    "output_moments", "overlap_J", "overlap_J_dense", "pulse_amplitude",
-    "received_power", "sample_channel", "sample_symbols",
+    "InvalidParameterError", "LogAccumulator", "LowerBoundProfile", "PRESETS",
+    "ScenarioConfig", "SweepSpec", "TapCovariance", "build_tap_covariance",
+    "draw_h1", "effective_config", "error_probability_bound", "gaussian_ci",
+    "load_config", "log_distance_probs", "lower_bound", "normal_qq_corr",
+    "pulse_amplitude", "received_power", "sample_channel", "sample_symbols",
     "spec_from_mapping", "substream", "upper_bound", "__version__",
 ]

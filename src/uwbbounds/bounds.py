@@ -107,7 +107,7 @@ class LowerBoundProfile:
     log_pd: np.ndarray          # ln p(d), d = 0..N; ln theta = log_pd[0]
     se_log_pd: np.ndarray
     log_distance_probs: np.ndarray   # ln P(d), d = 0..N
-    log_sum: float              # ln sum_d P(d) p(d)/theta, before the rate clamp
+    log_sum: float              # ln sum_d P(d) p(d)/theta >= ln P(0), before the rate clamp
     se_log_sum: float           # delta-method standard error of log_sum
     qq_ratio: float             # normal quantile correlation of the ratio terms
 
@@ -168,7 +168,9 @@ def lower_bound(scenario: ScenarioConfig, h1=None, seed=None) -> BoundEstimate:
     acc_t = LogAccumulator.from_log_values(t_logs)
     acc_d = LogAccumulator.from_log_values(d_logs)
     terms = np.exp(t_logs - acc_t.log_mean) - np.exp(d_logs - acc_d.log_mean)
-    log_sum = acc_t.log_mean - acc_d.log_mean
+    # the d = 0 term alone is P(0) mean(J_0) / mean(J_0), so the sum is at
+    # least P(0); rounding in the two log-means can put it a few ulps below
+    log_sum = max(acc_t.log_mean - acc_d.log_mean, float(log_probs[0]))
     se_log_sum = float(np.sqrt(terms.var(ddof=1) / total))
     strata = [LogAccumulator(total, a, b) for a, b in zip(col_sum, col_sumsq)]
     profile = LowerBoundProfile(

@@ -3,7 +3,6 @@
     uwbbounds run --config cfg.json [--preset paper|desk] [--seed S]
                   [--out results.csv] [--ratios-out ratios.csv]
     uwbbounds validate --config cfg.json
-    uwbbounds oracle
 
 Results go to one CSV with columns l_m, d_m, eta1, eta2, bound,
 rate_bits_per_symbol, ci_halfwidth, samples, seed, wall_s; the fully
@@ -29,8 +28,7 @@ import numpy as np
 from .bounds import draw_h1, lower_bound, upper_bound
 from .config import (PRESETS, ConfigError, SweepSpec, effective_config,
                      load_config, spec_from_mapping)
-from .gaussian import oracle_J, overlap_J
-from .model import ScenarioConfig, TapCovariance, build_tap_covariance
+from .model import ScenarioConfig
 
 CSV_COLUMNS = ("l_m", "d_m", "eta1", "eta2", "bound", "rate_bits_per_symbol",
                "ci_halfwidth", "samples", "seed", "wall_s")
@@ -105,20 +103,6 @@ def _write_csv(path, rows: list[ResultRow]) -> None:
     lines = [",".join(CSV_COLUMNS)]
     lines.extend(",".join(row.csv_values()) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_result_csv(path) -> list[ResultRow]:
-    lines = Path(path).read_text().splitlines()
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        rows.append(ResultRow(
-            l_m=float(parts[0]), d_m=float(parts[1]) if parts[1] else None,
-            eta1=float(parts[2]), eta2=float(parts[3]) if parts[3] else None,
-            bound=parts[4], rate_bits_per_symbol=float(parts[5]),
-            ci_halfwidth=float(parts[6]), samples=int(parts[7]),
-            seed=int(parts[8]), wall_s=float(parts[9])))
-    return rows
 
 
 def run_sweep(spec: SweepSpec, out_path) -> list[ResultRow]:
@@ -200,44 +184,6 @@ def _write_ratios(path, pairs) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _oracle_suite(seed: int = 0) -> list[tuple[str, bool, str]]:
-    """Small standalone cross-validation of the closed-form overlap."""
-    checks = []
-    t1 = TapCovariance(np.array([[1.0]]))
-    est = oracle_J([[1.0]], [[1.0]], np.array([0.7]), np.array([1.3]), t1, 1.0)
-    want = 1.0 / np.sqrt(4.0 * np.pi)
-    checks.append(("analytic self-overlap, quadrature",
-                   abs(est.value / want - 1.0) < 1e-8,
-                   f"value {est.value:.10f}, analytic {want:.10f}"))
-
-    rng = np.random.default_rng(seed)
-    for trial in range(3):
-        v = (rng.random((2, 2)) < 0.6).astype(float)
-        w = (rng.random((2, 2)) < 0.6).astype(float)
-        h1 = rng.standard_normal(1) * 0.8
-        a = 0.4 + rng.random(2)
-        t = TapCovariance(np.array([[0.3 + 0.5 * rng.random()]]))
-        s2 = 0.6 + rng.random()
-        cf = overlap_J(v, w, h1, a, t, s2)
-        est = oracle_J(v, w, h1, a, t, s2)
-        rel = abs(np.exp(cf - est.log_value) - 1.0)
-        checks.append((f"two-node grid quadrature #{trial + 1}", rel < 1e-4,
-                       f"relative gap {rel:.2e}"))
-    for trial in range(3):
-        t = build_tap_covariance(2, 0.8, 3)
-        v = (rng.random((3, 2)) < 0.6).astype(float)
-        w = (rng.random((3, 2)) < 0.6).astype(float)
-        h1 = rng.standard_normal(2) * 0.7
-        a = 0.4 + rng.random(3)
-        s2 = 0.6 + rng.random()
-        cf = overlap_J(v, w, h1, a, t, s2)
-        est = oracle_J(v, w, h1, a, t, s2, mode="mc", rng=np.random.default_rng(seed + trial))
-        gap = abs(cf - est.log_value)
-        checks.append((f"three-node sampling #{trial + 1}", gap < 3.0 * est.se_log,
-                       f"|log gap| {gap:.4f} vs 3 se {3.0 * est.se_log:.4f}"))
-    return checks
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="uwbbounds",
@@ -257,21 +203,12 @@ def main(argv=None) -> int:
     val_p.add_argument("--config", required=True)
     val_p.add_argument("--preset", choices=sorted(PRESETS))
 
-    orc_p = sub.add_parser("oracle", help="cross-check the closed-form overlap "
-                                          "against brute-force integration")
-    orc_p.add_argument("--seed", type=int, default=0)
-
     args = parser.parse_args(argv)
     try:
         if args.command == "validate":
             spec = load_config(args.config, preset=args.preset)
             print(json.dumps(effective_config(spec), indent=2))
             return 0
-        if args.command == "oracle":
-            checks = _oracle_suite(args.seed)
-            for name, ok, detail in checks:
-                print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-            return 0 if all(ok for _, ok, _ in checks) else 1
         # run; an output path that cannot be a file, or that names the same
         # file as another path of the run, fails here, before any estimator
         for path in map(Path, filter(None, (args.out, args.ratios_out))):

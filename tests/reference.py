@@ -1,0 +1,301 @@
+"""Reference implementations the Tier-1 tests check the package against.
+
+The dense output law (explicit (MN, MN) covariance, densities through
+scipy.stats), the pairwise overlap J(V, W, h_1) with its dense twin, and two
+brute-force oracles for J (grid quadrature and nested Monte Carlo, both
+built on the plain white-noise density) live here rather than in the
+package: the estimators never call them, and the dense densities need
+scipy, which the package does not depend on. `read_result_csv` parses the
+CSV that `uwbbounds run` writes.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+
+from uwbbounds.cli import ResultRow
+from uwbbounds.gaussian import LOG_2PI, log_gauss_lowrank
+from uwbbounds.mc import LogAccumulator, logsumexp
+from uwbbounds.model import InvalidParameterError, TapCovariance
+
+
+def _vec(matrix: np.ndarray) -> np.ndarray:
+    # column stacking: coordinate n*M + m is row m of column n
+    return np.asarray(matrix).T.ravel()
+
+
+def _as_codewords(U) -> np.ndarray:
+    u = np.asarray(U, dtype=float)
+    if u.ndim != 2:
+        raise InvalidParameterError(f"codeword matrix must be 2-d, got shape {u.shape}")
+    if not np.all((u == 0.0) | (u == 1.0)):
+        raise InvalidParameterError("codeword entries must be 0 or 1")
+    return u
+
+
+@dataclass(frozen=True)
+class OutputDistribution:
+    """Gaussian law of the received M x N block, interferers marginalized."""
+
+    mean_matrix: np.ndarray    # (M, N), column n is the mean of r[n]
+    noise_var: float           # white floor on every coordinate
+    scaled_rows: np.ndarray    # (J, N), row j is A_i v_i for marginalized node i
+    tap_factor: np.ndarray     # (M, r) with G G^T = T
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.mean_matrix.shape
+
+    @property
+    def mean(self) -> np.ndarray:
+        return _vec(self.mean_matrix)
+
+    def dense_covariance(self) -> np.ndarray:
+        """Explicit (MN, MN) covariance; reference path for small instances."""
+        m, n = self.shape
+        t = self.tap_factor @ self.tap_factor.T
+        cov = self.noise_var * np.eye(m * n)
+        for c in self.scaled_rows:
+            cov += np.kron(np.outer(c, c), t)
+        return cov
+
+
+def output_moments(V, h1, A, T: TapCovariance, sigma_W2: float) -> OutputDistribution:
+    """Moments of P(Y | V, h_1) with the interferer channels integrated out."""
+    u = _as_codewords(V)
+    h = np.asarray(h1, dtype=float)
+    a = np.asarray(A, dtype=float)
+    num_nodes, n = u.shape
+    if h.shape != (T.num_taps,):
+        raise InvalidParameterError(f"h1 has shape {h.shape}, tap covariance is {T.num_taps}-dim")
+    if a.shape != (num_nodes,):
+        raise InvalidParameterError(f"need {num_nodes} amplitudes, got shape {a.shape}")
+    if sigma_W2 <= 0.0:
+        raise InvalidParameterError(f"sigma_W2 must be > 0, got {sigma_W2}")
+    return OutputDistribution(
+        mean_matrix=a[0] * np.outer(h, u[0]),
+        noise_var=float(sigma_W2),
+        scaled_rows=a[1:, None] * u[1:],
+        tap_factor=T.factor,
+    )
+
+def log_density_dense(dist: OutputDistribution, Y) -> float:
+    """Same density through an explicit covariance; O((MN)^3) reference."""
+    y = np.asarray(Y, dtype=float)
+    if y.shape != dist.shape:
+        raise InvalidParameterError(f"observation shape {y.shape} != {dist.shape}")
+    from scipy import stats     # reference path only; kept off the import path
+    return float(stats.multivariate_normal(mean=dist.mean,
+                                           cov=dist.dense_covariance()).logpdf(_vec(y)))
+
+
+def _overlap_parts(V, W, h1, A, T, sigma_W2):
+    dv = output_moments(V, h1, A, T, sigma_W2)
+    dw = output_moments(W, h1, A, T, sigma_W2)
+    if dv.shape != dw.shape:
+        raise InvalidParameterError(f"codeword shapes differ: {dv.shape} vs {dw.shape}")
+    return dv, dw
+
+
+def overlap_J(V, W, h1, A, T: TapCovariance, sigma_W2: float) -> float:
+    """ln J(V, W, h_1) = ln int P(Y|V,h_1) P(Y|W,h_1) dY.
+
+    The product integral of two Gaussians is the density of the mean
+    difference A_1 h_1 (v_1 - w_1)^T under the summed covariance: white floor
+    2 sigma_W^2 and the scaled symbol rows of both codeword matrices. Rows are
+    put in canonical order, then folded so the difference is a column prefix:
+    the d symbols where v_1 != w_1 move first, in order, and their columns
+    take the sign of v_1 - w_1. Swapping V and W negates those columns, which
+    leaves the kernel's gram and squared prefix sums bit for bit unchanged.
+    """
+    dv, dw = _overlap_parts(V, W, h1, A, T, sigma_W2)
+    rows = np.vstack([dv.scaled_rows, dw.scaled_rows])
+    if rows.shape[0] > 1:
+        rows = rows[np.lexsort(rows.T[::-1])]
+    diff = _as_codewords(V)[0] - _as_codewords(W)[0]
+    order = np.argsort(diff == 0.0, kind="stable")
+    rows = rows[:, order] * np.where(diff[order] < 0.0, -1.0, 1.0)
+    x = float(np.asarray(A, dtype=float)[0]) * np.asarray(h1, dtype=float)[:, None]
+    return float(log_gauss_lowrank(x, dv.noise_var + dw.noise_var, rows[None],
+                                   dv.tap_factor)[0, np.count_nonzero(diff)])
+
+
+def overlap_J_dense(V, W, h1, A, T: TapCovariance, sigma_W2: float) -> float:
+    """Dense-covariance reference for overlap_J."""
+    dv, dw = _overlap_parts(V, W, h1, A, T, sigma_W2)
+    cov = dv.dense_covariance() + dw.dense_covariance()
+    from scipy import stats     # reference path only; kept off the import path
+    return float(stats.multivariate_normal(mean=np.zeros(cov.shape[0]),
+                                           cov=cov).logpdf(dv.mean - dw.mean))
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracles
+#
+# Everything below deliberately avoids the rank-update code path: densities
+# are built from the plain white-noise Gaussian, and the interferer channels
+# are integrated out numerically (Gauss-Hermite nodes or plain sampling).
+
+
+@dataclass(frozen=True)
+class OracleEstimate:
+    log_value: float
+    se_log: float       # relative standard error; 0 for the deterministic rule
+    mode: str           # "quadrature" or "mc"
+    points: int
+
+    @property
+    def value(self) -> float:
+        return float(np.exp(self.log_value))
+
+
+def _gh_rule(dims: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensorized Gauss-Hermite rule for E[g(zeta)], zeta ~ N(0, I_dims).
+
+    Returns nodes (Q, dims) and log-weights (Q,); weights sum to 1.
+    """
+    if dims == 0:
+        return np.zeros((1, 0)), np.zeros(1)
+    t, w = np.polynomial.hermite.hermgauss(order)
+    pts = np.sqrt(2.0) * t
+    logw = np.log(w) - 0.5 * np.log(np.pi)
+    grids = np.meshgrid(*([pts] * dims), indexing="ij")
+    nodes = np.stack([g.ravel() for g in grids], axis=1)
+    lw = np.zeros(nodes.shape[0])
+    for axis in range(dims):
+        block = np.meshgrid(*([logw] * dims), indexing="ij")[axis].ravel()
+        lw += block
+    return nodes, lw
+
+
+def _node_means(mean_vec, rows, factor, zeta):
+    """Mean of vec(Y) for each channel draw zeta (Q, J, r) -> (Q, D)."""
+    if zeta.shape[1] == 0 or zeta.shape[2] == 0:
+        return np.broadcast_to(mean_vec, (zeta.shape[0], mean_vec.size))
+    off = np.einsum("ma,qja,jn->qmn", factor, zeta, rows)
+    return mean_vec[None, :] + off.transpose(0, 2, 1).reshape(zeta.shape[0], -1)
+
+
+def _log_marginal_grid(grids, mean_vec, rows, factor, sigma2, order):
+    """Marginal log density on a 1-d or 2-d tensor grid via Gauss-Hermite."""
+    j, r = rows.shape[0], factor.shape[1]
+    nodes, lw = _gh_rule(j * r, order)
+    mu = _node_means(mean_vec, rows, factor, nodes.reshape(-1, j, r) if j * r
+                     else np.zeros((1, j, r)))
+    if len(grids) == 1:
+        lg = -((grids[0][:, None] - mu[None, :, 0]) ** 2) / (2.0 * sigma2)
+        return logsumexp(lg + lw[None, :], axis=1) - 0.5 * (LOG_2PI + np.log(sigma2))
+    # 2-d grid: the white density factorizes per coordinate, so the node sum
+    # is a rank-Q matrix product after shifting out per-row maxima
+    lg1 = -((grids[0][:, None] - mu[None, :, 0]) ** 2) / (2.0 * sigma2)
+    lg2 = -((grids[1][:, None] - mu[None, :, 1]) ** 2) / (2.0 * sigma2)
+    m1, m2, mw = lg1.max(axis=1), lg2.max(axis=1), lw.max()
+    s = np.exp(lg1 - m1[:, None]) @ (np.exp(lw - mw)[:, None] * np.exp(lg2 - m2[:, None]).T)
+    with np.errstate(divide="ignore"):
+        return m1[:, None] + m2[None, :] + mw + np.log(s) - (LOG_2PI + np.log(sigma2))
+
+
+def _coordinate_std(dist: OutputDistribution) -> np.ndarray:
+    # direct variance bookkeeping per vec coordinate, no factorization involved
+    m, n = dist.shape
+    tdiag = (dist.tap_factor ** 2).sum(axis=1)
+    per_symbol = (dist.scaled_rows ** 2).sum(axis=0)        # (N,)
+    var = dist.noise_var + per_symbol[:, None] * tdiag[None, :]   # (N, M)
+    return np.sqrt(var.ravel())
+
+
+def _oracle_quadrature(dv, dw, points, order):
+    lo = np.minimum(dv.mean, dw.mean) - 8.0 * np.maximum(_coordinate_std(dv), _coordinate_std(dw))
+    hi = np.maximum(dv.mean, dw.mean) + 8.0 * np.maximum(_coordinate_std(dv), _coordinate_std(dw))
+    grids = [np.linspace(a, b, points) for a, b in zip(lo, hi)]
+    logf = [_log_marginal_grid(grids, d.mean, d.scaled_rows, d.tap_factor, d.noise_var, order)
+            for d in (dv, dw)]
+    log_tw = []
+    for g in grids:
+        tw = np.zeros(points)
+        tw[0] = tw[-1] = np.log(0.5)
+        log_tw.append(tw + np.log(g[1] - g[0]))
+    total = logf[0] + logf[1]
+    if len(grids) == 1:
+        total = total + log_tw[0]
+    else:
+        total = total + log_tw[0][:, None] + log_tw[1][None, :]
+    return float(logsumexp(total.ravel()))
+
+
+def _oracle_mc(dv, dw, outer, inner, rng):
+    m, n = dv.shape
+    r = dv.tap_factor.shape[1]
+    jv, jw = dv.scaled_rows.shape[0], dw.scaled_rows.shape[0]
+    y = _node_means(dv.mean, dv.scaled_rows, dv.tap_factor,
+                    rng.standard_normal((outer, jv, r)))
+    y = y + np.sqrt(dv.noise_var) * rng.standard_normal(y.shape)
+    mu = _node_means(dw.mean, dw.scaled_rows, dw.tap_factor,
+                     rng.standard_normal((outer * inner, jw, r))).reshape(outer, inner, -1)
+    quad = ((y[:, None, :] - mu) ** 2).sum(axis=2) / (2.0 * dw.noise_var)
+    log_fw = logsumexp(-quad, axis=1) - np.log(inner) \
+        - 0.5 * m * n * (LOG_2PI + np.log(dw.noise_var))
+    acc = LogAccumulator.from_log_values(log_fw)
+    return acc.log_mean, acc.se_log_mean
+
+
+def oracle_J(V, W, h1, A, T: TapCovariance, sigma_W2: float,
+             grid_or_samples: int | None = None, *, mode: str = "auto",
+             inner_samples: int = 256, gh_order: int | None = None,
+             rng: np.random.Generator | None = None) -> OracleEstimate:
+    """Brute-force estimate of J(V, W, h_1) for validating overlap_J.
+
+    Quadrature mode integrates over the output on a +-8 sigma grid (at least
+    2001 points per dimension) with the interferer channels handled by a
+    Gauss-Hermite rule; it needs M N <= 2 and (I-1) rank(T) <= 2. Monte-Carlo
+    mode draws Y from P(.|V) and averages a sampled estimate of P(Y|W); it
+    needs M N <= 4 and I <= 3 and reports its own standard error. Both modes
+    are accurate only at moderate signal-to-noise scales; the closed form is
+    scale covariant, so validating here covers the physical regime too.
+    """
+    dv, dw = _overlap_parts(V, W, h1, A, T, sigma_W2)
+    m, n = dv.shape
+    num_nodes = np.asarray(V).shape[0]
+    gh_dims = dv.scaled_rows.shape[0] * dv.tap_factor.shape[1]
+    if m * n > 4 or num_nodes > 3:
+        raise InvalidParameterError(
+            f"oracle needs M*N <= 4 and I <= 3, got M*N = {m * n}, I = {num_nodes}")
+    if mode == "auto":
+        mode = "quadrature" if (m * n <= 2 and gh_dims <= 2) else "mc"
+    if mode == "quadrature":
+        if m * n > 2 or gh_dims > 2:
+            raise InvalidParameterError(
+                f"quadrature oracle needs M*N <= 2 and (I-1) rank(T) <= 2, "
+                f"got {m * n} and {gh_dims}")
+        points = 2001 if grid_or_samples is None else int(grid_or_samples)
+        order = gh_order if gh_order is not None else (64 if gh_dims <= 1 else 32)
+        return OracleEstimate(_oracle_quadrature(dv, dw, points, order), 0.0,
+                              "quadrature", points)
+    if mode != "mc":
+        raise InvalidParameterError(f"mode must be auto, quadrature, or mc, got {mode!r}")
+    outer = 4096 if grid_or_samples is None else int(grid_or_samples)
+    if rng is None:
+        rng = np.random.default_rng(0)
+    log_j, se = _oracle_mc(dv, dw, outer, inner_samples, rng)
+    return OracleEstimate(log_j, se, "mc", outer)
+
+
+# ---------------------------------------------------------------------------
+# result CSV
+
+
+def read_result_csv(path) -> list[ResultRow]:
+    lines = Path(path).read_text().splitlines()
+    rows = []
+    for line in lines[1:]:
+        parts = line.split(",")
+        rows.append(ResultRow(
+            l_m=float(parts[0]), d_m=float(parts[1]) if parts[1] else None,
+            eta1=float(parts[2]), eta2=float(parts[3]) if parts[3] else None,
+            bound=parts[4], rate_bits_per_symbol=float(parts[5]),
+            ci_halfwidth=float(parts[6]), samples=int(parts[7]),
+            seed=int(parts[8]), wall_s=float(parts[9])))
+    return rows

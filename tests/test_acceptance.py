@@ -23,9 +23,11 @@ import numpy as np
 
 from uwbbounds.bounds import (draw_h1, error_probability_bound, log_distance_probs,
                               lower_bound, upper_bound)
-from uwbbounds.gaussian import log_gauss_lowrank, oracle_J, overlap_J
+from uwbbounds.gaussian import log_gauss_lowrank
 from uwbbounds.mc import Z95, LogAccumulator
 from uwbbounds.model import ScenarioConfig, TapCovariance, received_power
+
+from reference import oracle_J, overlap_J
 
 DESK = dict(codeword_len=40, taps=3)
 

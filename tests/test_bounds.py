@@ -424,6 +424,22 @@ def test_upper_bound_reads_no_interferer_parameter():
     assert len(results) == 1
 
 
+@pytest.mark.parametrize("h1_mode", ["fixed-draw", "averaged"])
+@pytest.mark.parametrize("eta", [0.5, 0.2])
+def test_lower_bound_saturates_at_its_ceiling(h1_mode, eta):
+    # at 1 nm every J_d with d >= 1 is e^-hundreds of J_0, so the sum is P(0)
+    # alone: C_l meets -log2 P(0) / N and does not round past it, and the
+    # error bound reads the same sum
+    cfg = ScenarioConfig(codeword_len=10, taps=3, num_nodes=1, duty_cycles=(eta,),
+                         interferer_distances_m=(), link_distance_m=1e-9,
+                         h1_mode=h1_mode, samples_theta=100, samples_pd=100)
+    est = lower_bound(cfg)
+    log_p0 = log_distance_probs(10, eta)[0]
+    assert est.rate == -log_p0 / (10 * np.log(2.0))
+    assert est.profile.log_sum == log_p0
+    assert error_probability_bound(est, 0.0).log2_bound == log_p0 / np.log(2.0)
+
+
 def test_upper_bound_saturates_at_symbol_entropy():
     for eta in (0.5, 0.3):
         cfg = single_pulse_config(eta=eta, sigma2=1.0, power=1e8)

@@ -14,9 +14,11 @@ import pytest
 import uwbbounds.cli as cli
 from uwbbounds.bounds import BoundEstimate
 from uwbbounds.cli import (CSV_COLUMNS, EstimatorFailure, figure_ratios, main,
-                           read_result_csv, run_sweep, sweep_points)
+                           run_sweep, sweep_points)
 from uwbbounds.config import (ConfigError, effective_config, load_config,
                               spec_from_mapping)
+
+from reference import read_result_csv
 
 TINY = {"codeword_len": 8, "taps": 2, "samples_theta": 80, "samples_pd": 80,
         "samples_upper": 400, "seed": 11}
@@ -392,9 +394,3 @@ def test_main_ratios_output(tmp_path):
     lines = ratios.read_text().splitlines()
     assert lines[0].endswith(",rate_ratio")
     assert len(lines) == 3
-
-
-def test_main_oracle_passes(capsys):
-    assert main(["oracle"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out and "FAIL" not in out

@@ -1,16 +1,18 @@
 """Marginalized density and overlap integral against dense and brute-force references.
 
 These tests gate everything downstream: the rate estimators assume the
-closed-form marginalization and product integral are right.
+closed-form marginalization and product integral are right. The references
+(dense densities, the overlap J and its oracles) live in tests/reference.py.
 """
 
 import numpy as np
 import pytest
 
-from uwbbounds.gaussian import (OutputDistribution, log_density_dense,
-                                log_gauss_lowrank, log_gauss_lowrank_marginal, oracle_J,
-                                output_moments, overlap_J, overlap_J_dense)
+from uwbbounds.gaussian import log_gauss_lowrank, log_gauss_lowrank_marginal
 from uwbbounds.model import InvalidParameterError, TapCovariance, build_tap_covariance
+
+from reference import (OutputDistribution, log_density_dense, oracle_J, output_moments,
+                       overlap_J, overlap_J_dense)
 
 T1 = TapCovariance(np.array([[1.0]]))
 
@@ -84,7 +86,7 @@ class TestLogDensity:
         v, _, h1, a, t, sigma2 = random_instance(rng, num_nodes, taps, codeword_len)
         d = output_moments(v, h1, a, t, sigma2)
         x = rng.standard_normal((taps, 1))
-        got = log_gauss_lowrank(x, d.noise_var, d.scaled_rows, d.tap_factor)[-1]
+        got = log_gauss_lowrank(x, d.noise_var, d.scaled_rows[None], d.tap_factor)[0, -1]
         assert got == pytest.approx(log_density_dense(d, d.mean_matrix + x), rel=1e-10)
 
     def test_matches_dense_physical_scale(self):
@@ -95,7 +97,7 @@ class TestLogDensity:
         a = np.array([2.9e-6, 5e-7])
         d = output_moments(v, h1, a, t, 1e-13)
         x = 3e-7 * rng.standard_normal((5, 1))
-        got = log_gauss_lowrank(x, d.noise_var, d.scaled_rows, d.tap_factor)[-1]
+        got = log_gauss_lowrank(x, d.noise_var, d.scaled_rows[None], d.tap_factor)[0, -1]
         assert got == pytest.approx(log_density_dense(d, d.mean_matrix + x), rel=1e-10)
 
     def test_integrates_to_one(self):
@@ -114,7 +116,7 @@ class TestLogDensity:
         rows = rng.standard_normal((4, 2, 3))
         x = rng.standard_normal((2, 1))
         batch = log_gauss_lowrank(x, 1.1, rows, g)
-        single = [log_gauss_lowrank(x, 1.1, rows[i], g) for i in range(4)]
+        single = [log_gauss_lowrank(x, 1.1, rows[i:i + 1], g)[0] for i in range(4)]
         np.testing.assert_allclose(batch, single, rtol=1e-13)
 
 
@@ -132,7 +134,12 @@ class TestPrefixQuad:
         rows = amps * (rng.random((samples, 2 * (num_nodes - 1), codeword_len)) < 0.6)
         h = rng.standard_normal((samples, taps) if per_sample_h else taps)
         noise_var = 0.5 + rng.random()
-        prof = log_gauss_lowrank(h[..., None], noise_var, rows, g)
+        if per_sample_h:
+            prof = np.concatenate([log_gauss_lowrank(h[s, :, None], noise_var,
+                                                     rows[s:s + 1], g)
+                                   for s in range(samples)])
+        else:
+            prof = log_gauss_lowrank(h[:, None], noise_var, rows, g)
         assert prof.shape == (samples, codeword_len + 1)
         for s in range(samples):
             h_s = h[s] if per_sample_h else h
@@ -152,7 +159,8 @@ class TestPrefixQuad:
         rows = amps * (rng.random((samples, 4, codeword_len)) < 0.5)
         rows[:, 2] = rows[:, 1]
         h = 2.9e-6 * rng.standard_normal((samples, 5)) * np.sqrt(np.diag(t.matrix))
-        prof = log_gauss_lowrank(h[..., None], noise_var, rows, t.factor)
+        prof = np.concatenate([log_gauss_lowrank(h[s, :, None], noise_var, rows[s:s + 1],
+                                                 t.factor) for s in range(samples)])
         for s in range(samples):
             cov = noise_var * np.eye(5 * codeword_len)
             for c in rows[s]:
@@ -166,11 +174,11 @@ class TestPrefixQuad:
 
     @pytest.mark.parametrize("kind", ["signed", "difference"])
     def test_per_instance_x_matches_dense(self, kind):
-        # one column per instance and mean differences that are not the
-        # all-+ prefix x 1_d^T: "signed" is x (s * 1_d)^T, s in {+-1}^N, with
-        # all of s folded into the rows; "difference" is x delta^T with d
-        # entries of delta in {-1, +1} scattered among zeros, folded as
-        # overlap_J does
+        # one column per instance, each its own kernel call, and mean
+        # differences that are not the all-+ prefix x 1_d^T: "signed" is
+        # x (s * 1_d)^T, s in {+-1}^N, with all of s folded into the rows;
+        # "difference" is x delta^T with d entries of delta in {-1, +1}
+        # scattered among zeros, folded as overlap_J does
         rng = np.random.default_rng(23)
         samples, taps, codeword_len, rank = 3, 3, 9, 2
         g = rng.standard_normal((taps, rank)) * 0.6
@@ -187,7 +195,8 @@ class TestPrefixQuad:
                 diff[rng.choice(codeword_len, size=d, replace=False)] = signs[:d]
                 order = np.argsort(diff == 0.0, kind="stable")
                 folded = rows[:, :, order] * np.where(diff[order] < 0.0, -1.0, 1.0)
-            prof = log_gauss_lowrank(x, noise_var, folded, g)
+            prof = np.concatenate([log_gauss_lowrank(x[s], noise_var, folded[s:s + 1], g)
+                                   for s in range(samples)])
             assert prof.shape == (samples, codeword_len + 1)
             for s in range(samples):
                 want = log_density_dense(dense_law(noise_var, rows[s], g), np.outer(x[s], diff))

@@ -1,6 +1,9 @@
 """Substream layout, log-domain accumulation, and interval helpers."""
 
+import ast
+import importlib
 import math
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -13,7 +16,6 @@ from scipy import stats
 
 import uwbbounds
 import uwbbounds.bounds
-import uwbbounds.gaussian
 import uwbbounds.mc
 from uwbbounds.mc import (Z95, LogAccumulator, gaussian_ci, log_sums, logsumexp,
                           normal_qq_corr, normal_quantile, substream, t_quantile_975)
@@ -25,6 +27,23 @@ def test_import_leaves_scipy_stats_out():
     code = (f"import sys; sys.path.insert(0, {src!r}); import uwbbounds.cli; "
             "sys.exit('scipy.stats' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def test_package_source_imports_no_scipy():
+    # every import statement, also those inside functions that an import-time
+    # check never runs: numpy is the package's only runtime dependency
+    found = []
+    for path in sorted(Path(uwbbounds.__file__).resolve().parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert not found
 
 
 class TestSubstream:
@@ -95,9 +114,14 @@ class TestLogSumExp:
         assert whole == -inf
 
     def test_package_binds_only_this_logsumexp(self):
-        for module in (uwbbounds.bounds, uwbbounds.gaussian, uwbbounds.mc):
-            assert module.logsumexp is uwbbounds.mc.logsumexp, module.__name__
+        binders = []
+        for info in pkgutil.iter_modules(uwbbounds.__path__, "uwbbounds."):
+            module = importlib.import_module(info.name)
             assert scipy.special.logsumexp not in vars(module).values(), module.__name__
+            if hasattr(module, "logsumexp"):
+                assert module.logsumexp is uwbbounds.mc.logsumexp, module.__name__
+                binders.append(module.__name__)
+        assert binders == ["uwbbounds.bounds", "uwbbounds.mc"]
 
 
 class TestLogAccumulator:
