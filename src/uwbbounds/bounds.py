@@ -142,7 +142,7 @@ def lower_bound(scenario: ScenarioConfig, h1=None, seed=None) -> BoundEstimate:
     n_sym = scenario.codeword_len
     log_probs = log_distance_probs(n_sym, scenario.duty_cycles[0])
     amplitudes = scenario.amplitudes()
-    tap_cov = scenario.tap_covariance()
+    tap_var = scenario.tap_covariance()[None]
     noise_var = 2.0 * scenario.noise_var_w
     nodes = np.tile(np.arange(1, scenario.num_nodes), 2)
     etas = np.array(scenario.duty_cycles)[nodes]
@@ -153,11 +153,10 @@ def lower_bound(scenario: ScenarioConfig, h1=None, seed=None) -> BoundEstimate:
     for b, (rng, size) in enumerate(_block_streams(seed, PAIR_OVERLAP, total)):
         rows = amplitudes[nodes, None] * sample_symbols(etas, n_sym, rng, size)
         if h1 is None:
-            log_j = log_gauss_lowrank_marginal(amplitudes[0], noise_var, rows,
-                                               tap_cov.factor)
+            log_j = log_gauss_lowrank_marginal(amplitudes[0], noise_var, rows, tap_var)
         else:
             log_j = log_gauss_lowrank((amplitudes[0] * h1)[..., None], noise_var, rows,
-                                      tap_cov.factor)
+                                      tap_var)
         block = slice(b * BLOCK, b * BLOCK + size)
         d_logs[block] = log_j[:, 0]
         t_logs[block] = logsumexp(log_probs + log_j, axis=1)
@@ -198,10 +197,10 @@ def upper_bound(scenario: ScenarioConfig, h1=None, seed=None) -> BoundEstimate:
     eta = scenario.duty_cycles[0]
     s2 = scenario.noise_var_w
     a1 = scenario.amplitudes()[0]
-    tap_cov = scenario.tap_covariance()
+    tap_var = scenario.tap_covariance()
     parts = []
     for rng, size in _block_streams(seed, UPPER_INFO, scenario.samples_upper):
-        h = sample_channel(tap_cov, rng, size) if h1 is None else h1
+        h = sample_channel(tap_var, rng, size) if h1 is None else h1
         u = rng.random(size) < eta
         z = np.sqrt(s2) * rng.standard_normal((size, scenario.taps))
         delta = np.where(u, -a1, a1)

@@ -2,6 +2,7 @@
 
     uwbbounds run --config cfg.json [--preset paper|desk] [--seed S]
                   [--out results.csv] [--ratios-out ratios.csv]
+                  [--reference-distance 100.0]
     uwbbounds validate --config cfg.json
 
 Results go to one CSV with columns l_m, d_m, eta1, eta2, bound,
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -25,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import draw_h1, lower_bound, upper_bound
+from .bounds import BoundEstimate, draw_h1, lower_bound, upper_bound
 from .config import (PRESETS, ConfigError, SweepSpec, effective_config,
                      load_config, spec_from_mapping)
 from .model import ScenarioConfig
@@ -207,7 +209,13 @@ def main(argv=None) -> int:
     try:
         if args.command == "validate":
             spec = load_config(args.config, preset=args.preset)
-            print(json.dumps(effective_config(spec), indent=2))
+            try:
+                print(json.dumps(effective_config(spec), indent=2), flush=True)
+            except BrokenPipeError:
+                # the reader left early (`validate ... | head`): silence the exit flush
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
             return 0
         # run; an output path that cannot be a file, or that names the same
         # file as another path of the run, fails here, before any estimator
@@ -235,6 +243,12 @@ def main(argv=None) -> int:
         if args.seed is not None:
             spec = SweepSpec(base=replace(spec.base, rng_seed=args.seed),
                              sweep=spec.sweep, bounds=spec.bounds)
+        if args.ratios_out and spec.bounds != "upper":
+            # each group of lower points needs its reference point: check the
+            # rows the sweep will write, rates unknown, before any estimator
+            planned = BoundEstimate(np.nan, np.nan, 0, "lower")
+            figure_ratios([_make_row(p, planned, 0) for p in sweep_points(spec)],
+                          args.reference_distance)
         rows = run_sweep(spec, args.out)
         print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
         if args.ratios_out:

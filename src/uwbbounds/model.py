@@ -6,7 +6,8 @@ Discrete vector channel per symbol slot n:
 
 with on-off symbols u_i[n] ~ Bernoulli(eta_i), tap vectors h_i ~ N(0, T) drawn
 once per codeword (the channels stay constant over n), and white receiver
-noise z[n] ~ N(0, sigma_W^2 I_M). The receiver knows h_1 only. Node 1 is the
+noise z[n] ~ N(0, sigma_W^2 I_M). The taps are independent: T = diag(t), with
+linearly decaying tap variances t. The receiver knows h_1 only. Node 1 is the
 intended transmitter; nodes 2..I are interferers. Every transmitter runs at
 its amplitude cap A_i = sqrt(P_rcv(l_i) / eta_i).
 """
@@ -14,7 +15,6 @@ its amplitude cap A_i = sqrt(P_rcv(l_i) / eta_i).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -47,67 +47,13 @@ def pulse_amplitude(received_power_w: float, duty_cycle: float) -> float:
     return float(np.sqrt(received_power_w / duty_cycle))
 
 
-@dataclass(frozen=True)
-class TapCovariance:
-    """Symmetric PSD covariance of one channel's tap vector."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidParameterError(f"tap covariance must be square, got shape {m.shape}")
-        if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(m).max(initial=0.0)))):
-            raise InvalidParameterError("tap covariance must be symmetric")
-        eigvals = np.linalg.eigvalsh(m)
-        if eigvals.min(initial=0.0) < -1e-10 * max(1.0, eigvals.max(initial=0.0)):
-            raise InvalidParameterError("tap covariance must be positive semidefinite")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def num_taps(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix))
-
-    @cached_property
-    def factor(self) -> np.ndarray:
-        """G with G @ G.T = matrix, shape (M, r), r = rank. Computed once and
-        reused by every sampler and density in a scenario."""
-        w, v = np.linalg.eigh(self.matrix)
-        tol = max(w.max(initial=0.0), 0.0) * 1e-12
-        keep = w > tol
-        return v[:, keep] * np.sqrt(w[keep])
-
-
-def build_tap_covariance(num_taps: int, captured_fraction: float,
-                         total_path_count: int) -> TapCovariance:
-    """Diagonal tap covariance with linearly decaying energy.
-
-    Weight of tap m is total_path_count - m + 1; the first num_taps weights are
-    normalized so the trace is exactly captured_fraction.
-    """
-    if num_taps < 1:
-        raise InvalidParameterError(f"num_taps must be >= 1, got {num_taps}")
-    if not 0.0 < captured_fraction <= 1.0:
-        raise InvalidParameterError(
-            f"captured_fraction must be in (0, 1], got {captured_fraction}")
-    if total_path_count < num_taps:
-        raise InvalidParameterError(
-            f"total_path_count must be >= num_taps, got {total_path_count} < {num_taps}")
-    weights = total_path_count - np.arange(num_taps, dtype=float)
-    return TapCovariance(np.diag(captured_fraction * weights / weights.sum()))
-
-
-def sample_channel(tap_cov: TapCovariance, rng: np.random.Generator,
+def sample_channel(t: np.ndarray, rng: np.random.Generator,
                    samples: int | None = None) -> np.ndarray:
-    """One tap vector h ~ N(0, T), or `samples` of them as rows."""
-    g = tap_cov.factor
-    if samples is None:
-        return g @ rng.standard_normal(g.shape[1])
-    return rng.standard_normal((samples, g.shape[1])) @ g.T
+    """One tap vector h ~ N(0, diag(t)), or `samples` of them as rows."""
+    shape = t.shape if samples is None else (samples,) + t.shape
+    # last tap first: the eigen factor of diag(t) this replaced ran in ascending
+    # variance, and the reversal keeps every seeded draw byte-identical to it
+    return np.sqrt(t) * rng.standard_normal(shape)[..., ::-1]
 
 
 def sample_symbols(duty_cycle, codeword_len: int, rng: np.random.Generator,
@@ -230,6 +176,8 @@ class ScenarioConfig:
             out[i] = pulse_amplitude(p, eta)
         return out
 
-    def tap_covariance(self) -> TapCovariance:
-        return build_tap_covariance(self.taps, self.captured_energy_fraction,
-                                    self.total_path_count)
+    def tap_covariance(self) -> np.ndarray:
+        """Tap variances t (M,), the diagonal of T: tap m weighs
+        total_path_count - m + 1, scaled to sum to captured_energy_fraction."""
+        weights = self.total_path_count - np.arange(self.taps, dtype=float)
+        return self.captured_energy_fraction * weights / weights.sum()

@@ -5,8 +5,10 @@ scipy.stats), the pairwise overlap J(V, W, h_1) with its dense twin, and two
 brute-force oracles for J (grid quadrature and nested Monte Carlo, both
 built on the plain white-noise density) live here rather than in the
 package: the estimators never call them, and the dense densities need
-scipy, which the package does not depend on. `read_result_csv` parses the
-CSV that `uwbbounds run` writes.
+scipy, which the package does not depend on. They take the tap covariance T
+as a plain (M, M) symmetric PSD matrix, so every check also runs against a
+T that is not diagonal, although the package only builds T = diag(t).
+`read_result_csv` parses the CSV that `uwbbounds run` writes.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from uwbbounds.cli import ResultRow
 from uwbbounds.gaussian import LOG_2PI, log_gauss_lowrank
 from uwbbounds.mc import LogAccumulator, logsumexp
-from uwbbounds.model import InvalidParameterError, TapCovariance
+from uwbbounds.model import InvalidParameterError
 
 
 def _vec(matrix: np.ndarray) -> np.ndarray:
@@ -34,6 +36,28 @@ def _as_codewords(U) -> np.ndarray:
     if not np.all((u == 0.0) | (u == 1.0)):
         raise InvalidParameterError("codeword entries must be 0 or 1")
     return u
+
+
+def tap_eigenbasis(T) -> tuple[np.ndarray, np.ndarray]:
+    """(t, V) with T = V diag(t) V^T: t the eigenvalues, clipped at 0, as the
+    (1, M) row of tap variances the package's kernels take."""
+    w, v = np.linalg.eigh(np.asarray(T, dtype=float))
+    return np.maximum(w, 0.0)[None], v
+
+
+def tap_factor(T) -> np.ndarray:
+    """G with G G^T = T, shape (M, r), r = rank, for a symmetric PSD T."""
+    (t,), v = tap_eigenbasis(T)
+    keep = t > t.max(initial=0.0) * 1e-12
+    return v[:, keep] * np.sqrt(t[keep])
+
+
+def log_gauss_general(x, noise_var: float, rows, T) -> np.ndarray:
+    """log_gauss_lowrank under a general tap covariance T. The density is
+    invariant under I kron V^T, so the kernel's diagonal form holds at V^T x
+    in T's eigenbasis."""
+    t, v = tap_eigenbasis(T)
+    return log_gauss_lowrank(v.T @ np.asarray(x, dtype=float), noise_var, rows, t)
 
 
 @dataclass(frozen=True)
@@ -63,14 +87,15 @@ class OutputDistribution:
         return cov
 
 
-def output_moments(V, h1, A, T: TapCovariance, sigma_W2: float) -> OutputDistribution:
+def output_moments(V, h1, A, T, sigma_W2: float) -> OutputDistribution:
     """Moments of P(Y | V, h_1) with the interferer channels integrated out."""
     u = _as_codewords(V)
     h = np.asarray(h1, dtype=float)
     a = np.asarray(A, dtype=float)
     num_nodes, n = u.shape
-    if h.shape != (T.num_taps,):
-        raise InvalidParameterError(f"h1 has shape {h.shape}, tap covariance is {T.num_taps}-dim")
+    taps = np.shape(T)[0]
+    if h.shape != (taps,):
+        raise InvalidParameterError(f"h1 has shape {h.shape}, tap covariance is {taps}-dim")
     if a.shape != (num_nodes,):
         raise InvalidParameterError(f"need {num_nodes} amplitudes, got shape {a.shape}")
     if sigma_W2 <= 0.0:
@@ -79,7 +104,7 @@ def output_moments(V, h1, A, T: TapCovariance, sigma_W2: float) -> OutputDistrib
         mean_matrix=a[0] * np.outer(h, u[0]),
         noise_var=float(sigma_W2),
         scaled_rows=a[1:, None] * u[1:],
-        tap_factor=T.factor,
+        tap_factor=tap_factor(T),
     )
 
 def log_density_dense(dist: OutputDistribution, Y) -> float:
@@ -100,7 +125,7 @@ def _overlap_parts(V, W, h1, A, T, sigma_W2):
     return dv, dw
 
 
-def overlap_J(V, W, h1, A, T: TapCovariance, sigma_W2: float) -> float:
+def overlap_J(V, W, h1, A, T, sigma_W2: float) -> float:
     """ln J(V, W, h_1) = ln int P(Y|V,h_1) P(Y|W,h_1) dY.
 
     The product integral of two Gaussians is the density of the mean
@@ -110,6 +135,7 @@ def overlap_J(V, W, h1, A, T: TapCovariance, sigma_W2: float) -> float:
     the d symbols where v_1 != w_1 move first, in order, and their columns
     take the sign of v_1 - w_1. Swapping V and W negates those columns, which
     leaves the kernel's gram and squared prefix sums bit for bit unchanged.
+    The kernel takes the difference column in T's eigenbasis.
     """
     dv, dw = _overlap_parts(V, W, h1, A, T, sigma_W2)
     rows = np.vstack([dv.scaled_rows, dw.scaled_rows])
@@ -119,11 +145,11 @@ def overlap_J(V, W, h1, A, T: TapCovariance, sigma_W2: float) -> float:
     order = np.argsort(diff == 0.0, kind="stable")
     rows = rows[:, order] * np.where(diff[order] < 0.0, -1.0, 1.0)
     x = float(np.asarray(A, dtype=float)[0]) * np.asarray(h1, dtype=float)[:, None]
-    return float(log_gauss_lowrank(x, dv.noise_var + dw.noise_var, rows[None],
-                                   dv.tap_factor)[0, np.count_nonzero(diff)])
+    return float(log_gauss_general(x, dv.noise_var + dw.noise_var, rows[None],
+                                   T)[0, np.count_nonzero(diff)])
 
 
-def overlap_J_dense(V, W, h1, A, T: TapCovariance, sigma_W2: float) -> float:
+def overlap_J_dense(V, W, h1, A, T, sigma_W2: float) -> float:
     """Dense-covariance reference for overlap_J."""
     dv, dw = _overlap_parts(V, W, h1, A, T, sigma_W2)
     cov = dv.dense_covariance() + dw.dense_covariance()
@@ -242,7 +268,7 @@ def _oracle_mc(dv, dw, outer, inner, rng):
     return acc.log_mean, acc.se_log_mean
 
 
-def oracle_J(V, W, h1, A, T: TapCovariance, sigma_W2: float,
+def oracle_J(V, W, h1, A, T, sigma_W2: float,
              grid_or_samples: int | None = None, *, mode: str = "auto",
              inner_samples: int = 256, gh_order: int | None = None,
              rng: np.random.Generator | None = None) -> OracleEstimate:

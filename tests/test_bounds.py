@@ -8,11 +8,11 @@ import pytest
 from scipy.special import gammaln, logsumexp
 
 import uwbbounds.bounds
-from uwbbounds.bounds import (draw_h1, error_probability_bound, log_distance_probs,
-                              lower_bound, upper_bound)
+from uwbbounds.bounds import (UPPER_INFO, draw_h1, error_probability_bound,
+                              log_distance_probs, lower_bound, upper_bound)
 from uwbbounds.gaussian import log_gauss_lowrank
-from uwbbounds.mc import LogAccumulator
-from uwbbounds.model import InvalidParameterError, ScenarioConfig
+from uwbbounds.mc import LogAccumulator, substream
+from uwbbounds.model import InvalidParameterError, ScenarioConfig, sample_channel
 
 
 def small_config(**overrides):
@@ -217,14 +217,13 @@ def overlap_log_samples(cfg, h1, diff, budget, rng):
     symbol set; interferer rows drawn iid as in the stratum estimator."""
     n_intf = cfg.num_nodes - 1
     amps = cfg.amplitudes()
-    tap_cov = cfg.tap_covariance()
     eta2 = cfg.duty_cycles[1]
     rows = amps[1] * (rng.random((budget, 2 * n_intf, cfg.codeword_len)) < eta2)
     # the placed symbols move first, so the difference is a column prefix
     rows = rows[..., np.argsort(diff == 0.0, kind="stable")]
     x = amps[0] * np.asarray(h1)[:, None]
     return log_gauss_lowrank(x, 2.0 * cfg.noise_var_w, rows,
-                             tap_cov.factor)[..., np.count_nonzero(diff)]
+                             cfg.tap_covariance()[None])[..., np.count_nonzero(diff)]
 
 
 def test_pd_depends_only_on_distance_not_placement():
@@ -288,6 +287,19 @@ def test_bad_seed_is_a_named_error(estimator, seed):
         estimator(small_config(), seed=seed)
 
 
+def test_channel_draws_are_pinned():
+    # the fixed draw and one averaged-mode upper block, byte for byte: how
+    # sample_channel maps the seeded normals to taps fixes every seeded rate
+    assert draw_h1(ScenarioConfig(rng_seed=3)).tolist() == [
+        0.21121163778865962, -0.017396916550183897, -0.1566288438030948,
+        0.07174663954732415, -0.4892389838071768]
+    cfg = ScenarioConfig(taps=3, h1_mode="averaged", rng_seed=3)
+    block = sample_channel(cfg.tap_covariance(), substream(3, UPPER_INFO, index=0), 2)
+    assert block.tolist() == [
+        [0.09048480023818395, 0.15894533821932333, -0.1285050507367921],
+        [0.00727667035362312, 0.07587471165239093, 0.1633482784413054]]
+
+
 def test_seed_accepts_the_u64_range():
     cfg = small_config()
     assert np.array_equal(draw_h1(cfg, seed=np.uint64(5)), draw_h1(cfg, seed=5))
@@ -303,14 +315,13 @@ def test_averaged_mode_integrates_h1_in_closed_form(monkeypatch):
     est = lower_bound(cfg)
     assert est.rate >= 0.0 and np.isfinite(est.rate)
     # without interferers every draw gives the same exact profile
-    # ln J_0 - sum_a log1p(A_1^2 lam_a d / sigma^2) / 2, so the CI is 0
+    # ln J_0 - sum_a log1p(A_1^2 t_a d / sigma^2) / 2, so the CI is 0
     alone_cfg = dataclasses.replace(cfg, num_nodes=1, duty_cycles=(0.5,),
                                     interferer_distances_m=())
     alone = lower_bound(alone_cfg)
     assert alone.ci_halfwidth == 0.0 and np.all(alone.profile.se_log_pd == 0.0)
     noise_var = 2.0 * alone_cfg.noise_var_w
-    lam = np.linalg.eigvalsh(alone_cfg.tap_covariance().matrix)
-    gain = alone_cfg.amplitudes()[0] ** 2 * lam / noise_var
+    gain = alone_cfg.amplitudes()[0] ** 2 * alone_cfg.tap_covariance() / noise_var
     d = np.arange(alone_cfg.codeword_len + 1)
     dim = alone_cfg.taps * alone_cfg.codeword_len
     want = (-0.5 * dim * np.log(2.0 * np.pi * noise_var)

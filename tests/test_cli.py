@@ -265,6 +265,19 @@ def test_figure_ratios_reject_zero_reference_rate(tmp_path, monkeypatch):
                  "--ratios-out", str(tmp_path / "ratios.csv")]) == 2
 
 
+def test_ratios_without_a_reference_point_fail_before_estimating(tmp_path, monkeypatch,
+                                                                capsys):
+    # no d = 100 m point in the sweep: the run stops before any row is estimated
+    cfg = write_config(tmp_path, {**TINY, "sweep": {"d": [2, 10]}})
+    for name in ("lower_bound", "upper_bound"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("estimator ran"))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "r.csv"),
+                 "--ratios-out", str(tmp_path / "q.csv")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: no row at reference distance 100.0 m for group l=3.0, eta1=0.5, eta2=0.5")
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
 # ----------------------------------------------------------------- main
 
 
@@ -277,6 +290,31 @@ def test_main_run_and_validate(tmp_path, capsys):
     assert main(["validate", "--config", cfg]) == 0
     printed = json.loads(capsys.readouterr().out)
     assert spec_from_mapping(printed) == load_config(cfg)
+
+
+def test_validate_into_a_closed_pipe_exits_cleanly(tmp_path, monkeypatch):
+    # `uwbbounds validate ... | head` can close stdout before the config is
+    # printed: no traceback, and stdout then points at the null device
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+        assert main(["validate", "--config", write_config(tmp_path, TINY)]) == 0
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
 
 
 def test_module_entry_point_runs_without_warnings(tmp_path):

@@ -9,19 +9,21 @@ import numpy as np
 import pytest
 
 from uwbbounds.gaussian import log_gauss_lowrank, log_gauss_lowrank_marginal
-from uwbbounds.model import InvalidParameterError, TapCovariance, build_tap_covariance
+from uwbbounds.model import InvalidParameterError, ScenarioConfig
 
-from reference import (OutputDistribution, log_density_dense, oracle_J, output_moments,
-                       overlap_J, overlap_J_dense)
+from reference import (OutputDistribution, log_density_dense, log_gauss_general, oracle_J,
+                       output_moments, overlap_J, overlap_J_dense, tap_eigenbasis)
 
-T1 = TapCovariance(np.array([[1.0]]))
+T1 = np.array([[1.0]])
+# the package's tap covariance at 5 taps (0.14 of a 68-path profile), as a matrix
+T_PAPER = np.diag(ScenarioConfig().tap_covariance())
 
 
 def random_instance(rng, num_nodes, taps, codeword_len, rank=None):
     """O(1)-scale instance; moderate ratios keep the oracles accurate."""
     rank = taps if rank is None else rank
     g = rng.standard_normal((taps, rank)) * 0.6
-    t = TapCovariance(g @ g.T)
+    t = g @ g.T
     v = (rng.random((num_nodes, codeword_len)) < 0.6).astype(float)
     w = (rng.random((num_nodes, codeword_len)) < 0.6).astype(float)
     h1 = rng.standard_normal(taps) * 0.7
@@ -42,7 +44,7 @@ class TestOutputMoments:
         np.testing.assert_allclose(d.dense_covariance(), 0.7 * np.eye(2), atol=0)
 
     def test_scalar_variance_addition(self):
-        t = TapCovariance(np.array([[0.3]]))
+        t = np.array([[0.3]])
         d = output_moments(np.array([[0.0], [1.0]]), np.array([1.0]),
                            np.array([1.0, 2.0]), t, 0.1)
         np.testing.assert_allclose(d.dense_covariance(), [[0.1 + 4.0 * 0.3]], rtol=1e-14)
@@ -51,7 +53,7 @@ class TestOutputMoments:
         # mean of vec(Y) is A_1 (v_1 kron h_1): column n equals A_1 v_1[n] h_1
         h = np.array([0.5, -1.0])
         d = output_moments(np.array([[1.0, 0.0, 1.0]]), h, np.array([3.0]),
-                           TapCovariance(np.eye(2)), 1.0)
+                           np.eye(2), 1.0)
         np.testing.assert_allclose(d.mean, np.kron([1.0, 0.0, 1.0], 3.0 * h), rtol=1e-15)
 
     def test_rejects_nonbinary(self):
@@ -86,23 +88,23 @@ class TestLogDensity:
         v, _, h1, a, t, sigma2 = random_instance(rng, num_nodes, taps, codeword_len)
         d = output_moments(v, h1, a, t, sigma2)
         x = rng.standard_normal((taps, 1))
-        got = log_gauss_lowrank(x, d.noise_var, d.scaled_rows[None], d.tap_factor)[0, -1]
+        got = log_gauss_general(x, d.noise_var, d.scaled_rows[None], t)[0, -1]
         assert got == pytest.approx(log_density_dense(d, d.mean_matrix + x), rel=1e-10)
 
     def test_matches_dense_physical_scale(self):
         rng = np.random.default_rng(77)
-        t = build_tap_covariance(5, 0.14, 68)
+        t = T_PAPER
         v = (rng.random((2, 80)) < 0.5).astype(float)
-        h1 = rng.standard_normal(5) * np.sqrt(np.diag(t.matrix))
+        h1 = rng.standard_normal(5) * np.sqrt(np.diag(t))
         a = np.array([2.9e-6, 5e-7])
         d = output_moments(v, h1, a, t, 1e-13)
         x = 3e-7 * rng.standard_normal((5, 1))
-        got = log_gauss_lowrank(x, d.noise_var, d.scaled_rows[None], d.tap_factor)[0, -1]
+        got = log_gauss_lowrank(x, d.noise_var, d.scaled_rows[None], np.diag(t)[None])[0, -1]
         assert got == pytest.approx(log_density_dense(d, d.mean_matrix + x), rel=1e-10)
 
     def test_integrates_to_one(self):
         # M = N = 1 marginal: trapezoid of exp(log_density_dense) over +-10 sd
-        t = TapCovariance(np.array([[0.4]]))
+        t = np.array([[0.4]])
         d = output_moments(np.array([[1.0], [1.0]]), np.array([0.8]),
                            np.array([1.0, 0.9]), t, 0.6)
         sd = np.sqrt(0.6 + 0.81 * 0.4)
@@ -115,8 +117,8 @@ class TestLogDensity:
         g = rng.standard_normal((2, 2))
         rows = rng.standard_normal((4, 2, 3))
         x = rng.standard_normal((2, 1))
-        batch = log_gauss_lowrank(x, 1.1, rows, g)
-        single = [log_gauss_lowrank(x, 1.1, rows[i:i + 1], g)[0] for i in range(4)]
+        batch = log_gauss_general(x, 1.1, rows, g @ g.T)
+        single = [log_gauss_general(x, 1.1, rows[i:i + 1], g @ g.T)[0] for i in range(4)]
         np.testing.assert_allclose(batch, single, rtol=1e-13)
 
 
@@ -135,11 +137,11 @@ class TestPrefixQuad:
         h = rng.standard_normal((samples, taps) if per_sample_h else taps)
         noise_var = 0.5 + rng.random()
         if per_sample_h:
-            prof = np.concatenate([log_gauss_lowrank(h[s, :, None], noise_var,
-                                                     rows[s:s + 1], g)
+            prof = np.concatenate([log_gauss_general(h[s, :, None], noise_var,
+                                                     rows[s:s + 1], g @ g.T)
                                    for s in range(samples)])
         else:
-            prof = log_gauss_lowrank(h[:, None], noise_var, rows, g)
+            prof = log_gauss_general(h[:, None], noise_var, rows, g @ g.T)
         assert prof.shape == (samples, codeword_len + 1)
         for s in range(samples):
             h_s = h[s] if per_sample_h else h
@@ -153,18 +155,18 @@ class TestPrefixQuad:
         # and two equal rows, so its J x J row gram is singular (rank 2 of 4)
         from scipy import stats
         rng = np.random.default_rng(19)
-        t = build_tap_covariance(5, 0.14, 68)
+        t = T_PAPER
         noise_var, codeword_len, samples = 2e-13, 80, 2
         amps = np.array([[0.0], [1.1e-6], [1.1e-6], [7e-7]])
         rows = amps * (rng.random((samples, 4, codeword_len)) < 0.5)
         rows[:, 2] = rows[:, 1]
-        h = 2.9e-6 * rng.standard_normal((samples, 5)) * np.sqrt(np.diag(t.matrix))
+        h = 2.9e-6 * rng.standard_normal((samples, 5)) * np.sqrt(np.diag(t))
         prof = np.concatenate([log_gauss_lowrank(h[s, :, None], noise_var, rows[s:s + 1],
-                                                 t.factor) for s in range(samples)])
+                                                 np.diag(t)[None]) for s in range(samples)])
         for s in range(samples):
             cov = noise_var * np.eye(5 * codeword_len)
             for c in rows[s]:
-                cov += np.kron(np.outer(c, c), t.matrix)
+                cov += np.kron(np.outer(c, c), t)
             law = stats.multivariate_normal(mean=np.zeros(cov.shape[0]), cov=cov)
             at_zero = law.logpdf(np.zeros(cov.shape[0]))
             for d in (0, 1, 17, 80):
@@ -195,8 +197,8 @@ class TestPrefixQuad:
                 diff[rng.choice(codeword_len, size=d, replace=False)] = signs[:d]
                 order = np.argsort(diff == 0.0, kind="stable")
                 folded = rows[:, :, order] * np.where(diff[order] < 0.0, -1.0, 1.0)
-            prof = np.concatenate([log_gauss_lowrank(x[s], noise_var, folded[s:s + 1], g)
-                                   for s in range(samples)])
+            prof = np.concatenate([log_gauss_general(x[s], noise_var, folded[s:s + 1],
+                                                     g @ g.T) for s in range(samples)])
             assert prof.shape == (samples, codeword_len + 1)
             for s in range(samples):
                 want = log_density_dense(dense_law(noise_var, rows[s], g), np.outer(x[s], diff))
@@ -216,9 +218,10 @@ class TestChannelMarginal:
         amps = 0.3 + rng.random((2 * (num_nodes - 1), 1))
         rows = amps * (rng.random((samples, 2 * (num_nodes - 1), codeword_len)) < 0.6)
         amplitude, noise_var = 1.3, 0.5 + rng.random()
-        prof = log_gauss_lowrank_marginal(amplitude, noise_var, rows, g)
-        assert prof.shape == (samples, codeword_len + 1)
         t = g @ g.T
+        # E_h over h ~ N(0, T) is that over V^T h ~ N(0, diag(t)) in T's eigenbasis
+        prof = log_gauss_lowrank_marginal(amplitude, noise_var, rows, tap_eigenbasis(t)[0])
+        assert prof.shape == (samples, codeword_len + 1)
         for s in range(samples):
             cov = dense_law(noise_var, rows[s], g).dense_covariance()
             for d in range(codeword_len + 1):
@@ -232,16 +235,16 @@ class TestChannelMarginal:
         # row gram (an all-zero row and two equal rows), N = 40
         from scipy import stats
         rng = np.random.default_rng(29)
-        t = build_tap_covariance(3, 0.14, 68)
+        t = ScenarioConfig(taps=3).tap_covariance()
         noise_var, codeword_len = 2e-13, 40
         amps = np.array([[0.0], [1.1e-6], [1.1e-6], [7e-7]])
         rows = amps * (rng.random((1, 4, codeword_len)) < 0.5)
         rows[:, 2] = rows[:, 1]
-        prof = log_gauss_lowrank_marginal(2.9e-6, noise_var, rows, t.factor)
-        cov = dense_law(noise_var, rows[0], t.factor).dense_covariance()
+        prof = log_gauss_lowrank_marginal(2.9e-6, noise_var, rows, t[None])
+        cov = dense_law(noise_var, rows[0], np.diag(np.sqrt(t))).dense_covariance()
         for d in (0, 1, 17, codeword_len):
             prefix = np.arange(codeword_len) < d
-            law = cov + 2.9e-6 ** 2 * np.kron(np.outer(prefix, prefix), t.matrix)
+            law = cov + 2.9e-6 ** 2 * np.kron(np.outer(prefix, prefix), np.diag(t))
             want = stats.multivariate_normal(np.zeros(len(law)), law).logpdf(0.0)
             assert prof[0, d] == pytest.approx(want, rel=1e-10)
 
@@ -249,9 +252,10 @@ class TestChannelMarginal:
         # d = 0 has no channel term, so theta's samples do not move
         rng = np.random.default_rng(5)
         g = rng.standard_normal((3, 2))
+        t = tap_eigenbasis(g @ g.T)[0]
         rows = rng.standard_normal((4, 2, 7))
-        marginal = log_gauss_lowrank_marginal(0.8, 1.1, rows, g)
-        kernel = log_gauss_lowrank(np.zeros((3, 1)), 1.1, rows, g)
+        marginal = log_gauss_lowrank_marginal(0.8, 1.1, rows, t)
+        kernel = log_gauss_lowrank(np.zeros((3, 1)), 1.1, rows, t)
         assert np.array_equal(marginal[:, 0], kernel[:, 0])
 
 
@@ -283,10 +287,10 @@ class TestOverlap:
 
     def test_matches_dense_physical_scale(self):
         rng = np.random.default_rng(31)
-        t = build_tap_covariance(5, 0.14, 68)
+        t = T_PAPER
         v = (rng.random((3, 80)) < 0.5).astype(float)
         w = (rng.random((3, 80)) < 0.5).astype(float)
-        h1 = rng.standard_normal(5) * np.sqrt(np.diag(t.matrix))
+        h1 = rng.standard_normal(5) * np.sqrt(np.diag(t))
         a = np.array([2.9e-6, 5e-7, 2e-7])
         assert overlap_J(v, w, h1, a, t, 1e-13) == pytest.approx(
             overlap_J_dense(v, w, h1, a, t, 1e-13), rel=1e-10)

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from uwbbounds.model import (InvalidParameterError, ScenarioConfig, TapCovariance,
-                             build_tap_covariance, pulse_amplitude, received_power,
-                             sample_channel, sample_symbols)
+from uwbbounds.model import (InvalidParameterError, ScenarioConfig, pulse_amplitude,
+                             received_power, sample_channel, sample_symbols)
 
 
 class TestPathloss:
@@ -53,50 +52,45 @@ class TestPulseAmplitude:
 
 
 class TestTapCovariance:
+    """ScenarioConfig.tap_covariance: the tap variances t, the diagonal of T."""
+
     def test_two_tap_profile(self):
-        # weights (2, 1) scaled to trace 1 -> diag(2/3, 1/3)
-        t = build_tap_covariance(2, 1.0, 2)
-        np.testing.assert_allclose(t.matrix, np.diag([2.0 / 3.0, 1.0 / 3.0]), rtol=1e-14)
+        # weights (2, 1) scaled to sum 1 -> (2/3, 1/3)
+        t = ScenarioConfig(taps=2, captured_energy_fraction=1.0,
+                           total_path_count=2).tap_covariance()
+        np.testing.assert_allclose(t, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-14)
 
     def test_trace_is_captured_fraction(self):
-        t = build_tap_covariance(5, 0.14, 68)
-        assert t.trace == pytest.approx(0.14, rel=1e-14)
+        t = ScenarioConfig(taps=5, captured_energy_fraction=0.14,
+                           total_path_count=68).tap_covariance()
+        assert t.shape == (5,)
+        assert t.sum() == pytest.approx(0.14, rel=1e-14)
 
     def test_decaying_diagonal(self):
-        d = np.diag(build_tap_covariance(5, 0.14, 68).matrix)
+        d = ScenarioConfig().tap_covariance()
         assert all(a > b > 0.0 for a, b in zip(d, d[1:]))
 
-    def test_factor_reconstructs(self):
-        t = build_tap_covariance(5, 0.14, 68)
-        np.testing.assert_allclose(t.factor @ t.factor.T, t.matrix, atol=1e-16)
-
-    def test_rank_deficient_factor(self):
-        t = TapCovariance(np.diag([1.0, 0.0, 2.0]))
-        assert t.factor.shape == (3, 2)
-        np.testing.assert_allclose(t.factor @ t.factor.T, t.matrix, atol=1e-14)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(InvalidParameterError):
-            TapCovariance(np.diag([1.0, -0.5]))
-        with pytest.raises(InvalidParameterError):
-            TapCovariance(np.array([[1.0, 0.5], [0.4, 1.0]]))
-
     def test_rejects_short_profile(self):
-        with pytest.raises(InvalidParameterError):
-            build_tap_covariance(5, 0.14, 4)
+        with pytest.raises(InvalidParameterError, match="total_path_count"):
+            ScenarioConfig(taps=5, total_path_count=4)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.5])
+    def test_rejects_captured_fraction_outside_unit_interval(self, fraction):
+        with pytest.raises(InvalidParameterError, match="captured_energy_fraction"):
+            ScenarioConfig(captured_energy_fraction=fraction)
 
 
 class TestSamplers:
     def test_channel_covariance(self):
-        t = build_tap_covariance(3, 0.5, 10)
+        t = ScenarioConfig(taps=3, captured_energy_fraction=0.5,
+                           total_path_count=10).tap_covariance()
         rng = np.random.default_rng(11)
         draws = np.stack([sample_channel(t, rng) for _ in range(40_000)])
-        np.testing.assert_allclose(draws.T @ draws / draws.shape[0], t.matrix,
-                                   atol=0.05 * t.trace)
+        np.testing.assert_allclose(draws.T @ draws / draws.shape[0], np.diag(t),
+                                   atol=0.05 * t.sum())
 
     def test_zero_covariance_channel(self):
-        t = TapCovariance(np.zeros((4, 4)))
-        h = sample_channel(t, np.random.default_rng(0))
+        h = sample_channel(np.zeros(4), np.random.default_rng(0))
         np.testing.assert_array_equal(h, np.zeros(4))
 
     def test_symbol_rate(self):
@@ -111,10 +105,11 @@ class TestSamplers:
         u = sample_symbols([0.2, 0.7], 2000, rng, samples=50)
         assert u.shape == (50, 2, 2000)
         np.testing.assert_allclose(u.mean(axis=(0, 2)), [0.2, 0.7], atol=0.01)
-        t = build_tap_covariance(3, 0.5, 10)
+        t = ScenarioConfig(taps=3, captured_energy_fraction=0.5,
+                           total_path_count=10).tap_covariance()
         h = sample_channel(t, rng, samples=40_000)
         assert h.shape == (40_000, 3)
-        np.testing.assert_allclose(h.T @ h / h.shape[0], t.matrix, atol=0.05 * t.trace)
+        np.testing.assert_allclose(h.T @ h / h.shape[0], np.diag(t), atol=0.05 * t.sum())
         with pytest.raises(InvalidParameterError):
             sample_symbols([0.2, 1.0], 10, rng, samples=2)
 
@@ -123,7 +118,7 @@ class TestScenarioConfig:
     def test_defaults_are_consistent(self):
         cfg = ScenarioConfig()
         assert cfg.num_nodes == 2
-        assert cfg.tap_covariance().trace == pytest.approx(0.14, rel=1e-14)
+        assert cfg.tap_covariance().sum() == pytest.approx(0.14, rel=1e-14)
         a = cfg.amplitudes()
         assert a.shape == (2,)
         # interferer at 10 m is weaker than the 3 m link at equal duty cycle
