@@ -14,8 +14,8 @@ from .bounds import (BoundEstimate, ErrorProbabilityBound, LowerBoundProfile,
 from .config import (PRESETS, ConfigError, SweepSpec, effective_config,
                      load_config, spec_from_mapping)
 from .mc import LogAccumulator, gaussian_ci, normal_qq_corr, substream
-from .model import (H1_MODES, InvalidParameterError, ScenarioConfig, pulse_amplitude,
-                    received_power, sample_channel, sample_symbols)
+from .model import (H1_MODES, InvalidParameterError, ScenarioConfig, sample_channel,
+                    sample_symbols)
 
 __version__ = "0.1.0"
 
@@ -24,7 +24,6 @@ __all__ = [
     "InvalidParameterError", "LogAccumulator", "LowerBoundProfile", "PRESETS",
     "ScenarioConfig", "SweepSpec", "draw_h1", "effective_config",
     "error_probability_bound", "gaussian_ci", "load_config", "log_distance_probs",
-    "lower_bound", "normal_qq_corr", "pulse_amplitude", "received_power",
-    "sample_channel", "sample_symbols", "spec_from_mapping", "substream",
-    "upper_bound", "__version__",
+    "lower_bound", "normal_qq_corr", "sample_channel", "sample_symbols",
+    "spec_from_mapping", "substream", "upper_bound", "__version__",
 ]

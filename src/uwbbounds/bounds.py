@@ -27,7 +27,7 @@ inside the block. Results are therefore a pure function of (scenario, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,13 +69,7 @@ def log_distance_probs(N: int, eta1: float) -> np.ndarray:
 
 def _resolve_seed(cfg: ScenarioConfig, seed) -> int:
     """`seed`, or the scenario's rng_seed if None; held to rng_seed's rule."""
-    if seed is None:
-        return cfg.rng_seed
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise InvalidParameterError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= seed < 2**64:
-        raise InvalidParameterError(f"seed must be a u64, got {seed}")
-    return int(seed)
+    return cfg.rng_seed if seed is None else replace(cfg, rng_seed=seed).rng_seed
 
 
 def draw_h1(cfg: ScenarioConfig, seed=None) -> np.ndarray:

@@ -9,15 +9,15 @@ Results go to one CSV with columns l_m, d_m, eta1, eta2, bound,
 rate_bits_per_symbol, ci_halfwidth, samples, seed, wall_s; the fully
 materialized config is written next to it as <out>.config.json. Output bytes
 are a pure function of (config, seed): the wall_s column is fixed at 0.0 and
-real timings go to stderr. Each sweep point gets its own derived seed,
-recorded in its rows; the fixed channel draw comes from the base seed and is
-shared by the whole sweep.
+real timings go to stderr. A run evaluates one row plan (`row_plan`); each
+row gets its own derived seed, recorded in it, and the fixed channel draw
+comes from the base seed and is shared by the whole sweep. Bad paths and a
+plan with no ratio rows for --ratios-out fail before any estimator runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -27,9 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import BoundEstimate, draw_h1, lower_bound, upper_bound
+from .bounds import draw_h1, lower_bound, upper_bound
 from .config import (PRESETS, ConfigError, SweepSpec, effective_config,
-                     load_config, spec_from_mapping)
+                     load_config, spec_from_mapping, sweep_points)
 from .model import ScenarioConfig
 
 CSV_COLUMNS = ("l_m", "d_m", "eta1", "eta2", "bound", "rate_bits_per_symbol",
@@ -60,45 +60,33 @@ class ResultRow:
                 str(self.samples), str(self.seed), blank(self.wall_s)]
 
 
-def _apply_point(base: ScenarioConfig, assignment: dict[str, float]) -> ScenarioConfig:
-    changes = {}
-    if "l" in assignment:
-        changes["link_distance_m"] = assignment["l"]
-    if "d" in assignment:
-        rest = base.interferer_distances_m[1:]
-        changes["interferer_distances_m"] = (assignment["d"],) + rest
-    if "eta1" in assignment:
-        changes["duty_cycles"] = (assignment["eta1"],) + base.duty_cycles[1:]
-    if "eta2" in assignment:
-        duty = changes.get("duty_cycles", base.duty_cycles)
-        changes["duty_cycles"] = (duty[0], assignment["eta2"]) + duty[2:]
-    return replace(base, **changes) if changes else base
-
-
-def sweep_points(spec: SweepSpec) -> list[ScenarioConfig]:
-    """Cross product of the swept values, lexicographic in declaration order."""
-    variables = list(spec.sweep)
-    return [_apply_point(spec.base, dict(zip(variables, combo)))
-            for combo in itertools.product(*(spec.sweep[v] for v in variables))]
-
-
 def _point_seed(base_seed: int, kind: int, index: int) -> int:
     words = np.random.SeedSequence((base_seed, kind, index)).generate_state(1, dtype=np.uint64)
     return int(words[0])
 
 
-def _make_row(scenario: ScenarioConfig, estimate, seed: int) -> ResultRow:
-    has_interferer = scenario.num_nodes >= 2
-    return ResultRow(
-        l_m=scenario.link_distance_m,
-        d_m=scenario.interferer_distances_m[0] if has_interferer and estimate.kind == "lower" else None,
-        eta1=scenario.duty_cycles[0],
-        eta2=scenario.duty_cycles[1] if has_interferer and estimate.kind == "lower" else None,
-        bound=estimate.kind,
-        rate_bits_per_symbol=estimate.rate,
-        ci_halfwidth=estimate.ci_halfwidth,
-        samples=estimate.samples_used,
-        seed=seed)
+def row_plan(spec: SweepSpec) -> list[tuple[str, ScenarioConfig, int]]:
+    """(bound, scenario, seed) of every row, in CSV order: a lower row per
+    point, then an upper row per distinct (l, eta1), the only swept inputs of
+    the upper bound."""
+    base_seed = spec.base.rng_seed
+    points = sweep_points(spec)
+    plan = []
+    if spec.bounds in ("lower", "both"):
+        plan += [("lower", p, _point_seed(base_seed, 0, i)) for i, p in enumerate(points)]
+    if spec.bounds in ("upper", "both"):
+        groups = {(p.link_distance_m, p.duty_cycles[0]): p for p in points}
+        plan += [("upper", p, _point_seed(base_seed, 1, g))
+                 for g, p in enumerate(groups.values())]
+    return plan
+
+
+def _geometry(bound: str, scenario: ScenarioConfig) -> tuple:
+    """(l_m, d_m, eta1, eta2, bound) of a row: d and eta2 only on lower rows
+    with an interferer."""
+    lower = bound == "lower" and scenario.num_nodes >= 2
+    return (scenario.link_distance_m, scenario.interferer_distances_m[0] if lower else None,
+            scenario.duty_cycles[0], scenario.duty_cycles[1] if lower else None, bound)
 
 
 def _write_csv(path, rows: list[ResultRow]) -> None:
@@ -108,48 +96,27 @@ def _write_csv(path, rows: list[ResultRow]) -> None:
 
 
 def run_sweep(spec: SweepSpec, out_path) -> list[ResultRow]:
-    """Evaluate the sweep, write the CSV and its effective-config sidecar.
+    """Evaluate the row plan, write the CSV and its effective-config sidecar.
 
-    Lower rows come first in point order, then one upper row per distinct
-    (l, eta1) since the upper bound reads nothing else. On estimator failure
-    the finished rows land in <out>.partial and EstimatorFailure is raised.
+    On estimator failure the finished rows land in <out>.partial and
+    EstimatorFailure is raised.
     """
     out_path = Path(out_path)
-    base_seed = spec.base.rng_seed
     out_path.with_name(out_path.name + ".config.json").write_text(
         json.dumps(effective_config(spec), indent=2) + "\n")
-    points = sweep_points(spec)
+    plan = row_plan(spec)
     h1 = draw_h1(spec.base) if spec.base.h1_mode == "fixed-draw" else None
     rows: list[ResultRow] = []
     try:
-        if spec.bounds in ("lower", "both"):
-            for i, scenario in enumerate(points):
-                seed = _point_seed(base_seed, 0, i)
-                started = time.perf_counter()
-                est = lower_bound(scenario, h1=h1, seed=seed)
-                rows.append(_make_row(scenario, est, seed))
-                print(f"[{i + 1}/{len(points)}] lower l={scenario.link_distance_m:g} "
-                      f"d={scenario.interferer_distances_m[:1] or '-'} "
-                      f"eta={scenario.duty_cycles} rate={est.rate:.6g} "
-                      f"ci={est.ci_halfwidth:.2g} ({time.perf_counter() - started:.1f}s)",
-                      file=sys.stderr)
-        if spec.bounds in ("upper", "both"):
-            groups: list[ScenarioConfig] = []
-            seen = set()
-            for scenario in points:
-                key = (scenario.link_distance_m, scenario.duty_cycles[0])
-                if key not in seen:
-                    seen.add(key)
-                    groups.append(scenario)
-            for g, scenario in enumerate(groups):
-                seed = _point_seed(base_seed, 1, g)
-                started = time.perf_counter()
-                est = upper_bound(scenario, h1=h1, seed=seed)
-                rows.append(_make_row(scenario, est, seed))
-                print(f"[upper {g + 1}/{len(groups)}] l={scenario.link_distance_m:g} "
-                      f"eta1={scenario.duty_cycles[0]:g} rate={est.rate:.6g} "
-                      f"ci={est.ci_halfwidth:.2g} ({time.perf_counter() - started:.1f}s)",
-                      file=sys.stderr)
+        for n, (bound, scenario, seed) in enumerate(plan, 1):
+            started = time.perf_counter()
+            # looked up at call time: a wrapper installed on this module applies
+            estimator = lower_bound if bound == "lower" else upper_bound
+            est = estimator(scenario, h1=h1, seed=seed)
+            rows.append(ResultRow(*_geometry(bound, scenario), est.rate, est.ci_halfwidth,
+                                  est.samples_used, seed))
+            print(f"[{n}/{len(plan)}] {','.join(rows[-1].csv_values()[:7])} "
+                  f"({time.perf_counter() - started:.1f}s)", file=sys.stderr)
     except Exception as err:
         partial = out_path.with_name(out_path.name + ".partial")
         _write_csv(partial, rows)
@@ -158,24 +125,38 @@ def run_sweep(spec: SweepSpec, out_path) -> list[ResultRow]:
     return rows
 
 
+def _ratio_references(geometries: list[tuple], reference_distance: float):
+    """(row, reference row) index pairs: each lower row with an interferer
+    and the row of its (l, eta1, eta2) group at d = reference_distance."""
+    reference = {(l, e1, e2): i for i, (l, d, e1, e2, _) in enumerate(geometries)
+                 if d == reference_distance}
+    pairs = []
+    for i, (l, d, e1, e2, _) in enumerate(geometries):
+        if d is None:           # an upper row, or no interferer
+            continue
+        if (l, e1, e2) not in reference:
+            raise ValueError(f"no row at reference distance {reference_distance} m "
+                             f"for group l={l}, eta1={e1}, eta2={e2}")
+        pairs.append((i, reference[(l, e1, e2)]))
+    if not pairs:
+        cause = ("the scenario has no interferer" if any(g[4] == "lower" for g in geometries)
+                 else "bounds 'upper' writes no lower-bound row")
+        raise ValueError(f"the ratio table compares lower-bound rates, and {cause}")
+    return pairs
+
+
 def figure_ratios(rows: list[ResultRow], reference_distance: float = 100.0):
     """Lower-bound rows with a rate / rate(d = reference) column per
     (l, eta1, eta2) group: the interference penalty relative to a far node."""
-    lower = [r for r in rows if r.bound == "lower" and r.d_m is not None]
-    reference = {}
-    for r in lower:
-        if r.d_m == reference_distance:
-            reference[(r.l_m, r.eta1, r.eta2)] = r.rate_bits_per_symbol
+    geometries = [(r.l_m, r.d_m, r.eta1, r.eta2, r.bound) for r in rows]
     out = []
-    for r in lower:
-        key = (r.l_m, r.eta1, r.eta2)
-        group = f"group l={r.l_m}, eta1={r.eta1}, eta2={r.eta2}"
-        if key not in reference:
-            raise ValueError(f"no row at reference distance {reference_distance} m for {group}")
-        if reference[key] == 0.0:
-            raise ValueError(f"rate at reference distance {reference_distance} m is 0 "
-                             f"for {group}; the ratio is undefined")
-        out.append((r, r.rate_bits_per_symbol / reference[key]))
+    for i, ref in _ratio_references(geometries, reference_distance):
+        row, ref_row = rows[i], rows[ref]
+        if ref_row.rate_bits_per_symbol == 0.0:
+            raise ValueError(f"rate at reference distance {reference_distance} m is 0 for "
+                             f"group l={row.l_m}, eta1={row.eta1}, eta2={row.eta2}; "
+                             "the ratio is undefined")
+        out.append((row, row.rate_bits_per_symbol / ref_row.rate_bits_per_symbol))
     return out
 
 
@@ -227,6 +208,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         named = {"--config": args.config, "--out": args.out,
                  "<out>.config.json": out.with_name(out.name + ".config.json"),
+                 "<out>.partial": out.with_name(out.name + ".partial"),
                  "--ratios-out": args.ratios_out}
         seen: dict[Path, str] = {}
         for flag, path in named.items():
@@ -243,12 +225,10 @@ def main(argv=None) -> int:
         if args.seed is not None:
             spec = SweepSpec(base=replace(spec.base, rng_seed=args.seed),
                              sweep=spec.sweep, bounds=spec.bounds)
-        if args.ratios_out and spec.bounds != "upper":
-            # each group of lower points needs its reference point: check the
-            # rows the sweep will write, rates unknown, before any estimator
-            planned = BoundEstimate(np.nan, np.nan, 0, "lower")
-            figure_ratios([_make_row(p, planned, 0) for p in sweep_points(spec)],
-                          args.reference_distance)
+        if args.ratios_out:
+            # check the plan's ratio rows before any estimator runs
+            _ratio_references([_geometry(bound, scenario) for bound, scenario, _
+                               in row_plan(spec)], args.reference_distance)
         rows = run_sweep(spec, args.out)
         print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
         if args.ratios_out:

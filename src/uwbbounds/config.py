@@ -2,22 +2,24 @@
 
 A config file is one JSON object. Scenario keys mirror ScenarioConfig; a
 "sweep" object maps swept variables (l, d, eta1, eta2) to value lists, and
-"bounds" selects which estimators run. Every loaded config materializes all
-defaults, so the effective config written next to a result file reloads to
-the identical sweep.
+"bounds" selects which estimators run. This module checks only the JSON
+shape and owns the sweep (`_apply_point`, `sweep_points`); ScenarioConfig
+checks every value, a sweep value by being applied to the base scenario.
+Every loaded config materializes all defaults, so the effective config
+written next to a result file reloads to the identical sweep.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .model import InvalidParameterError, ScenarioConfig
+from .model import InvalidParameterError, InvalidTypeError, ScenarioConfig
 
 # config key -> ScenarioConfig field, in field order; the key "seed" sets rng_seed
-_FIELDS = {("seed" if f.name == "rng_seed" else f.name): f for f in fields(ScenarioConfig)}
+_FIELDS = {("seed" if f.name == "rng_seed" else f.name): f.name for f in fields(ScenarioConfig)}
 
 SWEEP_VARS = ("l", "d", "eta1", "eta2")
 BOUND_CHOICES = ("lower", "upper", "both")
@@ -31,7 +33,9 @@ PRESETS = {
 
 class ConfigError(Exception):
     """Config rejection with a machine-readable code: missing-file,
-    malformed-json, unknown-key, bad-type, or bad-value."""
+    malformed-json, unknown-key, bad-type (an InvalidTypeError, or a "bounds"
+    or "sweep" entry of the wrong shape), or bad-value (any other rejection;
+    a sweep value's message starts with "sweep.<var>: ")."""
 
     def __init__(self, code: str, message: str):
         super().__init__(message)
@@ -48,10 +52,6 @@ class SweepSpec:
     bounds: str = "both"
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _reject_duplicates(pairs):
     out = {}
     for key, value in pairs:
@@ -59,6 +59,37 @@ def _reject_duplicates(pairs):
             raise ConfigError("malformed-json", f"duplicate key {key!r}")
         out[key] = value
     return out
+
+
+def _scenario(build, prefix: str = "") -> ScenarioConfig:
+    """build(), with ScenarioConfig's rejection as a ConfigError."""
+    try:
+        return build()
+    except InvalidParameterError as err:
+        code = "bad-type" if isinstance(err, InvalidTypeError) else "bad-value"
+        raise ConfigError(code, prefix + str(err)) from err
+
+
+def _apply_point(base: ScenarioConfig, assignment: dict[str, float]) -> ScenarioConfig:
+    changes = {}
+    if "l" in assignment:
+        changes["link_distance_m"] = assignment["l"]
+    if "d" in assignment:
+        rest = base.interferer_distances_m[1:]
+        changes["interferer_distances_m"] = (assignment["d"],) + rest
+    if "eta1" in assignment:
+        changes["duty_cycles"] = (assignment["eta1"],) + base.duty_cycles[1:]
+    if "eta2" in assignment:
+        duty = changes.get("duty_cycles", base.duty_cycles)
+        changes["duty_cycles"] = (duty[0], assignment["eta2"]) + duty[2:]
+    return replace(base, **changes) if changes else base
+
+
+def sweep_points(spec: SweepSpec) -> list[ScenarioConfig]:
+    """Cross product of the swept values, lexicographic in declaration order."""
+    variables = list(spec.sweep)
+    return [_apply_point(spec.base, dict(zip(variables, combo)))
+            for combo in itertools.product(*(spec.sweep[v] for v in variables))]
 
 
 def spec_from_mapping(data: dict, preset: str | None = None) -> SweepSpec:
@@ -72,29 +103,8 @@ def spec_from_mapping(data: dict, preset: str | None = None) -> SweepSpec:
     for key in data:
         if key not in _FIELDS and key not in ("sweep", "bounds"):
             raise ConfigError("unknown-key", f"unknown config key {key!r}")
-
-    kwargs = {}
-    for key, spec_field in _FIELDS.items():
-        if key not in data:
-            continue
-        value, kind = data[key], type(spec_field.default)
-        if kind is int:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError("bad-type", f"{key} must be an integer")
-        elif kind is float:
-            if not _is_number(value):
-                raise ConfigError("bad-type", f"{key} must be a number")
-        elif kind is tuple:
-            if not isinstance(value, list) or not all(_is_number(x) for x in value):
-                raise ConfigError("bad-type", f"{key} must be an array of numbers")
-        elif not isinstance(value, str):
-            raise ConfigError("bad-type", f"{key} must be a string")
-        kwargs[spec_field.name] = value
-
-    try:
-        base = ScenarioConfig(**kwargs)
-    except InvalidParameterError as err:
-        raise ConfigError("bad-value", str(err)) from err
+    kwargs = {name: data[key] for key, name in _FIELDS.items() if key in data}
+    base = _scenario(lambda: ScenarioConfig(**kwargs))
 
     bounds = data.get("bounds", "both")
     if not isinstance(bounds, str):
@@ -111,21 +121,13 @@ def spec_from_mapping(data: dict, preset: str | None = None) -> SweepSpec:
             raise ConfigError("unknown-key", f"unknown sweep variable {var!r}")
         if not isinstance(values, list) or not values:
             raise ConfigError("bad-type", f"sweep.{var} must be a non-empty array")
-        if not all(_is_number(x) for x in values):
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in values):
             raise ConfigError("bad-type", f"sweep.{var} must contain only numbers")
-        try:
-            vals = tuple(float(x) for x in values)
-        except OverflowError:       # a JSON integer beyond the float range
-            raise ConfigError("bad-value", f"sweep.{var} values must be finite") from None
-        if not all(math.isfinite(x) for x in vals):
-            raise ConfigError("bad-value", f"sweep.{var} values must be finite")
-        if var in ("eta1", "eta2") and not all(0.0 < x < 1.0 for x in vals):
-            raise ConfigError("bad-value", f"sweep.{var} values must be in (0, 1)")
-        if var in ("l", "d") and not all(x > 0.0 for x in vals):
-            raise ConfigError("bad-value", f"sweep.{var} values must be > 0")
-        if var in ("d", "eta2") and base.num_nodes < 2:
-            raise ConfigError("bad-value", f"sweep.{var} needs at least one interferer")
-        sweep[var] = vals
+        # each value must give a valid scenario alone; the swept variables
+        # set separate entries, so every point of the sweep is then valid
+        for x in values:
+            _scenario(lambda: _apply_point(base, {var: x}), f"sweep.{var}: ")
+        sweep[var] = tuple(float(x) for x in values)
     return SweepSpec(base=base, sweep=sweep, bounds=bounds)
 
 
@@ -146,8 +148,8 @@ def load_config(path, preset: str | None = None) -> SweepSpec:
 def effective_config(spec: SweepSpec) -> dict:
     """The fully materialized config; reloading it rebuilds the same SweepSpec."""
     config = {}
-    for key, spec_field in _FIELDS.items():
-        value = getattr(spec.base, spec_field.name)
+    for key, name in _FIELDS.items():
+        value = getattr(spec.base, name)
         config[key] = list(value) if isinstance(value, tuple) else value
     config["sweep"] = {var: list(vals) for var, vals in spec.sweep.items()}
     config["bounds"] = spec.bounds

@@ -10,6 +10,10 @@ noise z[n] ~ N(0, sigma_W^2 I_M). The taps are independent: T = diag(t), with
 linearly decaying tap variances t. The receiver knows h_1 only. Node 1 is the
 intended transmitter; nodes 2..I are interferers. Every transmitter runs at
 its amplitude cap A_i = sqrt(P_rcv(l_i) / eta_i).
+
+ScenarioConfig owns every scenario rule: its constructor is the one place a
+value's type (InvalidTypeError) and range (InvalidParameterError) are
+checked, so the config loader, the sweep and the estimators only build one.
 """
 
 from __future__ import annotations
@@ -23,28 +27,8 @@ class InvalidParameterError(ValueError):
     """A physical or configuration parameter is outside its domain."""
 
 
-def received_power(tx_power_w: float, pathloss_b: float, pathloss_alpha: float,
-                   distance_m: float) -> float:
-    """Average received power P_tx * b * l^-alpha in watts."""
-    if tx_power_w <= 0.0:
-        raise InvalidParameterError(f"tx_power_w must be > 0, got {tx_power_w}")
-    if pathloss_b <= 0.0:
-        raise InvalidParameterError(f"pathloss_b must be > 0, got {pathloss_b}")
-    if pathloss_alpha <= 0.0:
-        raise InvalidParameterError(f"pathloss_alpha must be > 0, got {pathloss_alpha}")
-    if distance_m <= 0.0:
-        raise InvalidParameterError(f"distance_m must be > 0, got {distance_m}")
-    return tx_power_w * pathloss_b * distance_m ** (-pathloss_alpha)
-
-
-def pulse_amplitude(received_power_w: float, duty_cycle: float) -> float:
-    """Per-pulse amplitude cap sqrt(P_rcv / eta): a sparser transmitter packs
-    the same average power into larger pulses."""
-    if received_power_w < 0.0:
-        raise InvalidParameterError(f"received_power_w must be >= 0, got {received_power_w}")
-    if not 0.0 < duty_cycle < 1.0:
-        raise InvalidParameterError(f"duty_cycle must be in (0, 1), got {duty_cycle}")
-    return float(np.sqrt(received_power_w / duty_cycle))
+class InvalidTypeError(InvalidParameterError, TypeError):
+    """A parameter has the wrong type: not an integer, a real number or a string."""
 
 
 def sample_channel(t: np.ndarray, rng: np.random.Generator,
@@ -107,16 +91,21 @@ class ScenarioConfig:
     def __post_init__(self):
         for f in fields(self):      # postponed annotations: f.type is a string
             value = getattr(self, f.name)
-            if f.type == "int" and (isinstance(value, bool)
-                                    or not isinstance(value, (int, np.integer))):
-                raise InvalidParameterError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "int":
+                if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                    raise InvalidTypeError(f"{f.name} must be an integer, got {value!r}")
+                object.__setattr__(self, f.name, int(value))
+            if f.type == "str" and not isinstance(value, str):
+                raise InvalidTypeError(f"{f.name} must be a string, got {value!r}")
             if f.type.startswith(("float", "tuple")):
                 sequence = f.type.startswith("tuple")
-                entries = tuple(value) if sequence and np.iterable(value) else (value,)
-                if sequence != np.iterable(value) or not all(
+                # a list, tuple or 1-d array; a str or dict would iterate too
+                is_sequence = isinstance(value, (tuple, list)) or np.ndim(value) == 1
+                entries = tuple(value) if is_sequence else (value,)
+                if sequence != is_sequence or not all(
                         isinstance(x, (int, float, np.integer, np.floating))
                         and not isinstance(x, bool) for x in entries):
-                    raise InvalidParameterError(f"{f.name} must be a real number, got {value!r}")
+                    raise InvalidTypeError(f"{f.name} must be a real number, got {value!r}")
                 try:
                     entries = tuple(float(x) for x in entries)
                 except OverflowError:
@@ -125,12 +114,11 @@ class ScenarioConfig:
                 if not np.all(np.isfinite(entries)):
                     raise InvalidParameterError(f"{f.name} must be finite, got {value!r}")
                 object.__setattr__(self, f.name, entries if sequence else entries[0])
-        if self.num_nodes < 1:
-            raise InvalidParameterError(f"num_nodes must be >= 1, got {self.num_nodes}")
-        if self.codeword_len < 1:
-            raise InvalidParameterError(f"codeword_len must be >= 1, got {self.codeword_len}")
-        if self.taps < 1:
-            raise InvalidParameterError(f"taps must be >= 1, got {self.taps}")
+        for name, least in (("num_nodes", 1), ("codeword_len", 1), ("taps", 1),
+                            ("samples_theta", 2), ("samples_pd", 2), ("samples_upper", 2)):
+            if getattr(self, name) < least:
+                raise InvalidParameterError(
+                    f"{name} must be >= {least}, got {getattr(self, name)}")
         if len(self.duty_cycles) != self.num_nodes:
             raise InvalidParameterError(
                 f"duty_cycles needs {self.num_nodes} entries, got {len(self.duty_cycles)}")
@@ -143,38 +131,29 @@ class ScenarioConfig:
                 f"got {len(self.interferer_distances_m)}")
         for d in self.interferer_distances_m:
             if d <= 0.0:
-                raise InvalidParameterError(f"interferer distances must be > 0, got {d}")
-        if self.link_distance_m <= 0.0:
-            raise InvalidParameterError(f"link_distance_m must be > 0, got {self.link_distance_m}")
-        if self.tx_power_w <= 0.0 or self.pathloss_b <= 0.0 or self.pathloss_alpha <= 0.0:
-            raise InvalidParameterError("tx_power_w, pathloss_b, pathloss_alpha must be > 0")
-        if self.noise_var_w <= 0.0:
-            raise InvalidParameterError(f"noise_var_w must be > 0, got {self.noise_var_w}")
+                raise InvalidParameterError(f"interferer_distances_m entries must be > 0, got {d}")
+        for name in ("link_distance_m", "tx_power_w", "pathloss_b", "pathloss_alpha",
+                     "noise_var_w"):
+            if getattr(self, name) <= 0.0:
+                raise InvalidParameterError(f"{name} must be > 0, got {getattr(self, name)}")
         if not 0.0 < self.captured_energy_fraction <= 1.0:
             raise InvalidParameterError(
                 f"captured_energy_fraction must be in (0, 1], got {self.captured_energy_fraction}")
         if self.total_path_count < self.taps:
             raise InvalidParameterError(
                 f"total_path_count must be >= taps, got {self.total_path_count} < {self.taps}")
-        for name in ("samples_theta", "samples_pd", "samples_upper"):
-            if getattr(self, name) < 2:
-                raise InvalidParameterError(f"{name} must be >= 2, got {getattr(self, name)}")
         if not 0 <= self.rng_seed < 2**64:
             raise InvalidParameterError(f"rng_seed must be a u64, got {self.rng_seed}")
         if self.h1_mode not in H1_MODES:
             raise InvalidParameterError(
                 f"h1_mode must be one of {H1_MODES}, got {self.h1_mode!r}")
 
-    def node_distances(self) -> np.ndarray:
-        return np.array((self.link_distance_m,) + self.interferer_distances_m)
-
     def amplitudes(self) -> np.ndarray:
-        """Per-node pulse amplitudes, all nodes at their power cap."""
-        out = np.empty(self.num_nodes)
-        for i, (dist, eta) in enumerate(zip(self.node_distances(), self.duty_cycles)):
-            p = received_power(self.tx_power_w, self.pathloss_b, self.pathloss_alpha, dist)
-            out[i] = pulse_amplitude(p, eta)
-        return out
+        """Per-node amplitude caps sqrt(P_rcv(l_i) / eta_i), P_rcv(l) = P_tx b l^-alpha:
+        a sparser transmitter packs the same power into larger pulses."""
+        received = [self.tx_power_w * self.pathloss_b * dist ** (-self.pathloss_alpha)
+                    for dist in np.array((self.link_distance_m,) + self.interferer_distances_m)]
+        return np.sqrt(np.array(received) / self.duty_cycles)
 
     def tap_covariance(self) -> np.ndarray:
         """Tap variances t (M,), the diagonal of T: tap m weighs

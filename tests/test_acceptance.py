@@ -25,7 +25,7 @@ from uwbbounds.bounds import (draw_h1, error_probability_bound, log_distance_pro
                               lower_bound, upper_bound)
 from uwbbounds.gaussian import log_gauss_lowrank
 from uwbbounds.mc import Z95, LogAccumulator
-from uwbbounds.model import ScenarioConfig, received_power
+from uwbbounds.model import ScenarioConfig
 
 from reference import oracle_J, overlap_J
 
@@ -226,8 +226,8 @@ def test_criterion_6_gaussian_interference_coincidence():
     for link in (7.0, 8.0):
         base = desk_config(link_distance_m=link, rng_seed=2)
         d_equiv = 3.0
-        extra = received_power(base.tx_power_w, base.pathloss_b,
-                               base.pathloss_alpha, d_equiv) \
+        # received power P_tx b d^-alpha of a node at d_equiv, spread over the taps
+        extra = base.tx_power_w * base.pathloss_b * d_equiv ** (-base.pathloss_alpha) \
             * base.captured_energy_fraction / base.taps
         cfg = dataclasses.replace(
             base, num_nodes=1, duty_cycles=(0.5,), interferer_distances_m=(),

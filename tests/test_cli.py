@@ -13,10 +13,9 @@ import pytest
 
 import uwbbounds.cli as cli
 from uwbbounds.bounds import BoundEstimate
-from uwbbounds.cli import (CSV_COLUMNS, EstimatorFailure, figure_ratios, main,
-                           run_sweep, sweep_points)
+from uwbbounds.cli import CSV_COLUMNS, EstimatorFailure, figure_ratios, main, run_sweep
 from uwbbounds.config import (ConfigError, effective_config, load_config,
-                              spec_from_mapping)
+                              spec_from_mapping, sweep_points)
 
 from reference import read_result_csv
 
@@ -72,6 +71,10 @@ def test_config_errors_name_the_offending_key(tmp_path):
         ({"interferer_distances_m": [float("inf")]}, "bad-value", "interferer_distances_m"),
         ({"sweep": {"d": [2, float("inf")]}}, "bad-value", "sweep.d"),
         ({"sweep": {"l": [float("nan")]}}, "bad-value", "sweep.l"),
+        ({"h1_mode": 5}, "bad-type", "h1_mode"),
+        ({"num_nodes": 1, "duty_cycles": [0.5], "interferer_distances_m": [],
+          "sweep": {"d": [5.0]}}, "bad-value", "sweep.d"),
+        ({"sweep": {"eta2": [1.0]}}, "bad-value", "sweep.eta2"),
         (b'{"seed": "\xff"}', "malformed-json", "cfg.json"),
     ]
     for payload, code, key in cases:
@@ -189,6 +192,38 @@ def test_rerun_is_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+# (l_m, d_m, eta1, eta2, bound, rate, ci_halfwidth, samples, seed) per row
+PINNED_SWEEPS = [
+    ({**TINY, "sweep": {"d": [5.0, 30.0]}, "bounds": "both"}, [
+        (3.0, 5.0, 0.5, 0.5, "lower", 0.5124923717291825, 0.00933057812629912,
+         720, 3926704849073358691),
+        (3.0, 30.0, 0.5, 0.5, "lower", 0.6954743128111341, 8.162420885415583e-05,
+         720, 17787998696327163147),
+        (3.0, None, 0.5, None, "upper", 0.5922703875034686, 0.08785322985245546,
+         400, 18161219428762539833),
+    ]),
+    ({**TINY, "num_nodes": 3, "duty_cycles": [0.5, 0.3, 0.4],
+      "interferer_distances_m": [2.0, 4.0], "h1_mode": "averaged"}, [
+        (3.0, 2.0, 0.5, 0.3, "lower", 0.4229778039127398, 0.013173174883415056,
+         720, 3926704849073358691),
+        (3.0, None, 0.5, None, "upper", 0.7901931946633124, 0.048685326750697026,
+         400, 18161219428762539833),
+    ]),
+]
+
+
+@pytest.mark.parametrize("payload, expected", PINNED_SWEEPS, ids=["fixed-draw", "averaged"])
+def test_sweep_rows_are_pinned(tmp_path, payload, expected):
+    # keys, samples and seeds exactly; rates and CIs to rel 1e-12, since
+    # LAPACK eigh may differ in its last bits across CPUs
+    rows = run_sweep(spec_from_mapping(payload), tmp_path / "r.csv")
+    got = [(r.l_m, r.d_m, r.eta1, r.eta2, r.bound, r.samples, r.seed) for r in rows]
+    assert got == [row[:5] + row[7:] for row in expected]
+    for row, want in zip(rows, expected):
+        assert row.rate_bits_per_symbol == pytest.approx(want[5], rel=1e-12, abs=0.0)
+        assert row.ci_halfwidth == pytest.approx(want[6], rel=1e-12, abs=0.0)
+
+
 def test_sidecar_reloads_to_the_same_spec(tmp_path):
     spec = tiny_spec(sweep={"d": [5.0]}, bounds="lower")
     out = tmp_path / "r.csv"
@@ -263,6 +298,24 @@ def test_figure_ratios_reject_zero_reference_rate(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, {**TINY, "sweep": {"d": [5.0, 100.0]}, "bounds": "lower"})
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "z.csv"),
                  "--ratios-out", str(tmp_path / "ratios.csv")]) == 2
+
+
+@pytest.mark.parametrize("extra, cause", [
+    ({"bounds": "upper"}, "bounds 'upper' writes no lower-bound row"),
+    ({"num_nodes": 1, "duty_cycles": [0.5], "interferer_distances_m": []},
+     "the scenario has no interferer"),
+])
+def test_ratios_without_lower_interferer_rows_fail_before_estimating(
+        tmp_path, monkeypatch, capsys, extra, cause):
+    # no row to take a ratio of: no header-only table and no estimator call
+    cfg = write_config(tmp_path, {**TINY, **extra})
+    for name in ("lower_bound", "upper_bound"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("estimator ran"))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "r.csv"),
+                 "--ratios-out", str(tmp_path / "q.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the ratio table") and cause in err
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
 
 def test_ratios_without_a_reference_point_fail_before_estimating(tmp_path, monkeypatch,
@@ -374,6 +427,8 @@ def test_run_into_unwritable_path_fails_before_estimating(tmp_path, monkeypatch,
     ("cfg.json", "r.csv", "./r.csv", "--out and --ratios-out"),
     ("cfg.json", "r.csv", "r.csv.config.json", "<out>.config.json and --ratios-out"),
     ("r.csv.config.json", "./r.csv", None, "--config and <out>.config.json"),
+    ("r.csv.partial", "r.csv", None, "--config and <out>.partial"),
+    ("cfg.json", "r.csv", "r.csv.partial", "<out>.partial and --ratios-out"),
 ])
 def test_run_with_colliding_paths_fails_before_estimating(tmp_path, monkeypatch, capsys,
                                                           config, out, ratios, pair):

@@ -3,52 +3,66 @@
 import numpy as np
 import pytest
 
-from uwbbounds.model import (InvalidParameterError, ScenarioConfig, pulse_amplitude,
-                             received_power, sample_channel, sample_symbols)
+from uwbbounds.model import (InvalidParameterError, InvalidTypeError, ScenarioConfig,
+                             sample_channel, sample_symbols)
+
+
+def received(cfg: ScenarioConfig) -> np.ndarray:
+    """eta_i A_i^2: the average received power P_tx b l_i^-alpha of each node."""
+    return np.array(cfg.duty_cycles) * cfg.amplitudes() ** 2
+
+
+def one_meter(tx_power_w: float, duty_cycles=(0.5, 0.5)) -> ScenarioConfig:
+    """Every node at 1 m with b = 1: the received power is tx_power_w."""
+    return ScenarioConfig(tx_power_w=tx_power_w, pathloss_b=1.0, link_distance_m=1.0,
+                          interferer_distances_m=(1.0,), duty_cycles=duty_cycles)
 
 
 class TestPathloss:
     def test_unit_distance(self):
         # l = 1: power is just P_tx * b
-        assert received_power(1e-4, 10**-5.5, 3.3, 1.0) == pytest.approx(10**-9.5, rel=1e-12)
+        p = received(ScenarioConfig(link_distance_m=1.0))[0]
+        assert p == pytest.approx(10**-9.5, rel=1e-12)
 
     def test_office_distance(self):
         # 1e-4 * 10^-5.5 * 3^-3.3
-        assert received_power(1e-4, 10**-5.5, 3.3, 3.0) == pytest.approx(8.42346e-12, rel=1e-5)
+        assert received(ScenarioConfig(link_distance_m=3.0))[0] == pytest.approx(
+            8.42346e-12, rel=1e-5)
 
     def test_far_distance(self):
         # log10 P = -9.5 - 3.3*2 = -16.1
-        assert received_power(1e-4, 10**-5.5, 3.3, 100.0) == pytest.approx(10**-16.1, rel=1e-12)
+        p = received(ScenarioConfig(link_distance_m=100.0))[0]
+        assert p == pytest.approx(10**-16.1, rel=1e-12)
 
     def test_monotone_in_distance(self):
-        p = [received_power(1e-4, 10**-5.5, 3.3, l) for l in (1.0, 2.0, 5.0, 50.0)]
+        p = received(ScenarioConfig(num_nodes=4, duty_cycles=(0.5,) * 4, link_distance_m=1.0,
+                                    interferer_distances_m=(2.0, 5.0, 50.0)))
         assert all(a > b for a, b in zip(p, p[1:]))
 
     def test_rejects_bad_domain(self):
         with pytest.raises(InvalidParameterError):
-            received_power(1e-4, 10**-5.5, 3.3, 0.0)
+            ScenarioConfig(link_distance_m=0.0)
         with pytest.raises(InvalidParameterError):
-            received_power(-1e-4, 10**-5.5, 3.3, 1.0)
+            ScenarioConfig(tx_power_w=-1e-4)
 
 
 class TestPulseAmplitude:
     def test_frozen_value(self):
-        assert pulse_amplitude(8e-12, 0.5) == pytest.approx(4e-6, rel=1e-12)
+        assert one_meter(8e-12).amplitudes()[0] == pytest.approx(4e-6, rel=1e-12)
 
     def test_sparser_is_larger(self):
-        dense = pulse_amplitude(1e-12, 0.9)
-        sparse = pulse_amplitude(1e-12, 0.1)
+        dense, sparse = one_meter(1e-12, duty_cycles=(0.9, 0.1)).amplitudes()
         assert sparse == pytest.approx(3.0 * dense, rel=1e-12)
 
     def test_power_roundtrip(self):
         # eta * A^2 must reconstruct the average power
-        a = pulse_amplitude(7.3e-13, 0.14)
+        a = one_meter(7.3e-13, duty_cycles=(0.14, 0.5)).amplitudes()[0]
         assert 0.14 * a**2 == pytest.approx(7.3e-13, rel=1e-12)
 
     def test_rejects_degenerate_duty(self):
         for eta in (0.0, 1.0, -0.2):
             with pytest.raises(InvalidParameterError):
-                pulse_amplitude(1e-12, eta)
+                one_meter(1e-12, duty_cycles=(eta, 0.5))
 
 
 class TestTapCovariance:
@@ -126,7 +140,7 @@ class TestScenarioConfig:
 
     def test_amplitude_values(self):
         cfg = ScenarioConfig()
-        a1 = pulse_amplitude(received_power(1e-4, 10**-5.5, 3.3, 3.0), 0.5)
+        a1 = np.sqrt(1e-4 * 10**-5.5 * 3.0**-3.3 / 0.5)
         assert cfg.amplitudes()[0] == pytest.approx(a1, rel=1e-14)
 
     def test_field_validation_names_field(self):
@@ -145,7 +159,7 @@ class TestScenarioConfig:
         ("samples_theta", 100.0), ("samples_pd", 1e3), ("samples_upper", np.bool_(True)),
     ])
     def test_integer_fields_reject_non_integers(self, name, value):
-        with pytest.raises(InvalidParameterError, match=f"{name} must be an integer"):
+        with pytest.raises(InvalidTypeError, match=f"{name} must be an integer"):
             ScenarioConfig(**{name: value})
 
     @pytest.mark.parametrize("name, value", [
@@ -168,6 +182,25 @@ class TestScenarioConfig:
         with pytest.raises(InvalidParameterError, match=f"{name} must be a real number"):
             ScenarioConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("h1_mode", 5), ("h1_mode", None), ("link_distance_m", "3"),
+        ("duty_cycles", {"a": 0.5}), ("interferer_distances_m", {}),
+        ("interferer_distances_m", ""), ("duty_cycles", np.array([[0.5, 0.5]])),
+    ])
+    def test_wrong_kinds_are_type_errors(self, name, value):
+        # a JSON object or string must not pass for a sequence, even an empty one
+        with pytest.raises(InvalidTypeError, match=name):
+            ScenarioConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("link_distance_m", 10 ** 400), ("link_distance_m", np.nan), ("taps", 0),
+        ("h1_mode", "frozen"), ("duty_cycles", (0.5, 1.0)),
+    ])
+    def test_values_out_of_range_are_not_type_errors(self, name, value):
+        with pytest.raises(InvalidParameterError, match=name) as excinfo:
+            ScenarioConfig(**{name: value})
+        assert not isinstance(excinfo.value, InvalidTypeError)
+
     def test_float_fields_accept_numpy_and_int_entries(self):
         cfg = ScenarioConfig(link_distance_m=np.float32(2.5),
                              duty_cycles=[np.float64(0.25), 1 / 2],
@@ -177,6 +210,7 @@ class TestScenarioConfig:
     def test_integer_fields_accept_numpy_integers(self):
         cfg = ScenarioConfig(codeword_len=np.int32(40), rng_seed=np.uint64(7))
         assert cfg.codeword_len == 40 and cfg.rng_seed == 7
+        assert type(cfg.codeword_len) is int and type(cfg.rng_seed) is int
 
     def test_single_node(self):
         cfg = ScenarioConfig(num_nodes=1, duty_cycles=(0.5,), interferer_distances_m=())
