@@ -13,7 +13,7 @@ from .bounds import (BoundEstimate, ErrorProbabilityBound, LowerBoundProfile,
                      lower_bound, upper_bound)
 from .config import (PRESETS, ConfigError, SweepSpec, effective_config,
                      load_config, spec_from_mapping)
-from .mc import LogAccumulator, gaussian_ci, normal_qq_corr, substream
+from .mc import LogAccumulator, normal_qq_corr, substream
 from .model import (H1_MODES, InvalidParameterError, ScenarioConfig, sample_channel,
                     sample_symbols)
 
@@ -23,7 +23,7 @@ __all__ = [
     "BoundEstimate", "ConfigError", "ErrorProbabilityBound", "H1_MODES",
     "InvalidParameterError", "LogAccumulator", "LowerBoundProfile", "PRESETS",
     "ScenarioConfig", "SweepSpec", "draw_h1", "effective_config",
-    "error_probability_bound", "gaussian_ci", "load_config", "log_distance_probs",
-    "lower_bound", "normal_qq_corr", "sample_channel", "sample_symbols",
-    "spec_from_mapping", "substream", "upper_bound", "__version__",
+    "error_probability_bound", "load_config", "log_distance_probs", "lower_bound",
+    "normal_qq_corr", "sample_channel", "sample_symbols", "spec_from_mapping",
+    "substream", "upper_bound", "__version__",
 ]

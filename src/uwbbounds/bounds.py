@@ -21,7 +21,8 @@ no interferer parameter; in averaged mode it samples h_1 per draw.
 
 Both estimators draw their samples in blocks of BLOCK; block b draws from the
 counter-based substream keyed by (seed, estimator, b), in a fixed order
-inside the block. Results are therefore a pure function of (scenario, seed).
+inside the block; the fixed h_1 is keyed by the scenario's rng_seed alone.
+Results are therefore a pure function of (scenario, seed).
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gaussian import log_gauss_lowrank, log_gauss_lowrank_marginal
-from .mc import (Z95, LogAccumulator, gaussian_ci, log_sums, logsumexp, normal_qq_corr,
-                 substream)
+from .mc import (Z95, LogAccumulator, log_sums, logsumexp, normal_qq_corr, substream,
+                 t_quantile_975)
 from .model import InvalidParameterError, ScenarioConfig, sample_channel, sample_symbols
 
 # estimator ids of the substream key space
@@ -72,12 +73,12 @@ def _resolve_seed(cfg: ScenarioConfig, seed) -> int:
     return cfg.rng_seed if seed is None else replace(cfg, rng_seed=seed).rng_seed
 
 
-def draw_h1(cfg: ScenarioConfig, seed=None) -> np.ndarray:
-    """The scenario's fixed intended-channel realization."""
-    return sample_channel(cfg.tap_covariance(), substream(_resolve_seed(cfg, seed), H1_DRAW))
+def draw_h1(cfg: ScenarioConfig) -> np.ndarray:
+    """The scenario's fixed intended-channel realization, drawn from its rng_seed."""
+    return sample_channel(cfg.tap_covariance(), substream(cfg.rng_seed, H1_DRAW))
 
 
-def _resolve_h1(cfg: ScenarioConfig, h1, seed: int):
+def _resolve_h1(cfg: ScenarioConfig, h1):
     if h1 is not None:
         try:
             h1 = np.asarray(h1, dtype=float)
@@ -89,7 +90,7 @@ def _resolve_h1(cfg: ScenarioConfig, h1, seed: int):
                 f"{np.count_nonzero(~np.isfinite(h1))} non-finite entries")
         return h1
     if cfg.h1_mode == "fixed-draw":
-        return draw_h1(cfg, seed)
+        return draw_h1(cfg)
     return None     # averaged: lower_bound integrates h1 out, upper_bound draws it
 
 
@@ -132,7 +133,7 @@ def lower_bound(scenario: ScenarioConfig, h1=None, seed=None) -> BoundEstimate:
     for a, b the samples scaled to unit mean.
     """
     seed = _resolve_seed(scenario, seed)
-    h1 = _resolve_h1(scenario, h1, seed)
+    h1 = _resolve_h1(scenario, h1)
     n_sym = scenario.codeword_len
     log_probs = log_distance_probs(n_sym, scenario.duty_cycles[0])
     amplitudes = scenario.amplitudes()
@@ -187,7 +188,7 @@ def upper_bound(scenario: ScenarioConfig, h1=None, seed=None) -> BoundEstimate:
     the flipped symbol needs evaluating.
     """
     seed = _resolve_seed(scenario, seed)
-    h1 = _resolve_h1(scenario, h1, seed)
+    h1 = _resolve_h1(scenario, h1)
     eta = scenario.duty_cycles[0]
     s2 = scenario.noise_var_w
     a1 = scenario.amplitudes()[0]
@@ -204,10 +205,10 @@ def upper_bound(scenario: ScenarioConfig, h1=None, seed=None) -> BoundEstimate:
         log_p_flip = np.where(u, np.log1p(-eta), np.log(eta))
         parts.append(-np.logaddexp(log_p_u, log_p_flip + e_flip) / LN2)
     samples = np.concatenate(parts)
-    mean = float(samples.mean())
-    halfwidth = gaussian_ci(float(samples.var(ddof=1)), samples.size)
-    return BoundEstimate(rate=max(0.0, mean), ci_halfwidth=halfwidth,
-                         samples_used=samples.size, kind="upper")
+    n = samples.size
+    halfwidth = t_quantile_975(n - 1) * math.sqrt(float(samples.var(ddof=1)) / n)
+    return BoundEstimate(rate=max(0.0, float(samples.mean())), ci_halfwidth=halfwidth,
+                         samples_used=n, kind="upper")
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,9 @@ rate_bits_per_symbol, ci_halfwidth, samples, seed, wall_s; the fully
 materialized config is written next to it as <out>.config.json. Output bytes
 are a pure function of (config, seed): the wall_s column is fixed at 0.0 and
 real timings go to stderr. A run evaluates one row plan (`row_plan`); each
-row gets its own derived seed, recorded in it, and the fixed channel draw
-comes from the base seed and is shared by the whole sweep. Bad paths and a
-plan with no ratio rows for --ratios-out fail before any estimator runs.
+row gets its own derived seed, recorded in it, and is the estimator's result
+for its (scenario, seed) alone. Bad or empty paths and a plan with no ratio
+rows for --ratios-out fail before any estimator runs.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import draw_h1, lower_bound, upper_bound
+from .bounds import lower_bound, upper_bound
 from .config import (PRESETS, ConfigError, SweepSpec, effective_config,
                      load_config, spec_from_mapping, sweep_points)
 from .model import ScenarioConfig
@@ -105,14 +105,13 @@ def run_sweep(spec: SweepSpec, out_path) -> list[ResultRow]:
     out_path.with_name(out_path.name + ".config.json").write_text(
         json.dumps(effective_config(spec), indent=2) + "\n")
     plan = row_plan(spec)
-    h1 = draw_h1(spec.base) if spec.base.h1_mode == "fixed-draw" else None
     rows: list[ResultRow] = []
     try:
         for n, (bound, scenario, seed) in enumerate(plan, 1):
             started = time.perf_counter()
             # looked up at call time: a wrapper installed on this module applies
             estimator = lower_bound if bound == "lower" else upper_bound
-            est = estimator(scenario, h1=h1, seed=seed)
+            est = estimator(scenario, seed=seed)
             rows.append(ResultRow(*_geometry(bound, scenario), est.rate, est.ci_halfwidth,
                                   est.samples_used, seed))
             print(f"[{n}/{len(plan)}] {','.join(rows[-1].csv_values()[:7])} "
@@ -198,9 +197,14 @@ def main(argv=None) -> int:
                 os.dup2(devnull, sys.stdout.fileno())
                 os.close(devnull)
             return 0
-        # run; an output path that cannot be a file, or that names the same
-        # file as another path of the run, fails here, before any estimator
-        for path in map(Path, filter(None, (args.out, args.ratios_out))):
+        # run; an output path that is empty, cannot be a file, or names the
+        # same file as another path of the run fails here, before any estimator
+        for flag, value in (("--out", args.out), ("--ratios-out", args.ratios_out)):
+            if value is None:
+                continue
+            if not value:
+                raise ValueError(f"output path is empty: {flag}")
+            path = Path(value)
             if not path.parent.is_dir():
                 raise ValueError(f"output directory not found: {path.parent} (for {path})")
             if path.is_dir():
@@ -225,13 +229,13 @@ def main(argv=None) -> int:
         if args.seed is not None:
             spec = SweepSpec(base=replace(spec.base, rng_seed=args.seed),
                              sweep=spec.sweep, bounds=spec.bounds)
-        if args.ratios_out:
+        if args.ratios_out is not None:
             # check the plan's ratio rows before any estimator runs
             _ratio_references([_geometry(bound, scenario) for bound, scenario, _
                                in row_plan(spec)], args.reference_distance)
         rows = run_sweep(spec, args.out)
         print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
-        if args.ratios_out:
+        if args.ratios_out is not None:
             _write_ratios(args.ratios_out, figure_ratios(rows, args.reference_distance))
             print(f"wrote ratios to {args.ratios_out}", file=sys.stderr)
         return 0

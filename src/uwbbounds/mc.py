@@ -5,12 +5,11 @@ index. Sample magnitudes span thousands of nats at physical noise levels, so
 every mean/variance here is carried as log(sum x) and log(sum x^2); nothing
 is ever exponentiated on the absolute scale.
 
-The two quantile functions need no scipy. Normal quantiles come from
-Wichura's AS 241 (PPND16; Applied Statistics 37(3), 1988, 477-484), the
-algorithm behind `statistics.NormalDist.inv_cdf`. The Student-t 0.975
-quantile comes from the Cornish-Fisher expansion (Abramowitz & Stegun
-26.7.5) at df >= 1000, and below that from Newton steps on the exact
-finite-series t CDF (A&S 26.7.3-4).
+The module keeps only what numpy and the standard library lack: the QQ
+statistic's normal quantiles come from `statistics.NormalDist.inv_cdf`
+(Wichura's AS 241), and the Student-t 0.975 quantile from the Cornish-Fisher
+expansion (Abramowitz & Stegun 26.7.5) at df >= 1000 and below that from
+Newton steps on the exact finite-series t CDF (A&S 26.7.3-4).
 """
 
 from __future__ import annotations
@@ -114,52 +113,6 @@ class LogAccumulator:
         return math.exp(0.5 * lv - self.log_mean - 0.5 * math.log(self.count))
 
 
-# AS 241 (PPND16) numerator and denominator coefficients, highest power first
-_PPND_CENTRAL = (
-    (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
-     4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
-     1.3314166789178437745e+2, 3.3871328727963666080e+0),
-    (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
-     2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
-     4.2313330701600911252e+1, 1.0))
-_PPND_NEAR = (
-    (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
-     1.27045825245236838258e+0, 3.64784832476320460504e+0, 5.76949722146069140550e+0,
-     4.63033784615654529590e+0, 1.42343711074968357734e+0),
-    (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
-     1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e+0,
-     2.05319162663775882187e+0, 1.0))
-_PPND_FAR = (
-    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
-     2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e+0,
-     5.46378491116411436990e+0, 6.65790464350110377720e+0),
-    (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
-     7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
-     5.99832206555887937690e-1, 1.0))
-
-
-def _rational(coeffs, r):
-    num, den = coeffs
-    return np.polyval(num, r) / np.polyval(den, r)
-
-
-def normal_quantile(p) -> np.ndarray:
-    """Standard normal quantile at each 0 < p < 1 (AS 241, PPND16)."""
-    p = np.asarray(p, dtype=float)
-    q = p - 0.5
-    out = np.empty(p.shape)
-    central = np.abs(q) <= 0.425
-    qc = q[central]
-    out[central] = qc * _rational(_PPND_CENTRAL, 0.180625 - qc * qc)
-    r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)[~central]))
-    near = r <= 5.0
-    tail = np.empty(r.shape)
-    tail[near] = _rational(_PPND_NEAR, r[near] - 1.6)
-    tail[~near] = _rational(_PPND_FAR, r[~near] - 5.0)
-    out[~central] = np.copysign(tail, q[~central])
-    return out
-
-
 def t_quantile_975(df: int) -> float:
     """Student-t 0.975 quantile with `df` >= 1 degrees of freedom."""
     if df >= 1000:
@@ -196,16 +149,6 @@ def t_quantile_975(df: int) -> float:
     return math.sqrt(df) * math.tan(theta)
 
 
-def gaussian_ci(variance: float, count: int) -> float:
-    """95% Student-t halfwidth for the mean of `count` near-Gaussian samples
-    with sample variance `variance`."""
-    if count < 2:
-        raise ValueError("need count >= 2")
-    if variance < 0.0:
-        raise ValueError("variance must be >= 0")
-    return t_quantile_975(count - 1) * math.sqrt(variance / count)
-
-
 def normal_qq_corr(samples: np.ndarray) -> float:
     """Probability-plot correlation against normal quantiles (~1 if Gaussian).
 
@@ -222,4 +165,6 @@ def normal_qq_corr(samples: np.ndarray) -> float:
     medians = (np.arange(1, n + 1) - 0.3175) / (n + 0.365)
     medians[-1] = 0.5 ** (1.0 / n)
     medians[0] = 1.0 - medians[-1]
-    return float(np.corrcoef(normal_quantile(medians), x)[0, 1])
+    from statistics import NormalDist   # on first use: upper-only runs skip its ~6 ms import
+    quantiles = np.fromiter(map(NormalDist().inv_cdf, medians.tolist()), float, n)
+    return float(np.corrcoef(quantiles, x)[0, 1])

@@ -160,7 +160,7 @@ def test_criterion_4_proposition_1():
     details = []
     ok = True
 
-    h_a, h_b = draw_h1(cfg, seed=101), draw_h1(cfg, seed=202)
+    h_a, h_b = (draw_h1(dataclasses.replace(cfg, rng_seed=s)) for s in (101, 202))
     assert not np.array_equal(h_a, h_b)
     prof_a = lower_bound(cfg, h1=h_a, seed=101).profile
     prof_b = lower_bound(cfg, h1=h_b, seed=202).profile

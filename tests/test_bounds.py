@@ -5,6 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.special import gammaln, logsumexp
 
 import uwbbounds.bounds
@@ -276,10 +277,12 @@ def test_default_h1_is_the_seeded_draw():
     cfg = small_config()
     assert same_estimate(lower_bound(cfg), lower_bound(cfg, h1=draw_h1(cfg)))
     assert draw_h1(cfg).shape == (cfg.taps,)
-    assert not np.array_equal(draw_h1(cfg), draw_h1(cfg, seed=1))
+    assert not np.array_equal(draw_h1(cfg), draw_h1(dataclasses.replace(cfg, rng_seed=1)))
+    # seed= keys only the sampling streams: the fixed h1 stays the scenario's
+    assert same_estimate(lower_bound(cfg, seed=4), lower_bound(cfg, h1=draw_h1(cfg), seed=4))
 
 
-@pytest.mark.parametrize("estimator", [lower_bound, upper_bound, draw_h1])
+@pytest.mark.parametrize("estimator", [lower_bound, upper_bound])
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "3", np.float64(2.0)])
 def test_bad_seed_is_a_named_error(estimator, seed):
     # the rule of ScenarioConfig.rng_seed: an int, not a bool, in [0, 2^64)
@@ -302,9 +305,11 @@ def test_channel_draws_are_pinned():
 
 def test_seed_accepts_the_u64_range():
     cfg = small_config()
-    assert np.array_equal(draw_h1(cfg, seed=np.uint64(5)), draw_h1(cfg, seed=5))
-    assert draw_h1(cfg, seed=2**64 - 1).shape == (cfg.taps,)
-    assert np.array_equal(draw_h1(cfg, seed=0), draw_h1(dataclasses.replace(cfg, rng_seed=0)))
+    assert np.array_equal(draw_h1(dataclasses.replace(cfg, rng_seed=np.uint64(5))),
+                          draw_h1(dataclasses.replace(cfg, rng_seed=5)))
+    assert draw_h1(dataclasses.replace(cfg, rng_seed=2**64 - 1)).shape == (cfg.taps,)
+    assert upper_bound(cfg, seed=np.uint64(5)) == upper_bound(cfg, seed=5)
+    assert upper_bound(cfg, seed=2**64 - 1).samples_used == cfg.samples_upper
 
 
 def test_averaged_mode_integrates_h1_in_closed_form(monkeypatch):
@@ -433,6 +438,18 @@ def test_upper_bound_reads_no_interferer_parameter():
     ]
     results = {upper_bound(v) for v in variants}
     assert len(results) == 1
+
+
+@pytest.mark.parametrize("samples_upper", [400, 4000])
+def test_upper_bound_ci_is_student_t(monkeypatch, samples_upper):
+    # df below 1000 takes t_quantile_975's Newton branch, above it the
+    # Cornish-Fisher one; a z interval would give a ratio of Z95 instead
+    cfg = small_config(samples_upper=samples_upper)
+    real = upper_bound(cfg)
+    monkeypatch.setattr(uwbbounds.bounds, "t_quantile_975", lambda df: 1.0)
+    unit = upper_bound(cfg)
+    assert real.ci_halfwidth / unit.ci_halfwidth == pytest.approx(
+        stats.t.ppf(0.975, samples_upper - 1), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("h1_mode", ["fixed-draw", "averaged"])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import uwbbounds.cli as cli
-from uwbbounds.bounds import BoundEstimate
+from uwbbounds.bounds import BoundEstimate, lower_bound, upper_bound
 from uwbbounds.cli import CSV_COLUMNS, EstimatorFailure, figure_ratios, main, run_sweep
 from uwbbounds.config import (ConfigError, effective_config, load_config,
                               spec_from_mapping, sweep_points)
@@ -224,6 +224,18 @@ def test_sweep_rows_are_pinned(tmp_path, payload, expected):
         assert row.ci_halfwidth == pytest.approx(want[6], rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("h1_mode", ["fixed-draw", "averaged"])
+def test_every_row_reproduces_from_its_scenario_and_seed(tmp_path, h1_mode):
+    spec = tiny_spec(sweep={"l": [3.0, 4.0], "d": [2.0, 10.0]}, h1_mode=h1_mode)
+    rows = run_sweep(spec, tmp_path / "r.csv")
+    plan = cli.row_plan(spec)
+    assert len(rows) == len(plan) == 6
+    for row, (bound, scenario, seed) in zip(rows, plan):
+        est = {"lower": lower_bound, "upper": upper_bound}[bound](scenario, seed=seed)
+        assert (row.rate_bits_per_symbol, row.ci_halfwidth, row.samples, row.seed) == \
+            (est.rate, est.ci_halfwidth, est.samples_used, seed)
+
+
 def test_sidecar_reloads_to_the_same_spec(tmp_path):
     spec = tiny_spec(sweep={"d": [5.0]}, bounds="lower")
     out = tmp_path / "r.csv"
@@ -407,18 +419,20 @@ assert status == 0 and not loaded, (status, loaded)
 
 @pytest.mark.parametrize("flag", ["--out", "--ratios-out"])
 @pytest.mark.parametrize("target, message", [("absent/x.csv", "output directory not found"),
-                                             ("a_directory", "output path is a directory")])
+                                             ("a_directory", "output path is a directory"),
+                                             (None, "output path is empty")])
 def test_run_into_unwritable_path_fails_before_estimating(tmp_path, monkeypatch, capsys,
                                                           flag, target, message):
     cfg = write_config(tmp_path, {**TINY, "sweep": {"d": [5.0, 100.0]}, "bounds": "lower"})
     (tmp_path / "a_directory").mkdir()
     monkeypatch.setattr(cli, "lower_bound", lambda *a, **k: pytest.fail("estimator ran"))
     paths = {"--out": str(tmp_path / "r.csv"), "--ratios-out": str(tmp_path / "q.csv")}
-    paths[flag] = str(tmp_path / target)
+    paths[flag] = "" if target is None else str(tmp_path / target)
     argv = ["run", "--config", cfg] + [arg for item in paths.items() for arg in item]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {message}") and paths[flag] in err
+    # the message names the path, or the flag when the path is empty
+    assert err.startswith(f"error: {message}") and (paths[flag] or flag) in err
     assert sorted(tmp_path.iterdir()) == [tmp_path / "a_directory", tmp_path / "cfg.json"]
 
 
