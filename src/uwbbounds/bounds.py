@@ -21,7 +21,7 @@ no interferer parameter; in averaged mode it samples h_1 per draw.
 
 Both estimators draw their samples in blocks of BLOCK; block b draws from the
 counter-based substream keyed by (seed, estimator, b), in a fixed order
-inside the block; the fixed h_1 is keyed by the scenario's rng_seed alone.
+inside the block; the fixed h_1 is keyed by the scenario's seed alone.
 Results are therefore a pure function of (scenario, seed).
 """
 
@@ -69,13 +69,13 @@ def log_distance_probs(N: int, eta1: float) -> np.ndarray:
 
 
 def _resolve_seed(cfg: ScenarioConfig, seed) -> int:
-    """`seed`, or the scenario's rng_seed if None; held to rng_seed's rule."""
-    return cfg.rng_seed if seed is None else replace(cfg, rng_seed=seed).rng_seed
+    """`seed`, or the scenario's seed if None; held to ScenarioConfig's seed rule."""
+    return cfg.seed if seed is None else replace(cfg, seed=seed).seed
 
 
 def draw_h1(cfg: ScenarioConfig) -> np.ndarray:
-    """The scenario's fixed intended-channel realization, drawn from its rng_seed."""
-    return sample_channel(cfg.tap_covariance(), substream(cfg.rng_seed, H1_DRAW))
+    """The scenario's fixed intended-channel realization, drawn from its seed."""
+    return sample_channel(cfg.tap_covariance(), substream(cfg.seed, H1_DRAW))
 
 
 def _resolve_h1(cfg: ScenarioConfig, h1):
@@ -193,8 +193,9 @@ def upper_bound(scenario: ScenarioConfig, h1=None, seed=None) -> BoundEstimate:
     s2 = scenario.noise_var_w
     a1 = scenario.amplitudes()[0]
     tap_var = scenario.tap_covariance()
-    parts = []
-    for rng, size in _block_streams(seed, UPPER_INFO, scenario.samples_upper):
+    n = scenario.samples_upper
+    samples = np.empty(n)
+    for b, (rng, size) in enumerate(_block_streams(seed, UPPER_INFO, n)):
         h = sample_channel(tap_var, rng, size) if h1 is None else h1
         u = rng.random(size) < eta
         z = np.sqrt(s2) * rng.standard_normal((size, scenario.taps))
@@ -203,9 +204,7 @@ def upper_bound(scenario: ScenarioConfig, h1=None, seed=None) -> BoundEstimate:
                   - 0.5 * delta * delta * (h * h).sum(axis=-1)) / s2
         log_p_u = np.where(u, np.log(eta), np.log1p(-eta))
         log_p_flip = np.where(u, np.log1p(-eta), np.log(eta))
-        parts.append(-np.logaddexp(log_p_u, log_p_flip + e_flip) / LN2)
-    samples = np.concatenate(parts)
-    n = samples.size
+        samples[b * BLOCK:b * BLOCK + size] = -np.logaddexp(log_p_u, log_p_flip + e_flip) / LN2
     halfwidth = t_quantile_975(n - 1) * math.sqrt(float(samples.var(ddof=1)) / n)
     return BoundEstimate(rate=max(0.0, float(samples.mean())), ci_halfwidth=halfwidth,
                          samples_used=n, kind="upper")

@@ -1,18 +1,19 @@
 """Experiment driver: rate-bound sweeps over distance and duty cycle.
 
-    uwbbounds run --config cfg.json [--preset paper|desk] [--seed S]
-                  [--out results.csv] [--ratios-out ratios.csv]
-                  [--reference-distance 100.0]
+    uwbbounds run [--config cfg.json] [--out results.csv]
+                  [--ratios-out ratios.csv] [--reference-distance 100.0]
     uwbbounds validate --config cfg.json
 
-Results go to one CSV with columns l_m, d_m, eta1, eta2, bound,
-rate_bits_per_symbol, ci_halfwidth, samples, seed, wall_s; the fully
-materialized config is written next to it as <out>.config.json. Output bytes
-are a pure function of (config, seed): the wall_s column is fixed at 0.0 and
-real timings go to stderr. A run evaluates one row plan (`row_plan`); each
-row gets its own derived seed, recorded in it, and is the estimator's result
-for its (scenario, seed) alone. Bad or empty paths and a plan with no ratio
-rows for --ratios-out fail before any estimator runs.
+The config file is the whole description of a run, its seed included; with
+no --config, `run` evaluates the defaults, as the config {} would. Results go
+to one CSV with columns l_m, d_m, eta1, eta2, bound, rate_bits_per_symbol,
+ci_halfwidth, samples, seed, wall_s; the fully materialized config is written
+next to it as <out>.config.json. Output bytes are a pure function of the
+config: the wall_s column is fixed at 0.0 and real timings go to stderr. A
+run evaluates one row plan (`row_plan`); each row gets its own derived seed,
+recorded in it, and is the estimator's result for its (scenario, seed)
+alone. Bad or empty paths and a plan with no ratio rows for --ratios-out fail
+before any estimator runs.
 """
 
 from __future__ import annotations
@@ -22,14 +23,14 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .bounds import lower_bound, upper_bound
-from .config import (PRESETS, ConfigError, SweepSpec, effective_config,
-                     load_config, spec_from_mapping, sweep_points)
+from .config import (ConfigError, SweepSpec, effective_config, load_config,
+                     spec_from_mapping, sweep_points)
 from .model import ScenarioConfig
 
 CSV_COLUMNS = ("l_m", "d_m", "eta1", "eta2", "bound", "rate_bits_per_symbol",
@@ -69,7 +70,7 @@ def row_plan(spec: SweepSpec) -> list[tuple[str, ScenarioConfig, int]]:
     """(bound, scenario, seed) of every row, in CSV order: a lower row per
     point, then an upper row per distinct (l, eta1), the only swept inputs of
     the upper bound."""
-    base_seed = spec.base.rng_seed
+    base_seed = spec.base.seed
     points = sweep_points(spec)
     plan = []
     if spec.bounds in ("lower", "both"):
@@ -175,20 +176,17 @@ def main(argv=None) -> int:
 
     run_p = sub.add_parser("run", help="evaluate a sweep and write CSV results")
     run_p.add_argument("--config", help="JSON config path (defaults apply if omitted)")
-    run_p.add_argument("--preset", choices=sorted(PRESETS), help="named base profile")
-    run_p.add_argument("--seed", type=int, help="override the config seed")
     run_p.add_argument("--out", default="results.csv", help="output CSV path")
     run_p.add_argument("--ratios-out", help="also write rate/rate(reference) table")
     run_p.add_argument("--reference-distance", type=float, default=100.0)
 
     val_p = sub.add_parser("validate", help="check a config and print it materialized")
     val_p.add_argument("--config", required=True)
-    val_p.add_argument("--preset", choices=sorted(PRESETS))
 
     args = parser.parse_args(argv)
     try:
         if args.command == "validate":
-            spec = load_config(args.config, preset=args.preset)
+            spec = load_config(args.config)
             try:
                 print(json.dumps(effective_config(spec), indent=2), flush=True)
             except BrokenPipeError:
@@ -222,13 +220,7 @@ def main(argv=None) -> int:
             if resolved in seen:
                 raise ValueError(f"{seen[resolved]} and {flag} name the same file: {path}")
             seen[resolved] = flag
-        if args.config is not None:
-            spec = load_config(args.config, preset=args.preset)
-        else:
-            spec = spec_from_mapping({}, preset=args.preset)
-        if args.seed is not None:
-            spec = SweepSpec(base=replace(spec.base, rng_seed=args.seed),
-                             sweep=spec.sweep, bounds=spec.bounds)
+        spec = spec_from_mapping({}) if args.config is None else load_config(args.config)
         if args.ratios_out is not None:
             # check the plan's ratio rows before any estimator runs
             _ratio_references([_geometry(bound, scenario) for bound, scenario, _

@@ -1,12 +1,13 @@
-"""JSON experiment configs: validation, defaults, sweeps, presets.
+"""JSON experiment configs: validation, defaults, sweeps.
 
-A config file is one JSON object. Scenario keys mirror ScenarioConfig; a
-"sweep" object maps swept variables (l, d, eta1, eta2) to value lists, and
-"bounds" selects which estimators run. This module checks only the JSON
-shape and owns the sweep (`_apply_point`, `sweep_points`); ScenarioConfig
-checks every value, a sweep value by being applied to the base scenario.
-Every loaded config materializes all defaults, so the effective config
-written next to a result file reloads to the identical sweep.
+A config file is one JSON object and the whole description of a run. Its
+scenario keys are the ScenarioConfig field names, "seed" included; a "sweep"
+object maps swept variables (l, d, eta1, eta2) to value lists, and "bounds"
+selects which estimators run. This module checks only the JSON shape and
+owns the sweep (`_apply_point`, `sweep_points`); ScenarioConfig checks every
+value, a sweep value by being applied to the base scenario. Every loaded
+config materializes all defaults, so the effective config written next to a
+result file reloads to the identical sweep.
 """
 
 from __future__ import annotations
@@ -18,17 +19,11 @@ from pathlib import Path
 
 from .model import InvalidParameterError, InvalidTypeError, ScenarioConfig
 
-# config key -> ScenarioConfig field, in field order; the key "seed" sets rng_seed
-_FIELDS = {("seed" if f.name == "rng_seed" else f.name): f.name for f in fields(ScenarioConfig)}
+# the scenario keys: ScenarioConfig's field names, in field order
+_FIELDS = tuple(f.name for f in fields(ScenarioConfig))
 
 SWEEP_VARS = ("l", "d", "eta1", "eta2")
 BOUND_CHOICES = ("lower", "upper", "both")
-
-# full-size run vs a reduced instance whose CIs close in minutes
-PRESETS = {
-    "paper": {},
-    "desk": {"codeword_len": 40, "taps": 3},
-}
 
 
 class ConfigError(Exception):
@@ -92,18 +87,12 @@ def sweep_points(spec: SweepSpec) -> list[ScenarioConfig]:
             for combo in itertools.product(*(spec.sweep[v] for v in variables))]
 
 
-def spec_from_mapping(data: dict, preset: str | None = None) -> SweepSpec:
+def spec_from_mapping(data: dict) -> SweepSpec:
     """Validate one parsed config object against the schema."""
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigError("bad-value", f"unknown preset {preset!r}")
-        merged = dict(PRESETS[preset])
-        merged.update(data)
-        data = merged
     for key in data:
         if key not in _FIELDS and key not in ("sweep", "bounds"):
             raise ConfigError("unknown-key", f"unknown config key {key!r}")
-    kwargs = {name: data[key] for key, name in _FIELDS.items() if key in data}
+    kwargs = {key: data[key] for key in _FIELDS if key in data}
     base = _scenario(lambda: ScenarioConfig(**kwargs))
 
     bounds = data.get("bounds", "both")
@@ -131,7 +120,7 @@ def spec_from_mapping(data: dict, preset: str | None = None) -> SweepSpec:
     return SweepSpec(base=base, sweep=sweep, bounds=bounds)
 
 
-def load_config(path, preset: str | None = None) -> SweepSpec:
+def load_config(path) -> SweepSpec:
     """Parse and validate a JSON config file."""
     p = Path(path)
     if not p.is_file():
@@ -142,14 +131,14 @@ def load_config(path, preset: str | None = None) -> SweepSpec:
         raise ConfigError("malformed-json", f"{p}: {err}") from err
     if not isinstance(data, dict):
         raise ConfigError("malformed-json", f"{p}: top level must be an object")
-    return spec_from_mapping(data, preset)
+    return spec_from_mapping(data)
 
 
 def effective_config(spec: SweepSpec) -> dict:
     """The fully materialized config; reloading it rebuilds the same SweepSpec."""
     config = {}
-    for key, name in _FIELDS.items():
-        value = getattr(spec.base, name)
+    for key in _FIELDS:
+        value = getattr(spec.base, key)
         config[key] = list(value) if isinstance(value, tuple) else value
     config["sweep"] = {var: list(vals) for var, vals in spec.sweep.items()}
     config["bounds"] = spec.bounds

@@ -85,7 +85,7 @@ class ScenarioConfig:
     samples_theta: int = 2000
     samples_pd: int = 2000
     samples_upper: int = 100_000
-    rng_seed: int = 0
+    seed: int = 0
     h1_mode: str = "fixed-draw"
 
     def __post_init__(self):
@@ -142,8 +142,8 @@ class ScenarioConfig:
         if self.total_path_count < self.taps:
             raise InvalidParameterError(
                 f"total_path_count must be >= taps, got {self.total_path_count} < {self.taps}")
-        if not 0 <= self.rng_seed < 2**64:
-            raise InvalidParameterError(f"rng_seed must be a u64, got {self.rng_seed}")
+        if not 0 <= self.seed < 2**64:
+            raise InvalidParameterError(f"seed must be a u64, got {self.seed}")
         if self.h1_mode not in H1_MODES:
             raise InvalidParameterError(
                 f"h1_mode must be one of {H1_MODES}, got {self.h1_mode!r}")

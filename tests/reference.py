@@ -8,7 +8,9 @@ package: the estimators never call them, and the dense densities need
 scipy, which the package does not depend on. They take the tap covariance T
 as a plain (M, M) symmetric PSD matrix, so every check also runs against a
 T that is not diagonal, although the package only builds T = diag(t).
-`read_result_csv` parses the CSV that `uwbbounds run` writes.
+`overlap_log_samples` draws ln J at any placement of the codeword
+difference, `genie_information` is the exact genie bound of one fixed
+channel, and `read_result_csv` parses the CSV that `uwbbounds run` writes.
 """
 
 from __future__ import annotations
@@ -307,6 +309,39 @@ def oracle_J(V, W, h1, A, T, sigma_W2: float,
         rng = np.random.default_rng(0)
     log_j, se = _oracle_mc(dv, dw, outer, inner_samples, rng)
     return OracleEstimate(log_j, se, "mc", outer)
+
+
+# ---------------------------------------------------------------------------
+# placement samples and the exact genie information
+
+
+def overlap_log_samples(cfg, h1, diff, budget, rng):
+    """ln J samples with the transmitter codewords differing on an arbitrary
+    symbol set; interferer rows drawn iid as in the stratum estimator."""
+    n_intf = cfg.num_nodes - 1
+    amps = cfg.amplitudes()
+    eta2 = cfg.duty_cycles[1]
+    rows = amps[1] * (rng.random((budget, 2 * n_intf, cfg.codeword_len)) < eta2)
+    # the placed symbols move first, so the difference is a column prefix
+    rows = rows[..., np.argsort(diff == 0.0, kind="stable")]
+    x = amps[0] * np.asarray(h1)[:, None]
+    return log_gauss_lowrank(x, 2.0 * cfg.noise_var_w, rows,
+                             cfg.tap_covariance()[None])[..., np.count_nonzero(diff)]
+
+
+def genie_information(eta: float, snr: float, order: int = 200) -> float:
+    """I(u; u snr + n) in bits for u ~ Bernoulli(eta) and n ~ N(0, 1), by
+    Gauss-Hermite quadrature over n. With h_1 fixed and the interferer
+    symbols revealed, the white link projects onto h_1, so this is the exact
+    C_u at snr = A_1 |h_1| / sigma."""
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    n = np.sqrt(2.0) * nodes
+    log_eta, log_off = np.log(eta), np.log1p(-eta)
+    # -log2 sum_v P(v) p(y|v) / p(y|u), for u = 1 and u = 0
+    on = -np.logaddexp(log_eta, log_off - snr * n - 0.5 * snr * snr)
+    off = -np.logaddexp(log_off, log_eta + snr * n - 0.5 * snr * snr)
+    mean = weights @ (eta * on + (1.0 - eta) * off) / np.sqrt(np.pi)
+    return float(mean / np.log(2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,10 @@ import numpy as np
 
 from uwbbounds.bounds import (draw_h1, error_probability_bound, log_distance_probs,
                               lower_bound, upper_bound)
-from uwbbounds.gaussian import log_gauss_lowrank
 from uwbbounds.mc import Z95, LogAccumulator
 from uwbbounds.model import ScenarioConfig
 
-from reference import oracle_J, overlap_J
+from reference import oracle_J, overlap_J, overlap_log_samples
 
 DESK = dict(codeword_len=40, taps=3)
 
@@ -143,24 +142,12 @@ def test_criterion_3_distance_distribution_enumeration():
 # ---------------------------------------------------------------- criterion 4
 
 
-def overlap_log_samples(cfg, h1, diff, budget, rng):
-    n_intf = cfg.num_nodes - 1
-    amps = cfg.amplitudes()
-    eta2 = cfg.duty_cycles[1]
-    rows = amps[1] * (rng.random((budget, 2 * n_intf, cfg.codeword_len)) < eta2)
-    # the placed symbols move first, so the difference is a column prefix
-    rows = rows[..., np.argsort(diff == 0.0, kind="stable")]
-    x = amps[0] * np.asarray(h1)[:, None]
-    return log_gauss_lowrank(x, 2.0 * cfg.noise_var_w, rows,
-                             cfg.tap_covariance()[None])[..., np.count_nonzero(diff)]
-
-
 def test_criterion_4_proposition_1():
     cfg = desk_config()
     details = []
     ok = True
 
-    h_a, h_b = (draw_h1(dataclasses.replace(cfg, rng_seed=s)) for s in (101, 202))
+    h_a, h_b = (draw_h1(dataclasses.replace(cfg, seed=s)) for s in (101, 202))
     assert not np.array_equal(h_a, h_b)
     prof_a = lower_bound(cfg, h1=h_a, seed=101).profile
     prof_b = lower_bound(cfg, h1=h_b, seed=202).profile
@@ -200,7 +187,7 @@ def test_criterion_5_bound_ordering():
         dist = float(np.exp(rng.uniform(np.log(1.0), np.log(100.0))))
         eta2 = float(rng.uniform(0.1, 0.5))
         cfg = desk_config(link_distance_m=link, interferer_distances_m=(dist,),
-                          duty_cycles=(0.5, eta2), rng_seed=i)
+                          duty_cycles=(0.5, eta2), seed=i)
         h1 = draw_h1(cfg)
         lo = lower_bound(cfg, h1=h1)
         up = upper_bound(cfg, h1=h1)
@@ -224,7 +211,7 @@ def test_criterion_5_bound_ordering():
 def test_criterion_6_gaussian_interference_coincidence():
     details, ok = [], True
     for link in (7.0, 8.0):
-        base = desk_config(link_distance_m=link, rng_seed=2)
+        base = desk_config(link_distance_m=link, seed=2)
         d_equiv = 3.0
         # received power P_tx b d^-alpha of a node at d_equiv, spread over the taps
         extra = base.tx_power_w * base.pathloss_b * d_equiv ** (-base.pathloss_alpha) \

@@ -5,7 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 from scipy.special import gammaln, logsumexp
 
 import uwbbounds.bounds
@@ -15,11 +15,13 @@ from uwbbounds.gaussian import log_gauss_lowrank
 from uwbbounds.mc import LogAccumulator, substream
 from uwbbounds.model import InvalidParameterError, ScenarioConfig, sample_channel
 
+from reference import genie_information, overlap_log_samples
+
 
 def small_config(**overrides):
     base = dict(codeword_len=10, taps=3, duty_cycles=(0.5, 0.5),
                 interferer_distances_m=(4.0,), samples_theta=300,
-                samples_pd=300, samples_upper=4000, rng_seed=9)
+                samples_pd=300, samples_upper=4000, seed=9)
     base.update(overrides)
     return ScenarioConfig(**base)
 
@@ -31,7 +33,7 @@ def single_pulse_config(eta=0.5, sigma2=0.8, power=2.0):
         tx_power_w=power, pathloss_b=1.0, pathloss_alpha=1.0,
         link_distance_m=1.0, interferer_distances_m=(), noise_var_w=sigma2,
         captured_energy_fraction=1.0, total_path_count=1,
-        samples_theta=16, samples_pd=16, samples_upper=64, rng_seed=0)
+        samples_theta=16, samples_pd=16, samples_upper=64, seed=0)
 
 
 def same_estimate(a, b):
@@ -213,20 +215,6 @@ def test_pd_at_most_theta():
         assert log_pd <= log_theta + 3.0 * np.hypot(se_pd, se_theta)
 
 
-def overlap_log_samples(cfg, h1, diff, budget, rng):
-    """ln J samples with the transmitter codewords differing on an arbitrary
-    symbol set; interferer rows drawn iid as in the stratum estimator."""
-    n_intf = cfg.num_nodes - 1
-    amps = cfg.amplitudes()
-    eta2 = cfg.duty_cycles[1]
-    rows = amps[1] * (rng.random((budget, 2 * n_intf, cfg.codeword_len)) < eta2)
-    # the placed symbols move first, so the difference is a column prefix
-    rows = rows[..., np.argsort(diff == 0.0, kind="stable")]
-    x = amps[0] * np.asarray(h1)[:, None]
-    return log_gauss_lowrank(x, 2.0 * cfg.noise_var_w, rows,
-                             cfg.tap_covariance()[None])[..., np.count_nonzero(diff)]
-
-
 def test_pd_depends_only_on_distance_not_placement():
     # averaging over interferer codewords leaves only the Hamming distance
     cfg = small_config(codeword_len=12, interferer_distances_m=(2.0,),
@@ -255,7 +243,7 @@ def test_pd_depends_only_on_distance_not_placement():
 
 def test_far_interferer_matches_interferer_free():
     cfg = small_config(codeword_len=40, samples_theta=600, samples_pd=600,
-                       interferer_distances_m=(1000.0,), rng_seed=5)
+                       interferer_distances_m=(1000.0,), seed=5)
     h1 = draw_h1(cfg)
     far = lower_bound(cfg, h1=h1)
     alone = lower_bound(dataclasses.replace(cfg, num_nodes=1, duty_cycles=(0.5,),
@@ -277,7 +265,7 @@ def test_default_h1_is_the_seeded_draw():
     cfg = small_config()
     assert same_estimate(lower_bound(cfg), lower_bound(cfg, h1=draw_h1(cfg)))
     assert draw_h1(cfg).shape == (cfg.taps,)
-    assert not np.array_equal(draw_h1(cfg), draw_h1(dataclasses.replace(cfg, rng_seed=1)))
+    assert not np.array_equal(draw_h1(cfg), draw_h1(dataclasses.replace(cfg, seed=1)))
     # seed= keys only the sampling streams: the fixed h1 stays the scenario's
     assert same_estimate(lower_bound(cfg, seed=4), lower_bound(cfg, h1=draw_h1(cfg), seed=4))
 
@@ -285,7 +273,7 @@ def test_default_h1_is_the_seeded_draw():
 @pytest.mark.parametrize("estimator", [lower_bound, upper_bound])
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "3", np.float64(2.0)])
 def test_bad_seed_is_a_named_error(estimator, seed):
-    # the rule of ScenarioConfig.rng_seed: an int, not a bool, in [0, 2^64)
+    # the rule of ScenarioConfig.seed: an int, not a bool, in [0, 2^64)
     with pytest.raises(InvalidParameterError, match="seed"):
         estimator(small_config(), seed=seed)
 
@@ -293,10 +281,10 @@ def test_bad_seed_is_a_named_error(estimator, seed):
 def test_channel_draws_are_pinned():
     # the fixed draw and one averaged-mode upper block, byte for byte: how
     # sample_channel maps the seeded normals to taps fixes every seeded rate
-    assert draw_h1(ScenarioConfig(rng_seed=3)).tolist() == [
+    assert draw_h1(ScenarioConfig(seed=3)).tolist() == [
         0.21121163778865962, -0.017396916550183897, -0.1566288438030948,
         0.07174663954732415, -0.4892389838071768]
-    cfg = ScenarioConfig(taps=3, h1_mode="averaged", rng_seed=3)
+    cfg = ScenarioConfig(taps=3, h1_mode="averaged", seed=3)
     block = sample_channel(cfg.tap_covariance(), substream(3, UPPER_INFO, index=0), 2)
     assert block.tolist() == [
         [0.09048480023818395, 0.15894533821932333, -0.1285050507367921],
@@ -305,9 +293,9 @@ def test_channel_draws_are_pinned():
 
 def test_seed_accepts_the_u64_range():
     cfg = small_config()
-    assert np.array_equal(draw_h1(dataclasses.replace(cfg, rng_seed=np.uint64(5))),
-                          draw_h1(dataclasses.replace(cfg, rng_seed=5)))
-    assert draw_h1(dataclasses.replace(cfg, rng_seed=2**64 - 1)).shape == (cfg.taps,)
+    assert np.array_equal(draw_h1(dataclasses.replace(cfg, seed=np.uint64(5))),
+                          draw_h1(dataclasses.replace(cfg, seed=5)))
+    assert draw_h1(dataclasses.replace(cfg, seed=2**64 - 1)).shape == (cfg.taps,)
     assert upper_bound(cfg, seed=np.uint64(5)) == upper_bound(cfg, seed=5)
     assert upper_bound(cfg, seed=2**64 - 1).samples_used == cfg.samples_upper
 
@@ -417,7 +405,7 @@ def test_averaged_lower_bound_ci_covers_high_budget_rate():
 def test_bounds_ordered_when_noise_dominates():
     cfg = small_config(codeword_len=40, link_distance_m=8.0,
                        interferer_distances_m=(1.0,), samples_theta=600,
-                       samples_pd=600, samples_upper=20000, rng_seed=5)
+                       samples_pd=600, samples_upper=20000, seed=5)
     h1 = draw_h1(cfg)
     lo = lower_bound(cfg, h1=h1)
     up = upper_bound(cfg, h1=h1)
@@ -483,3 +471,34 @@ def test_upper_bound_vanishes_without_signal():
     cfg = dataclasses.replace(cfg, samples_upper=2000)
     est = upper_bound(cfg, h1=np.array([1.0]))
     assert est.rate <= 1e-8
+
+
+@pytest.mark.parametrize("eta", [0.05, 0.2, 0.5, 0.8])
+def test_genie_information_matches_adaptive_quadrature(eta):
+    log_eta, log_off = np.log(eta), np.log1p(-eta)
+    for snr in np.geomspace(1e-3, 60.0, 9):
+        def on(n):      # u = 1: the score turns at n = -snr/2
+            return (-np.logaddexp(log_eta, log_off - snr * n - 0.5 * snr * snr)
+                    * stats.norm.pdf(n))
+
+        def off(n):     # u = 0: the score turns at n = +snr/2
+            return (-np.logaddexp(log_off, log_eta + snr * n - 0.5 * snr * snr)
+                    * stats.norm.pdf(n))
+
+        total = sum(prob * integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+                    for prob, f, turn in ((eta, on, -snr / 2), (1.0 - eta, off, snr / 2))
+                    for lo, hi in ((-np.inf, turn), (turn, np.inf)))
+        assert genie_information(eta, snr) == pytest.approx(total / np.log(2.0), abs=1e-8)
+
+
+@pytest.mark.parametrize("eta", [0.2, 0.5])
+@pytest.mark.parametrize("snr", [0.5, 2.0, 4.0])
+def test_upper_bound_ci_covers_exact_genie_information(eta, snr):
+    # single tap, no interferer: C_u is the on-off information at
+    # snr = A_1 |h_1| / sigma, and the 95% CI should cover it about 95% of the time
+    cfg = dataclasses.replace(single_pulse_config(eta=eta), samples_upper=4000)
+    h1 = np.array([snr * np.sqrt(cfg.noise_var_w) / cfg.amplitudes()[0]])
+    exact = genie_information(eta, snr)
+    covered = [abs(est.rate - exact) <= est.ci_halfwidth
+               for est in (upper_bound(cfg, h1=h1, seed=s) for s in range(40))]
+    assert np.mean(covered) >= 0.85

@@ -47,21 +47,13 @@ def test_effective_config_round_trips(tmp_path):
     assert again == spec
 
 
-def test_preset_fills_defaults_under_explicit_keys():
-    desk = spec_from_mapping({}, preset="desk")
-    assert (desk.base.codeword_len, desk.base.taps) == (40, 3)
-    paper = spec_from_mapping({}, preset="paper")
-    assert (paper.base.codeword_len, paper.base.taps) == (80, 5)
-    overridden = spec_from_mapping({"taps": 4}, preset="desk")
-    assert (overridden.base.codeword_len, overridden.base.taps) == (40, 4)
-
-
 def test_config_errors_name_the_offending_key(tmp_path):
     cases = [
         ({"definitely_not_a_key": 1}, "unknown-key", "definitely_not_a_key"),
         ({"codeword_len": "many"}, "bad-type", "codeword_len"),
         ({"codeword_len": True}, "bad-type", "codeword_len"),
         ({"seed": 1.5}, "bad-type", "seed"),
+        ({"seed": -1}, "bad-value", "seed"),
         ({"duty_cycles": [1.5, 0.5]}, "bad-value", "duty_cycles"),
         ({"bounds": "sideways"}, "bad-value", "bounds"),
         ({"sweep": {"volume": [1]}}, "unknown-key", "volume"),
@@ -82,6 +74,8 @@ def test_config_errors_name_the_offending_key(tmp_path):
             load_config(write_config(tmp_path, payload))
         assert excinfo.value.code == code
         assert key in str(excinfo.value)
+        # a scenario key is named as the config spells it
+        assert "rng_seed" not in str(excinfo.value)
 
 
 @pytest.mark.parametrize("payload, key", [
@@ -471,12 +465,14 @@ def test_averaged_rows_stay_finite_at_extreme_snr(tmp_path):
     assert all(np.isfinite([row.rate_bits_per_symbol, row.ci_halfwidth]).all() for row in rows)
 
 
-def test_main_seed_override_changes_results(tmp_path):
-    cfg = write_config(tmp_path, {**TINY, "bounds": "lower"})
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["run", "--config", cfg, "--out", str(a)]) == 0
-    assert main(["run", "--config", cfg, "--out", str(b), "--seed", "99"]) == 0
-    assert a.read_bytes() != b.read_bytes()
+def test_config_seed_changes_results(tmp_path):
+    # the config's "seed" is the one way to set a run's seed
+    outs = []
+    for seed in (11, 99):
+        cfg = write_config(tmp_path, {**TINY, "bounds": "lower", "seed": seed})
+        outs.append(tmp_path / f"r{seed}.csv")
+        assert main(["run", "--config", cfg, "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() != outs[1].read_bytes()
 
 
 def test_main_exit_codes(tmp_path, monkeypatch):

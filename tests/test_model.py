@@ -154,7 +154,7 @@ class TestScenarioConfig:
             ScenarioConfig(interferer_distances_m=())
 
     @pytest.mark.parametrize("name, value", [
-        ("rng_seed", 1.5), ("rng_seed", True), ("num_nodes", True),
+        ("seed", 1.5), ("seed", True), ("num_nodes", True),
         ("codeword_len", 40.0), ("taps", np.float64(3.0)), ("total_path_count", 68.0),
         ("samples_theta", 100.0), ("samples_pd", 1e3), ("samples_upper", np.bool_(True)),
     ])
@@ -208,9 +208,9 @@ class TestScenarioConfig:
         assert cfg.duty_cycles == (0.25, 0.5) and cfg.interferer_distances_m == (4.0,)
 
     def test_integer_fields_accept_numpy_integers(self):
-        cfg = ScenarioConfig(codeword_len=np.int32(40), rng_seed=np.uint64(7))
-        assert cfg.codeword_len == 40 and cfg.rng_seed == 7
-        assert type(cfg.codeword_len) is int and type(cfg.rng_seed) is int
+        cfg = ScenarioConfig(codeword_len=np.int32(40), seed=np.uint64(7))
+        assert cfg.codeword_len == 40 and cfg.seed == 7
+        assert type(cfg.codeword_len) is int and type(cfg.seed) is int
 
     def test_single_node(self):
         cfg = ScenarioConfig(num_nodes=1, duty_cycles=(0.5,), interferer_distances_m=())
