@@ -9,20 +9,15 @@ from a single seed.
 """
 
 from .bounds import (BoundEstimate, ErrorProbabilityBound, LowerBoundProfile,
-                     draw_h1, error_probability_bound, log_distance_probs,
-                     lower_bound, upper_bound)
+                     draw_h1, error_probability_bound, lower_bound, upper_bound)
 from .config import ConfigError, SweepSpec, effective_config, load_config, spec_from_mapping
-from .mc import LogAccumulator, normal_qq_corr, substream
-from .model import (H1_MODES, InvalidParameterError, ScenarioConfig, sample_channel,
-                    sample_symbols)
+from .model import H1_MODES, InvalidParameterError, InvalidTypeError, ScenarioConfig
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundEstimate", "ConfigError", "ErrorProbabilityBound", "H1_MODES",
-    "InvalidParameterError", "LogAccumulator", "LowerBoundProfile",
-    "ScenarioConfig", "SweepSpec", "draw_h1", "effective_config",
-    "error_probability_bound", "load_config", "log_distance_probs", "lower_bound",
-    "normal_qq_corr", "sample_channel", "sample_symbols", "spec_from_mapping",
-    "substream", "upper_bound", "__version__",
+    "InvalidParameterError", "InvalidTypeError", "LowerBoundProfile", "ScenarioConfig",
+    "SweepSpec", "draw_h1", "effective_config", "error_probability_bound", "load_config",
+    "lower_bound", "spec_from_mapping", "upper_bound", "__version__",
 ]

@@ -35,7 +35,8 @@ import numpy as np
 from .gaussian import log_gauss_lowrank, log_gauss_lowrank_marginal
 from .mc import (Z95, LogAccumulator, log_sums, logsumexp, normal_qq_corr, substream,
                  t_quantile_975)
-from .model import InvalidParameterError, ScenarioConfig, sample_channel, sample_symbols
+from .model import (InvalidParameterError, InvalidTypeError, ScenarioConfig, sample_channel,
+                    sample_symbols)
 
 # estimator ids of the substream key space
 H1_DRAW = 1
@@ -57,10 +58,6 @@ def log_distance_probs(N: int, eta1: float) -> np.ndarray:
     """ln P(d), d = 0..N, for the Hamming distance between two iid
     Bernoulli(eta1) codewords:
     P(d) = C(N,d) (2 eta (1-eta))^d (eta^2 + (1-eta)^2)^{N-d}."""
-    if N < 1:
-        raise InvalidParameterError(f"N must be >= 1, got {N}")
-    if not 0.0 < eta1 < 1.0:
-        raise InvalidParameterError(f"eta1 must be in (0, 1), got {eta1}")
     d = np.arange(N + 1)
     flip = 2.0 * eta1 * (1.0 - eta1)      # per-symbol disagreement probability
     log_fact = np.array([math.lgamma(k + 1) for k in range(N + 1)])    # ln k!
@@ -80,10 +77,11 @@ def draw_h1(cfg: ScenarioConfig) -> np.ndarray:
 
 def _resolve_h1(cfg: ScenarioConfig, h1):
     if h1 is not None:
-        try:
-            h1 = np.asarray(h1, dtype=float)
-        except (TypeError, ValueError):
-            raise InvalidParameterError(f"h1 must be numeric, got {h1!r}") from None
+        # entry by entry: numpy would read "0.5" or True as a tap
+        if not all(np.ndim(x) == 0 and np.asarray(x).dtype.kind in "iuf"
+                   for x in np.asarray(h1, dtype=object).ravel()):
+            raise InvalidTypeError(f"h1 must hold real numbers, got {h1!r}")
+        h1 = np.asarray(h1, dtype=float)
         if h1.shape != (cfg.taps,) or not np.all(np.isfinite(h1)):
             raise InvalidParameterError(
                 f"h1 must hold {cfg.taps} finite taps, got shape {h1.shape} with "
@@ -166,12 +164,10 @@ def lower_bound(scenario: ScenarioConfig, h1=None, seed=None) -> BoundEstimate:
     # least P(0); rounding in the two log-means can put it a few ulps below
     log_sum = max(acc_t.log_mean - acc_d.log_mean, float(log_probs[0]))
     se_log_sum = float(np.sqrt(terms.var(ddof=1) / total))
-    strata = [LogAccumulator(total, a, b) for a, b in zip(col_sum, col_sumsq)]
+    strata = LogAccumulator(total, col_sum, col_sumsq)
     profile = LowerBoundProfile(
-        log_pd=np.array([acc.log_mean for acc in strata]),
-        se_log_pd=np.array([acc.se_log_mean for acc in strata]),
-        log_distance_probs=log_probs, log_sum=log_sum, se_log_sum=se_log_sum,
-        qq_ratio=normal_qq_corr(terms))
+        log_pd=strata.log_mean, se_log_pd=strata.se_log_mean, log_distance_probs=log_probs,
+        log_sum=log_sum, se_log_sum=se_log_sum, qq_ratio=normal_qq_corr(terms))
     return BoundEstimate(rate=max(0.0, -log_sum / (n_sym * LN2)),
                          ci_halfwidth=Z95 * se_log_sum / (n_sym * LN2),
                          samples_used=total, kind="lower", profile=profile)

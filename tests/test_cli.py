@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import uwbbounds
 import uwbbounds.cli as cli
 from uwbbounds.bounds import BoundEstimate, lower_bound, upper_bound
 from uwbbounds.cli import CSV_COLUMNS, EstimatorFailure, figure_ratios, main, run_sweep
@@ -21,6 +23,7 @@ from reference import read_result_csv
 
 TINY = {"codeword_len": 8, "taps": 2, "samples_theta": 80, "samples_pd": 80,
         "samples_upper": 400, "seed": 11}
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def tiny_spec(**extra):
@@ -386,6 +389,29 @@ def test_module_entry_point_runs_without_warnings(tmp_path):
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "uwbbounds.cli",
          "validate", "--config", cfg],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_all_is_the_documented_api():
+    api = {"BoundEstimate", "ConfigError", "ErrorProbabilityBound", "H1_MODES",
+           "InvalidParameterError", "InvalidTypeError", "LowerBoundProfile", "ScenarioConfig",
+           "SweepSpec", "draw_h1", "effective_config", "error_probability_bound",
+           "load_config", "lower_bound", "spec_from_mapping", "upper_bound", "__version__"}
+    assert len(uwbbounds.__all__) == len(api) and set(uwbbounds.__all__) == api
+    for name in api:
+        getattr(uwbbounds, name)
+    library = README.read_text().split("\nLibrary use", 1)[1].split("\n## ", 1)[0]
+    assert [name for name in sorted(api) if f"`{name}`" not in library] == []
+
+
+def test_readme_library_block_runs(tmp_path):
+    # a fresh interpreter runs the README's python block as written
+    block = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", block],
+                          cwd=tmp_path, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
 
 

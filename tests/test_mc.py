@@ -127,18 +127,19 @@ class TestLogAccumulator:
     def test_small_known_values(self):
         acc = LogAccumulator.from_log_values(np.log([1.0, 2.0, 3.0]))
         assert np.exp(acc.log_mean) == pytest.approx(2.0, rel=1e-14)
-        assert np.exp(acc.log_variance) == pytest.approx(1.0, rel=1e-12)
+        # sd 1 over sqrt(3) times the mean 2
+        assert acc.se_log_mean == pytest.approx(1.0 / (2.0 * np.sqrt(3.0)), rel=1e-12)
 
     def test_shifted_values(self):
         # same data scaled by e^-5000: log stats shift, relative spread fixed
         acc = LogAccumulator.from_log_values(np.log([1.0, 2.0, 3.0]) - 5000.0)
         assert acc.log_mean == pytest.approx(np.log(2.0) - 5000.0, rel=1e-12)
-        assert acc.log_variance == pytest.approx(np.log(1.0) - 10000.0, abs=1e-9)
+        assert acc.se_log_mean == pytest.approx(1.0 / (2.0 * np.sqrt(3.0)), rel=1e-9)
 
     def test_zero_variance(self):
         acc = LogAccumulator.from_log_values(np.full(10, -321.5))
         assert acc.log_mean == pytest.approx(-321.5)
-        assert acc.log_variance == -np.inf
+        # the excess of n sum x^2 over (sum x)^2 is rounding only
         assert acc.se_log_mean == 0.0
 
     def test_rejects_nonfinite(self):
@@ -169,6 +170,26 @@ class TestLogAccumulator:
         assert np.logaddexp(head.log_sum, tail.log_sum) == pytest.approx(whole.log_sum, rel=1e-13)
         assert np.logaddexp(head.log_sumsq, tail.log_sumsq) == pytest.approx(
             whole.log_sumsq, rel=1e-13)
+
+    def test_se_needs_two_samples(self):
+        acc = LogAccumulator.from_log_values(np.array([-12.0]))
+        assert acc.log_mean == -12.0
+        with pytest.raises(ValueError, match="count >= 2"):
+            acc.se_log_mean
+
+    def test_column_sums_match_scalar_accumulators(self):
+        # per-column sums in one accumulator, as the lower bound keeps its strata
+        rng = np.random.default_rng(6)
+        v = rng.normal(size=(400, 7)) * 40.0 - 2000.0
+        v[:, 3] = 0.0           # a constant column, summed exactly: standard error 0
+        log_sum, log_sumsq = log_sums(v, axis=0)
+        columns = LogAccumulator(v.shape[0], log_sum, log_sumsq)
+        scalars = [LogAccumulator.from_log_values(col) for col in v.T]
+        np.testing.assert_allclose(columns.log_mean, [acc.log_mean for acc in scalars],
+                                   rtol=1e-14)
+        np.testing.assert_allclose(columns.se_log_mean, [acc.se_log_mean for acc in scalars],
+                                   rtol=1e-12)
+        assert columns.se_log_mean[3] == 0.0
 
     def test_se_matches_direct(self):
         rng = np.random.default_rng(5)

