@@ -1,18 +1,20 @@
 """Achievable-rate bounds for the on-off channel with impulsive interference.
 
-Lower bound (random coding + threshold decoding): a codebook of rate C_R
-survives the union + Markov bound when 2^{C_R N} sum_d P(d) p(d) / theta < 1,
-giving
+Lower bound (random coding + threshold decoding), as the paper states it: a
+codebook of rate C_R survives the union + Markov bound when
+2^{C_R N} sum_d P(d) p(d) / theta < 1, giving
 
     C_l = -(1/N) log2( sum_{d=0}^N P(||v-w|| = d) p(d) / theta ),
 
 with theta = p(0) the self-overlap of the marginalized output law and p(d)
 the expected overlap between codewords at Hamming distance d, averaged over
-interferer codewords. `lower_bound` estimates every one of these in one pass,
-with one rank-1 kernel call per block of draws for all d at once: its
-profile carries ln p(d) for d = 0..N (ln theta is the d = 0 entry), ln P(d)
-and the log of the sum, and `error_probability_bound` reads the error bound
-at any rate off that profile without drawing again. With h1_mode "averaged"
+interferer codewords. N C_l is thus H_2(Y) - H~_2(Y|V), order-2 Renyi
+entropies, which can exceed I(V;Y) (README, Testing). `lower_bound`
+estimates every one of these in one pass, with one rank-1 kernel call per
+block of draws for all d at once: its profile carries ln p(d) for
+d = 0..N (ln theta is the d = 0 entry), ln P(d) and the log of the sum.
+With h1_mode "fixed-draw" both bounds condition on one channel: the
+scenario's h1, or `draw_h1` of its seed when h1 is unset. With "averaged"
 the lower bound draws no channel: each draw's overlaps are averaged over
 h_1 ~ N(0, T) in closed form, so only the interferer symbols are sampled.
 Upper bound (genie): mutual information of the single on-off symbol through
@@ -21,7 +23,7 @@ no interferer parameter; in averaged mode it samples h_1 per draw.
 
 Both estimators draw their samples in blocks of BLOCK; block b draws from the
 counter-based substream keyed by (seed, estimator, b), in a fixed order
-inside the block; the fixed h_1 is keyed by the scenario's seed alone.
+inside the block; a drawn h_1 is keyed by the scenario's seed alone.
 Results are therefore a pure function of (scenario, seed).
 """
 
@@ -35,8 +37,7 @@ import numpy as np
 from .gaussian import log_gauss_lowrank, log_gauss_lowrank_marginal
 from .mc import (Z95, LogAccumulator, log_sums, logsumexp, normal_qq_corr, substream,
                  t_quantile_975)
-from .model import (InvalidParameterError, InvalidTypeError, ScenarioConfig, sample_channel,
-                    sample_symbols)
+from .model import ScenarioConfig, sample_channel, sample_symbols
 
 # estimator ids of the substream key space
 H1_DRAW = 1
@@ -75,21 +76,10 @@ def draw_h1(cfg: ScenarioConfig) -> np.ndarray:
     return sample_channel(cfg.tap_covariance(), substream(cfg.seed, H1_DRAW))
 
 
-def _resolve_h1(cfg: ScenarioConfig, h1):
-    if h1 is not None:
-        # entry by entry: numpy would read "0.5" or True as a tap
-        if not all(np.ndim(x) == 0 and np.asarray(x).dtype.kind in "iuf"
-                   for x in np.asarray(h1, dtype=object).ravel()):
-            raise InvalidTypeError(f"h1 must hold real numbers, got {h1!r}")
-        h1 = np.asarray(h1, dtype=float)
-        if h1.shape != (cfg.taps,) or not np.all(np.isfinite(h1)):
-            raise InvalidParameterError(
-                f"h1 must hold {cfg.taps} finite taps, got shape {h1.shape} with "
-                f"{np.count_nonzero(~np.isfinite(h1))} non-finite entries")
-        return h1
-    if cfg.h1_mode == "fixed-draw":
-        return draw_h1(cfg)
-    return None     # averaged: lower_bound integrates h1 out, upper_bound draws it
+def _resolve_h1(cfg: ScenarioConfig):
+    if cfg.h1 is not None:
+        return np.array(cfg.h1)
+    return draw_h1(cfg) if cfg.h1_mode == "fixed-draw" else None
 
 
 @dataclass(frozen=True)
@@ -116,22 +106,22 @@ class BoundEstimate:
     profile: LowerBoundProfile | None = None
 
 
-def lower_bound(scenario: ScenarioConfig, h1=None, seed=None) -> BoundEstimate:
+def lower_bound(scenario: ScenarioConfig, seed=None) -> BoundEstimate:
     """C_l with a delta-method 95% CI on the ratio estimate of its sum.
 
     Every sample draws the I-1 interferer rows of the first codeword and
     those of the second, and gives ln J_d for all d = 0..N, so the strata
     share samples_theta + N samples_pd draws: the kernel gets the difference
     column A_1 h, and the mean difference of stratum d is its prefix
-    A_1 h 1_d^T, codewords that differ in the first d symbols. With no h1 in
-    averaged mode, J_d is replaced by its exact expectation over
+    A_1 h 1_d^T, codewords that differ in the first d symbols. In averaged
+    mode, J_d is replaced by its exact expectation over
     h ~ N(0, T), which leaves J_0 unchanged. With T = ln sum_d P(d) J_d and
     D = ln J_0 per sample, the sum
     is mean(e^T) / mean(e^D), and the variance of its log is var(a - b) / S
     for a, b the samples scaled to unit mean.
     """
     seed = _resolve_seed(scenario, seed)
-    h1 = _resolve_h1(scenario, h1)
+    h1 = _resolve_h1(scenario)
     n_sym = scenario.codeword_len
     log_probs = log_distance_probs(n_sym, scenario.duty_cycles[0])
     amplitudes = scenario.amplitudes()
@@ -173,7 +163,7 @@ def lower_bound(scenario: ScenarioConfig, h1=None, seed=None) -> BoundEstimate:
                          samples_used=total, kind="lower", profile=profile)
 
 
-def upper_bound(scenario: ScenarioConfig, h1=None, seed=None) -> BoundEstimate:
+def upper_bound(scenario: ScenarioConfig, seed=None) -> BoundEstimate:
     """Genie-aided mutual information I(u_1; R | h_1, interferer symbols).
 
     Reads no interferer parameter at all: with the interference revealed and
@@ -184,7 +174,7 @@ def upper_bound(scenario: ScenarioConfig, h1=None, seed=None) -> BoundEstimate:
     the flipped symbol needs evaluating.
     """
     seed = _resolve_seed(scenario, seed)
-    h1 = _resolve_h1(scenario, h1)
+    h1 = _resolve_h1(scenario)
     eta = scenario.duty_cycles[0]
     s2 = scenario.noise_var_w
     a1 = scenario.amplitudes()[0]
@@ -205,27 +195,3 @@ def upper_bound(scenario: ScenarioConfig, h1=None, seed=None) -> BoundEstimate:
     return BoundEstimate(rate=max(0.0, float(samples.mean())), ci_halfwidth=halfwidth,
                          samples_used=n, kind="upper")
 
-
-@dataclass(frozen=True)
-class ErrorProbabilityBound:
-    """Union + Markov bound on the decoding error probability at rate C_R."""
-
-    log2_bound: float           # may be far below the floating-point floor
-    probability: float          # min(1, 2^log2_bound)
-    ci_halfwidth_log2: float
-
-
-def error_probability_bound(estimate: BoundEstimate,
-                            code_rate: float) -> ErrorProbabilityBound:
-    """P(err) <= 2^{C_R N} sum_d P(d) p(d) / theta at block length N, read off
-    a lower-bound estimate's profile; draws nothing."""
-    profile = estimate.profile
-    if profile is None:
-        raise InvalidParameterError(
-            f"the error bound needs a lower-bound estimate, got kind {estimate.kind!r}")
-    if not code_rate >= 0.0:
-        raise InvalidParameterError(f"code_rate must be >= 0, got {code_rate}")
-    log2_bound = code_rate * (profile.log_pd.size - 1) + profile.log_sum / LN2
-    return ErrorProbabilityBound(log2_bound=float(log2_bound),
-                                 probability=float(np.exp2(min(0.0, log2_bound))),
-                                 ci_halfwidth_log2=Z95 * profile.se_log_sum / LN2)

@@ -7,7 +7,9 @@ selects which estimators run. This module checks only the JSON shape and
 owns the sweep (`_apply_point`, `sweep_points`); ScenarioConfig checks every
 value, a sweep value by being applied to the base scenario. Every loaded
 config materializes all defaults, so the effective config written next to a
-result file reloads to the identical sweep.
+result file reloads to the identical sweep. In fixed-draw mode that includes
+the channel "h1": a config that leaves it out gets `draw_h1` of its seed,
+and every sweep point inherits it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
+from .bounds import draw_h1
 from .model import InvalidParameterError, InvalidTypeError, ScenarioConfig
 
 # the scenario keys: ScenarioConfig's field names, in field order
@@ -94,6 +97,8 @@ def spec_from_mapping(data: dict) -> SweepSpec:
             raise ConfigError("unknown-key", f"unknown config key {key!r}")
     kwargs = {key: data[key] for key in _FIELDS if key in data}
     base = _scenario(lambda: ScenarioConfig(**kwargs))
+    if base.h1_mode == "fixed-draw" and base.h1 is None:
+        base = replace(base, h1=tuple(draw_h1(base)))
 
     bounds = data.get("bounds", "both")
     if not isinstance(bounds, str):

@@ -97,12 +97,14 @@ class LogAccumulator:
     def se_log_mean(self) -> float | np.ndarray:
         """Standard error of log(mean), delta method: sd(x)/(sqrt(n)*mean),
         which is sqrt(expm1(excess) / (n - 1)) for the log excess
-        ln(n sum x^2 / (sum x)^2) >= 0; an excess <= 1e-14 is taken for
-        rounding and gives 0."""
+        ln(n sum x^2 / (sum x)^2) >= 0; an excess within 4 ulps of the terms
+        it is computed from is taken for rounding and gives 0."""
         if self.count < 2:
             raise ValueError("the standard error needs count >= 2")
-        excess = self.log_sumsq - 2.0 * self.log_sum + math.log(self.count)
-        return np.sqrt(np.expm1(np.where(excess > 1e-14, excess, 0.0)) / (self.count - 1))
+        log_n = math.log(self.count)
+        excess = self.log_sumsq - 2.0 * self.log_sum + log_n
+        rounding = 4 * np.finfo(float).eps * (abs(self.log_sumsq) + 2 * abs(self.log_sum) + log_n)
+        return np.sqrt(np.expm1(np.where(excess > rounding, excess, 0.0)) / (self.count - 1))
 
 
 def t_quantile_975(df: int) -> float:

@@ -9,7 +9,9 @@ once per codeword (the channels stay constant over n), and white receiver
 noise z[n] ~ N(0, sigma_W^2 I_M). The taps are independent: T = diag(t), with
 linearly decaying tap variances t. The receiver knows h_1 only. Node 1 is the
 intended transmitter; nodes 2..I are interferers. Every transmitter runs at
-its amplitude cap A_i = sqrt(P_rcv(l_i) / eta_i).
+its amplitude cap A_i = sqrt(P_rcv(l_i) / eta_i). With h1_mode "fixed-draw"
+h_1 is the scenario's h1 (the config loader fills it in from the seed);
+"averaged" averages over h_1 and leaves h1 unset.
 
 ScenarioConfig owns every scenario rule: its constructor is the one place a
 value's type (InvalidTypeError) and range (InvalidParameterError) are
@@ -78,10 +80,13 @@ class ScenarioConfig:
     samples_upper: int = 100_000
     seed: int = 0
     h1_mode: str = "fixed-draw"
+    h1: tuple[float, ...] | None = None               # intended channel, fixed-draw only
 
     def __post_init__(self):
         for f in fields(self):      # postponed annotations: f.type is a string
             value = getattr(self, f.name)
+            if value is None and f.type.endswith("| None"):
+                continue
             if f.type == "int":
                 if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                     raise InvalidTypeError(f"{f.name} must be an integer, got {value!r}")
@@ -138,6 +143,10 @@ class ScenarioConfig:
         if self.h1_mode not in H1_MODES:
             raise InvalidParameterError(
                 f"h1_mode must be one of {H1_MODES}, got {self.h1_mode!r}")
+        if self.h1 is not None and (len(self.h1) != self.taps or self.h1_mode != "fixed-draw"):
+            raise InvalidParameterError(
+                f"h1 must hold {self.taps} taps in h1_mode 'fixed-draw', got {len(self.h1)} "
+                f"in {self.h1_mode!r}")
 
     def amplitudes(self) -> np.ndarray:
         """Per-node amplitude caps sqrt(P_rcv(l_i) / eta_i), P_rcv(l) = P_tx b l^-alpha:

@@ -9,8 +9,7 @@ from scipy import integrate, stats
 from scipy.special import gammaln, logsumexp
 
 import uwbbounds.bounds
-from uwbbounds.bounds import (UPPER_INFO, draw_h1, error_probability_bound,
-                              log_distance_probs, lower_bound, upper_bound)
+from uwbbounds.bounds import UPPER_INFO, draw_h1, log_distance_probs, lower_bound, upper_bound
 from uwbbounds.gaussian import log_gauss_lowrank
 from uwbbounds.mc import LogAccumulator, substream
 from uwbbounds.model import InvalidParameterError, InvalidTypeError, ScenarioConfig, sample_channel
@@ -106,7 +105,7 @@ def test_single_pulse_estimates_match_closed_form():
     a1 = np.sqrt(power / eta)
     gamma = (a1 * h1[0]) ** 2 / (4.0 * sigma2)
 
-    prof = lower_bound(cfg, h1=h1).profile
+    prof = lower_bound(dataclasses.replace(cfg, h1=tuple(h1))).profile
     log_theta, se_theta = prof.log_pd[0], prof.se_log_pd[0]
     assert log_theta == pytest.approx(-0.5 * np.log(4.0 * np.pi * sigma2), abs=1e-12)
     assert se_theta <= 1e-6
@@ -124,44 +123,12 @@ def test_single_pulse_lower_bound_matches_closed_form():
     p0 = eta ** 2 + (1.0 - eta) ** 2
     likelihood = p0 + (1.0 - p0) * np.exp(-gamma)
 
-    est = lower_bound(cfg, h1=h1)
+    est = lower_bound(dataclasses.replace(cfg, h1=tuple(h1)))
     assert est.kind == "lower"
     assert est.rate == pytest.approx(-np.log2(likelihood), abs=1e-12)
     assert est.ci_halfwidth <= 1e-6
     assert est.profile is not None
     assert est.samples_used == cfg.samples_theta + cfg.samples_pd
-
-
-def test_single_pulse_error_bound_matches_closed_form():
-    cfg = single_pulse_config()
-    h1 = np.array([0.7])
-    lo = lower_bound(cfg, h1=h1)
-    rate = lo.rate
-    for code_rate in (0.0, 0.5 * rate, rate, rate + 0.3):
-        err = error_probability_bound(lo, code_rate)
-        assert err.log2_bound == pytest.approx(code_rate - rate, abs=1e-10)
-        assert err.probability == pytest.approx(min(1.0, 2.0 ** (code_rate - rate)), rel=1e-10)
-    assert err.probability <= 1.0
-    with pytest.raises(InvalidParameterError):
-        error_probability_bound(lo, -0.1)
-    with pytest.raises(InvalidParameterError, match="lower-bound estimate"):
-        error_probability_bound(upper_bound(cfg, h1=h1), 0.1)
-
-
-def test_error_bound_reads_the_estimate_without_drawing(monkeypatch):
-    cfg = small_config()
-    lo = lower_bound(cfg)
-    prof = lo.profile
-
-    def no_draws(*args, **kwargs):
-        raise AssertionError("error_probability_bound drew samples")
-
-    monkeypatch.setattr(uwbbounds.bounds, "substream", no_draws)
-    err = error_probability_bound(lo, 0.5 * lo.rate)
-    assert err.log2_bound == pytest.approx(
-        0.5 * lo.rate * cfg.codeword_len + prof.log_sum / np.log(2.0), abs=1e-12)
-    assert err.ci_halfwidth_log2 == pytest.approx(
-        lo.ci_halfwidth * cfg.codeword_len, rel=1e-12)
 
 
 def test_log_pd_linear_in_d_without_interferers():
@@ -171,7 +138,7 @@ def test_log_pd_linear_in_d_without_interferers():
                               captured_energy_fraction=0.9)
     h1 = np.array([0.8, -0.5])
     slope = (cfg.tx_power_w / cfg.duty_cycles[0]) * float(h1 @ h1) / (4.0 * cfg.noise_var_w)
-    prof = lower_bound(cfg, h1=h1).profile
+    prof = lower_bound(dataclasses.replace(cfg, h1=tuple(h1))).profile
     log_theta = prof.log_pd[0]
     for d in range(cfg.codeword_len + 1):
         log_pd, se = prof.log_pd[d], prof.se_log_pd[d]
@@ -193,14 +160,14 @@ def test_theta_equals_distance_zero_stratum_exactly():
 def test_theta_ignores_h1_exactly():
     # the distance-0 overlap has zero mean difference, so h1 cancels
     cfg = small_config()
-    p_a = lower_bound(cfg, h1=np.array([0.5, -0.2, 0.1])).profile
-    p_b = lower_bound(cfg, h1=np.array([3.0, 1.0, -2.0])).profile
+    p_a = lower_bound(dataclasses.replace(cfg, h1=(0.5, -0.2, 0.1))).profile
+    p_b = lower_bound(dataclasses.replace(cfg, h1=(3.0, 1.0, -2.0))).profile
     assert (p_a.log_pd[0], p_a.se_log_pd[0]) == (p_b.log_pd[0], p_b.se_log_pd[0])
 
 
 def test_pd_at_most_theta():
     cfg = small_config()
-    prof = lower_bound(cfg, h1=draw_h1(cfg)).profile
+    prof = lower_bound(dataclasses.replace(cfg, h1=tuple(draw_h1(cfg)))).profile
     log_theta, se_theta = prof.log_pd[0], prof.se_log_pd[0]
     for d in (1, 3, 7, 10):
         log_pd, se_pd = prof.log_pd[d], prof.se_log_pd[d]
@@ -212,7 +179,7 @@ def test_pd_depends_only_on_distance_not_placement():
     cfg = small_config(codeword_len=12, interferer_distances_m=(2.0,),
                        samples_pd=1500)
     h1 = draw_h1(cfg)
-    prof = lower_bound(cfg, h1=h1).profile
+    prof = lower_bound(dataclasses.replace(cfg, h1=tuple(h1))).profile
     rng = np.random.default_rng(77)
     # as many draws as the lower bound's pass averages, so both sides share one budget
     budget = cfg.samples_theta + cfg.codeword_len * cfg.samples_pd
@@ -236,10 +203,10 @@ def test_pd_depends_only_on_distance_not_placement():
 def test_far_interferer_matches_interferer_free():
     cfg = small_config(codeword_len=40, samples_theta=600, samples_pd=600,
                        interferer_distances_m=(1000.0,), seed=5)
-    h1 = draw_h1(cfg)
-    far = lower_bound(cfg, h1=h1)
+    cfg = dataclasses.replace(cfg, h1=tuple(draw_h1(cfg)))
+    far = lower_bound(cfg)
     alone = lower_bound(dataclasses.replace(cfg, num_nodes=1, duty_cycles=(0.5,),
-                                            interferer_distances_m=()), h1=h1)
+                                            interferer_distances_m=()))
     assert far.rate == pytest.approx(alone.rate, abs=1e-6)
 
 
@@ -255,11 +222,12 @@ def test_same_seed_reproduces_bits():
 
 def test_default_h1_is_the_seeded_draw():
     cfg = small_config()
-    assert same_estimate(lower_bound(cfg), lower_bound(cfg, h1=draw_h1(cfg)))
+    drawn = dataclasses.replace(cfg, h1=tuple(draw_h1(cfg)))
+    assert same_estimate(lower_bound(cfg), lower_bound(drawn))
     assert draw_h1(cfg).shape == (cfg.taps,)
     assert not np.array_equal(draw_h1(cfg), draw_h1(dataclasses.replace(cfg, seed=1)))
     # seed= keys only the sampling streams: the fixed h1 stays the scenario's
-    assert same_estimate(lower_bound(cfg, seed=4), lower_bound(cfg, h1=draw_h1(cfg), seed=4))
+    assert same_estimate(lower_bound(cfg, seed=4), lower_bound(drawn, seed=4))
 
 
 @pytest.mark.parametrize("estimator", [lower_bound, upper_bound])
@@ -312,10 +280,9 @@ def test_averaged_mode_integrates_h1_in_closed_form(monkeypatch):
     want = (-0.5 * dim * np.log(2.0 * np.pi * noise_var)
             - 0.5 * np.log1p(np.outer(d, gain)).sum(axis=1))
     np.testing.assert_allclose(alone.profile.log_pd, want, rtol=1e-12)
-    # an explicit h1 overrides the mode
-    h1 = np.array([0.3, 0.2, -0.1])
-    fixed = dataclasses.replace(cfg, h1_mode="fixed-draw")
-    assert same_estimate(lower_bound(cfg, h1=h1), lower_bound(fixed, h1=h1))
+    # a channel is fixed-draw only: averaged mode rejects one
+    with pytest.raises(InvalidParameterError, match="h1"):
+        dataclasses.replace(cfg, h1=(0.3, 0.2, -0.1))
 
 
 # --------------------------------------------------------------- lower bound
@@ -363,6 +330,8 @@ def test_lower_bound_reductions_match_stacked_samples(monkeypatch):
 @pytest.mark.parametrize("shape", ["long", "short", "matrix", "nan", "ragged", "strings",
                                    "booleans", "mixed-string", "mixed-boolean"])
 def test_bad_h1_is_a_named_error(estimator, shape):
+    # the channel is scenario data: ScenarioConfig rejects a bad one, so no
+    # estimator ever receives it
     cfg = small_config()
     taps = cfg.taps
     h1 = {"long": np.ones(taps + 4), "short": np.ones(taps - 1),
@@ -373,14 +342,14 @@ def test_bad_h1_is_a_named_error(estimator, shape):
           "mixed-string": [0.5, "0.1", 0.2], "mixed-boolean": [0.5, True, 0.2]}[shape]
     not_real = shape in ("strings", "booleans", "mixed-string", "mixed-boolean")
     with pytest.raises(InvalidTypeError if not_real else InvalidParameterError, match="h1"):
-        estimator(cfg, h1=h1)
+        estimator(dataclasses.replace(cfg, h1=h1))
 
 
-def ci_coverage(cfg, h1=None):
+def ci_coverage(cfg):
     """Share of 100 seeds whose 95% CI covers a 200x-budget estimate."""
     reference = lower_bound(dataclasses.replace(cfg, samples_theta=20000,
-                                                samples_pd=20000), h1=h1, seed=12345)
-    estimates = [lower_bound(cfg, h1=h1, seed=seed) for seed in range(100)]
+                                                samples_pd=20000), seed=12345)
+    estimates = [lower_bound(cfg, seed=seed) for seed in range(100)]
     return np.mean([abs(e.rate - reference.rate) <= e.ci_halfwidth for e in estimates])
 
 
@@ -389,7 +358,7 @@ def test_lower_bound_ci_covers_high_budget_rate():
     # cover a 200x-budget estimate about 95% of the time
     cfg = small_config(codeword_len=12, interferer_distances_m=(10.0,),
                        samples_theta=100, samples_pd=100)
-    assert 0.85 <= ci_coverage(cfg, draw_h1(cfg)) <= 1.0
+    assert 0.85 <= ci_coverage(dataclasses.replace(cfg, h1=tuple(draw_h1(cfg)))) <= 1.0
 
 
 def test_averaged_lower_bound_ci_covers_high_budget_rate():
@@ -403,9 +372,9 @@ def test_bounds_ordered_when_noise_dominates():
     cfg = small_config(codeword_len=40, link_distance_m=8.0,
                        interferer_distances_m=(1.0,), samples_theta=600,
                        samples_pd=600, samples_upper=20000, seed=5)
-    h1 = draw_h1(cfg)
-    lo = lower_bound(cfg, h1=h1)
-    up = upper_bound(cfg, h1=h1)
+    cfg = dataclasses.replace(cfg, h1=tuple(draw_h1(cfg)))
+    lo = lower_bound(cfg)
+    up = upper_bound(cfg)
     assert lo.rate <= up.rate + lo.ci_halfwidth + up.ci_halfwidth
 
 
@@ -441,8 +410,7 @@ def test_upper_bound_ci_is_student_t(monkeypatch, samples_upper):
 @pytest.mark.parametrize("eta", [0.5, 0.2])
 def test_lower_bound_saturates_at_its_ceiling(h1_mode, eta):
     # at 1 nm every J_d with d >= 1 is e^-hundreds of J_0, so the sum is P(0)
-    # alone: C_l meets -log2 P(0) / N and does not round past it, and the
-    # error bound reads the same sum
+    # alone: C_l meets -log2 P(0) / N and does not round past it
     cfg = ScenarioConfig(codeword_len=10, taps=3, num_nodes=1, duty_cycles=(eta,),
                          interferer_distances_m=(), link_distance_m=1e-9,
                          h1_mode=h1_mode, samples_theta=100, samples_pd=100)
@@ -450,14 +418,13 @@ def test_lower_bound_saturates_at_its_ceiling(h1_mode, eta):
     log_p0 = log_distance_probs(10, eta)[0]
     assert est.rate == -log_p0 / (10 * np.log(2.0))
     assert est.profile.log_sum == log_p0
-    assert error_probability_bound(est, 0.0).log2_bound == log_p0 / np.log(2.0)
 
 
 def test_upper_bound_saturates_at_symbol_entropy():
     for eta in (0.5, 0.3):
         cfg = single_pulse_config(eta=eta, sigma2=1.0, power=1e8)
-        cfg = dataclasses.replace(cfg, samples_upper=4000)
-        est = upper_bound(cfg, h1=np.array([1.0]))
+        cfg = dataclasses.replace(cfg, samples_upper=4000, h1=(1.0,))
+        est = upper_bound(cfg)
         entropy = -(eta * np.log2(eta) + (1 - eta) * np.log2(1 - eta))
         assert abs(est.rate - entropy) <= 3.0 * est.ci_halfwidth / 1.96 + 1e-9
         assert est.kind == "upper" and est.profile is None
@@ -465,8 +432,8 @@ def test_upper_bound_saturates_at_symbol_entropy():
 
 def test_upper_bound_vanishes_without_signal():
     cfg = single_pulse_config(power=1e-30)
-    cfg = dataclasses.replace(cfg, samples_upper=2000)
-    est = upper_bound(cfg, h1=np.array([1.0]))
+    cfg = dataclasses.replace(cfg, samples_upper=2000, h1=(1.0,))
+    est = upper_bound(cfg)
     assert est.rate <= 1e-8
 
 
@@ -495,7 +462,8 @@ def test_upper_bound_ci_covers_exact_genie_information(eta, snr):
     # snr = A_1 |h_1| / sigma, and the 95% CI should cover it about 95% of the time
     cfg = dataclasses.replace(single_pulse_config(eta=eta), samples_upper=4000)
     h1 = np.array([snr * np.sqrt(cfg.noise_var_w) / cfg.amplitudes()[0]])
+    cfg = dataclasses.replace(cfg, h1=tuple(h1))
     exact = genie_information(eta, snr)
     covered = [abs(est.rate - exact) <= est.ci_halfwidth
-               for est in (upper_bound(cfg, h1=h1, seed=s) for s in range(40))]
+               for est in (upper_bound(cfg, seed=s) for s in range(40))]
     assert np.mean(covered) >= 0.85

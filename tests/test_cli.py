@@ -14,7 +14,7 @@ import pytest
 
 import uwbbounds
 import uwbbounds.cli as cli
-from uwbbounds.bounds import BoundEstimate, lower_bound, upper_bound
+from uwbbounds.bounds import BoundEstimate, draw_h1, lower_bound, upper_bound
 from uwbbounds.cli import CSV_COLUMNS, EstimatorFailure, figure_ratios, main, run_sweep
 from uwbbounds.config import (ConfigError, effective_config, load_config,
                               spec_from_mapping, sweep_points)
@@ -67,6 +67,18 @@ def test_config_errors_name_the_offending_key(tmp_path):
         ({"sweep": {"d": [2, float("inf")]}}, "bad-value", "sweep.d"),
         ({"sweep": {"l": [float("nan")]}}, "bad-value", "sweep.l"),
         ({"h1_mode": 5}, "bad-type", "h1_mode"),
+        # the channel: taps real, finite numbers, in fixed-draw mode only
+        ({"taps": 3, "h1": [1.0, 1.0, 1.0, 1.0]}, "bad-value", "h1"),
+        ({"taps": 3, "h1": [1.0, 1.0]}, "bad-value", "h1"),
+        ({"taps": 2, "h1": [[1.0, 2.0], [3.0, 4.0]]}, "bad-type", "h1"),
+        ({"taps": 2, "h1": [[1.0], [2.0, 3.0]]}, "bad-type", "h1"),
+        ({"taps": 3, "h1": [1.0, float("nan"), 0.0]}, "bad-value", "h1"),
+        ({"taps": 3, "h1": ["0.5", "0.1", "0.2"]}, "bad-type", "h1"),
+        ({"taps": 3, "h1": [True, False, True]}, "bad-type", "h1"),
+        ({"taps": 3, "h1": [0.5, "0.1", 0.2]}, "bad-type", "h1"),
+        ({"taps": 3, "h1": [0.5, True, 0.2]}, "bad-type", "h1"),
+        ({"taps": 3, "h1": 0.5}, "bad-type", "h1"),
+        ({"taps": 3, "h1": [0.5, 0.1, 0.2], "h1_mode": "averaged"}, "bad-value", "h1"),
         ({"num_nodes": 1, "duty_cycles": [0.5], "interferer_distances_m": [],
           "sweep": {"d": [5.0]}}, "bad-value", "sweep.d"),
         ({"sweep": {"eta2": [1.0]}}, "bad-value", "sweep.eta2"),
@@ -241,16 +253,43 @@ def test_sidecar_reloads_to_the_same_spec(tmp_path):
     assert spec_from_mapping(json.loads(sidecar.read_text())) == spec
 
 
+@pytest.mark.parametrize("h1_mode", ["fixed-draw", "averaged"])
+def test_sidecar_records_the_channel_and_reruns_to_the_same_bytes(tmp_path, h1_mode):
+    cfg = write_config(tmp_path, {**TINY, "sweep": {"d": [5.0, 30.0]}, "h1_mode": h1_mode})
+    first, again = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["run", "--config", cfg, "--out", str(first)]) == 0
+    sidecar = tmp_path / "a.csv.config.json"
+    recorded = json.loads(sidecar.read_text())["h1"]
+    if h1_mode == "fixed-draw":
+        # the channel every row of the sweep used: the draw from the config's seed
+        assert recorded == draw_h1(uwbbounds.ScenarioConfig(**TINY)).tolist()
+    else:
+        assert recorded is None
+    assert main(["run", "--config", str(sidecar), "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+    assert (tmp_path / "b.csv.config.json").read_text() == sidecar.read_text()
+
+
+def test_an_explicit_h1_is_the_channel_of_every_row(tmp_path):
+    h1 = [0.3, -0.2]
+    spec = tiny_spec(sweep={"d": [5.0, 30.0]}, h1=h1)
+    assert all(point.h1 == tuple(h1) for point in sweep_points(spec))
+    rows = run_sweep(spec, tmp_path / "r.csv")
+    drawn = run_sweep(tiny_spec(sweep={"d": [5.0, 30.0]}), tmp_path / "s.csv")
+    assert [r.seed for r in rows] == [r.seed for r in drawn]
+    assert [r.rate_bits_per_symbol for r in rows] != [r.rate_bits_per_symbol for r in drawn]
+
+
 def test_estimator_failure_leaves_partial_file(tmp_path, monkeypatch):
     spec = tiny_spec(sweep={"d": [5.0, 30.0]})
     real = cli.lower_bound
     calls = []
 
-    def explode_on_second(scenario, h1=None, seed=None):
+    def explode_on_second(scenario, seed=None):
         calls.append(1)
         if len(calls) > 1:
             raise RuntimeError("synthetic breakdown")
-        return real(scenario, h1=h1, seed=seed)
+        return real(scenario, seed=seed)
 
     monkeypatch.setattr(cli, "lower_bound", explode_on_second)
     out = tmp_path / "r.csv"
@@ -393,10 +432,10 @@ def test_module_entry_point_runs_without_warnings(tmp_path):
 
 
 def test_all_is_the_documented_api():
-    api = {"BoundEstimate", "ConfigError", "ErrorProbabilityBound", "H1_MODES",
-           "InvalidParameterError", "InvalidTypeError", "LowerBoundProfile", "ScenarioConfig",
-           "SweepSpec", "draw_h1", "effective_config", "error_probability_bound",
-           "load_config", "lower_bound", "spec_from_mapping", "upper_bound", "__version__"}
+    api = {"BoundEstimate", "ConfigError", "H1_MODES", "InvalidParameterError",
+           "InvalidTypeError", "LowerBoundProfile", "ScenarioConfig", "SweepSpec", "draw_h1",
+           "effective_config", "load_config", "lower_bound", "spec_from_mapping",
+           "upper_bound", "__version__"}
     assert len(uwbbounds.__all__) == len(api) and set(uwbbounds.__all__) == api
     for name in api:
         getattr(uwbbounds, name)

@@ -142,6 +142,15 @@ class TestLogAccumulator:
         # the excess of n sum x^2 over (sum x)^2 is rounding only
         assert acc.se_log_mean == 0.0
 
+    @pytest.mark.parametrize("value", [-321.5, 0.0, 1622.9, -3215.0])
+    def test_zero_variance_at_any_magnitude(self, value):
+        # the rounding in the log excess grows with |log_sum| (at -321.5 it
+        # passes 1e-14), so only a cutoff relative to the terms reads it as 0
+        acc = LogAccumulator.from_log_values(np.full(400, value))
+        assert acc.se_log_mean == 0.0
+        columns = LogAccumulator(400, *log_sums(np.full((400, 3), value), axis=0))
+        assert np.all(columns.se_log_mean == 0.0)
+
     def test_rejects_nonfinite(self):
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError):
