@@ -8,7 +8,7 @@ radio. All randomness is counter-based: results are reproducible bit-for-bit
 from a single seed.
 """
 
-from .bounds import BoundEstimate, LowerBoundProfile, draw_h1, lower_bound, upper_bound
+from .bounds import BoundEstimate, LowerBoundProfile, lower_bound, upper_bound
 from .config import ConfigError, SweepSpec, effective_config, load_config, spec_from_mapping
 from .model import H1_MODES, InvalidParameterError, InvalidTypeError, ScenarioConfig
 
@@ -16,6 +16,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundEstimate", "ConfigError", "H1_MODES", "InvalidParameterError", "InvalidTypeError",
-    "LowerBoundProfile", "ScenarioConfig", "SweepSpec", "draw_h1", "effective_config",
-    "load_config", "lower_bound", "spec_from_mapping", "upper_bound", "__version__",
+    "LowerBoundProfile", "ScenarioConfig", "SweepSpec", "effective_config", "load_config",
+    "lower_bound", "spec_from_mapping", "upper_bound", "__version__",
 ]

@@ -13,8 +13,8 @@ entropies, which can exceed I(V;Y) (README, Testing). `lower_bound`
 estimates every one of these in one pass, with one rank-1 kernel call per
 block of draws for all d at once: its profile carries ln p(d) for
 d = 0..N (ln theta is the d = 0 entry), ln P(d) and the log of the sum.
-With h1_mode "fixed-draw" both bounds condition on one channel: the
-scenario's h1, or `draw_h1` of its seed when h1 is unset. With "averaged"
+With h1_mode "fixed-draw" both bounds condition on one channel,
+`scenario.channel()`: its h1, or the draw keyed by its seed. With "averaged"
 the lower bound draws no channel: each draw's overlaps are averaged over
 h_1 ~ N(0, T) in closed form, so only the interferer symbols are sampled.
 Upper bound (genie): mutual information of the single on-off symbol through
@@ -22,8 +22,8 @@ the white channel when all interferer symbols are revealed, so it depends on
 no interferer parameter; in averaged mode it samples h_1 per draw.
 
 Both estimators draw their samples in blocks of BLOCK; block b draws from the
-counter-based substream keyed by (seed, estimator, b), in a fixed order
-inside the block; a drawn h_1 is keyed by the scenario's seed alone.
+counter-based substream keyed by (seed, estimator, b), with the estimator
+ids of `mc`, in a fixed order inside the block.
 Results are therefore a pure function of (scenario, seed).
 """
 
@@ -35,14 +35,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gaussian import log_gauss_lowrank, log_gauss_lowrank_marginal
-from .mc import (Z95, LogAccumulator, log_sums, logsumexp, normal_qq_corr, substream,
-                 t_quantile_975)
+from .mc import (PAIR_OVERLAP, UPPER_INFO, Z95, LogAccumulator, log_sums, logsumexp,
+                 normal_qq_corr, substream, t_quantile_975)
 from .model import ScenarioConfig, sample_channel, sample_symbols
-
-# estimator ids of the substream key space
-H1_DRAW = 1
-PAIR_OVERLAP = 2
-UPPER_INFO = 3
 
 LN2 = float(np.log(2.0))
 
@@ -69,17 +64,6 @@ def log_distance_probs(N: int, eta1: float) -> np.ndarray:
 def _resolve_seed(cfg: ScenarioConfig, seed) -> int:
     """`seed`, or the scenario's seed if None; held to ScenarioConfig's seed rule."""
     return cfg.seed if seed is None else replace(cfg, seed=seed).seed
-
-
-def draw_h1(cfg: ScenarioConfig) -> np.ndarray:
-    """The scenario's fixed intended-channel realization, drawn from its seed."""
-    return sample_channel(cfg.tap_covariance(), substream(cfg.seed, H1_DRAW))
-
-
-def _resolve_h1(cfg: ScenarioConfig):
-    if cfg.h1 is not None:
-        return np.array(cfg.h1)
-    return draw_h1(cfg) if cfg.h1_mode == "fixed-draw" else None
 
 
 @dataclass(frozen=True)
@@ -121,7 +105,7 @@ def lower_bound(scenario: ScenarioConfig, seed=None) -> BoundEstimate:
     for a, b the samples scaled to unit mean.
     """
     seed = _resolve_seed(scenario, seed)
-    h1 = _resolve_h1(scenario)
+    h1 = scenario.channel()
     n_sym = scenario.codeword_len
     log_probs = log_distance_probs(n_sym, scenario.duty_cycles[0])
     amplitudes = scenario.amplitudes()
@@ -174,7 +158,7 @@ def upper_bound(scenario: ScenarioConfig, seed=None) -> BoundEstimate:
     the flipped symbol needs evaluating.
     """
     seed = _resolve_seed(scenario, seed)
-    h1 = _resolve_h1(scenario)
+    h1 = scenario.channel()
     eta = scenario.duty_cycles[0]
     s2 = scenario.noise_var_w
     a1 = scenario.amplitudes()[0]

@@ -13,7 +13,8 @@ config: the wall_s column is fixed at 0.0 and real timings go to stderr. A
 run evaluates one row plan (`row_plan`); each row gets its own derived seed,
 recorded in it, and is the estimator's result for its (scenario, seed)
 alone. Bad or empty paths and a plan with no ratio rows for --ratios-out fail
-before any estimator runs.
+before any estimator runs: --ratios-out pairs the plan's rows once, up front,
+and the finished rows are divided along those pairs.
 """
 
 from __future__ import annotations
@@ -145,24 +146,17 @@ def _ratio_references(geometries: list[tuple], reference_distance: float):
     return pairs
 
 
-def figure_ratios(rows: list[ResultRow], reference_distance: float = 100.0):
-    """Lower-bound rows with a rate / rate(d = reference) column per
-    (l, eta1, eta2) group: the interference penalty relative to a far node."""
-    geometries = [(r.l_m, r.d_m, r.eta1, r.eta2, r.bound) for r in rows]
-    out = []
-    for i, ref in _ratio_references(geometries, reference_distance):
-        row, ref_row = rows[i], rows[ref]
-        if ref_row.rate_bits_per_symbol == 0.0:
-            raise ValueError(f"rate at reference distance {reference_distance} m is 0 for "
+def _write_ratios(path, rows: list[ResultRow], pairs) -> None:
+    """The lower-bound rows of `pairs` with a rate / rate(reference) column:
+    the interference penalty relative to a far node of the same group."""
+    lines = [",".join(CSV_COLUMNS[:7]) + ",rate_ratio"]
+    for i, ref in pairs:
+        row, reference = rows[i], rows[ref]
+        if reference.rate_bits_per_symbol == 0.0:
+            raise ValueError(f"rate at reference distance {reference.d_m} m is 0 for "
                              f"group l={row.l_m}, eta1={row.eta1}, eta2={row.eta2}; "
                              "the ratio is undefined")
-        out.append((row, row.rate_bits_per_symbol / ref_row.rate_bits_per_symbol))
-    return out
-
-
-def _write_ratios(path, pairs) -> None:
-    lines = [",".join(CSV_COLUMNS[:7]) + ",rate_ratio"]
-    for row, ratio in pairs:
+        ratio = row.rate_bits_per_symbol / reference.rate_bits_per_symbol
         lines.append(",".join(row.csv_values()[:7]) + f",{ratio!r}")
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -222,13 +216,13 @@ def main(argv=None) -> int:
             seen[resolved] = flag
         spec = spec_from_mapping({}) if args.config is None else load_config(args.config)
         if args.ratios_out is not None:
-            # check the plan's ratio rows before any estimator runs
-            _ratio_references([_geometry(bound, scenario) for bound, scenario, _
-                               in row_plan(spec)], args.reference_distance)
+            # pair the plan's rows before any estimator runs; the rows keep its order
+            pairs = _ratio_references([_geometry(bound, scenario) for bound, scenario, _
+                                       in row_plan(spec)], args.reference_distance)
         rows = run_sweep(spec, args.out)
         print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
         if args.ratios_out is not None:
-            _write_ratios(args.ratios_out, figure_ratios(rows, args.reference_distance))
+            _write_ratios(args.ratios_out, rows, pairs)
             print(f"wrote ratios to {args.ratios_out}", file=sys.stderr)
         return 0
     except ConfigError as err:

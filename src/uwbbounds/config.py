@@ -8,8 +8,8 @@ owns the sweep (`_apply_point`, `sweep_points`); ScenarioConfig checks every
 value, a sweep value by being applied to the base scenario. Every loaded
 config materializes all defaults, so the effective config written next to a
 result file reloads to the identical sweep. In fixed-draw mode that includes
-the channel "h1": a config that leaves it out gets `draw_h1` of its seed,
-and every sweep point inherits it.
+the channel "h1": a config that leaves it out gets its base scenario's
+`channel()`, the draw keyed by its seed, and every sweep point inherits it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import json
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .bounds import draw_h1
 from .model import InvalidParameterError, InvalidTypeError, ScenarioConfig
 
 # the scenario keys: ScenarioConfig's field names, in field order
@@ -97,8 +96,9 @@ def spec_from_mapping(data: dict) -> SweepSpec:
             raise ConfigError("unknown-key", f"unknown config key {key!r}")
     kwargs = {key: data[key] for key in _FIELDS if key in data}
     base = _scenario(lambda: ScenarioConfig(**kwargs))
-    if base.h1_mode == "fixed-draw" and base.h1 is None:
-        base = replace(base, h1=tuple(draw_h1(base)))
+    h = base.channel()
+    if h is not None:
+        base = replace(base, h1=tuple(h))
 
     bounds = data.get("bounds", "both")
     if not isinstance(bounds, str):
@@ -115,8 +115,6 @@ def spec_from_mapping(data: dict) -> SweepSpec:
             raise ConfigError("unknown-key", f"unknown sweep variable {var!r}")
         if not isinstance(values, list) or not values:
             raise ConfigError("bad-type", f"sweep.{var} must be a non-empty array")
-        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in values):
-            raise ConfigError("bad-type", f"sweep.{var} must contain only numbers")
         # each value must give a valid scenario alone; the swept variables
         # set separate entries, so every point of the sweep is then valid
         for x in values:

@@ -1,11 +1,11 @@
 """Monte-Carlo plumbing: counter-based substreams, log-domain accumulation, CIs.
 
-Every substream is keyed by (seed, estimator); its counter holds the block
-index. Sample magnitudes span thousands of nats at physical noise levels, so
-every mean and standard error here is carried as log(sum x) and
-log(sum x^2); nothing is ever exponentiated on the absolute scale. These are
-the estimators' internals: they take the float arrays `bounds` passes and
-convert nothing.
+Every substream is keyed by (seed, estimator), with the estimator ids
+defined here; its counter holds the block index. Sample magnitudes span
+thousands of nats at physical noise levels, so every mean and standard
+error here is carried as log(sum x) and log(sum x^2); nothing is ever
+exponentiated on the absolute scale. These are the estimators' internals:
+they take the float arrays `bounds` passes and convert nothing.
 
 The module keeps only what numpy and the standard library lack: the QQ
 statistic's normal quantiles come from `statistics.NormalDist.inv_cdf`
@@ -24,6 +24,9 @@ import numpy as np
 import numpy.random  # noqa: F401  numpy 2 loads it lazily; load it here, not in a row
 
 Z95 = 1.959963984540054         # standard normal 0.975 quantile
+
+# estimator ids of the substream key space
+H1_DRAW, PAIR_OVERLAP, UPPER_INFO = 1, 2, 3
 
 
 def substream(seed: int, estimator: int, index: int = 0) -> np.random.Generator:

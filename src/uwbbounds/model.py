@@ -9,15 +9,17 @@ once per codeword (the channels stay constant over n), and white receiver
 noise z[n] ~ N(0, sigma_W^2 I_M). The taps are independent: T = diag(t), with
 linearly decaying tap variances t. The receiver knows h_1 only. Node 1 is the
 intended transmitter; nodes 2..I are interferers. Every transmitter runs at
-its amplitude cap A_i = sqrt(P_rcv(l_i) / eta_i). With h1_mode "fixed-draw"
-h_1 is the scenario's h1 (the config loader fills it in from the seed);
-"averaged" averages over h_1 and leaves h1 unset.
+its amplitude cap A_i = sqrt(P_rcv(l_i) / eta_i). `ScenarioConfig.channel()`
+is the one source of h_1: with h1_mode "fixed-draw" it is the scenario's h1,
+or the draw keyed by its seed when h1 is unset; "averaged" averages over h_1,
+leaves h1 unset and has no channel.
 
 ScenarioConfig owns every scenario rule: its constructor is the one place a
 value's type (InvalidTypeError) and range (InvalidParameterError) are
-checked, so the config loader, the sweep and the estimators only build one.
-The samplers are the estimators' internals: they take the shapes the
-estimators pass and re-check nothing ScenarioConfig owns.
+checked, a finite float A_i^2 / sigma_W^2 for every node included, so the
+config loader, the sweep and the estimators only build one. The samplers
+are the estimators' internals: they take the shapes the estimators pass and
+re-check nothing ScenarioConfig owns.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .mc import H1_DRAW, substream
 
 
 class InvalidParameterError(ValueError):
@@ -147,6 +151,13 @@ class ScenarioConfig:
             raise InvalidParameterError(
                 f"h1 must hold {self.taps} taps in h1_mode 'fixed-draw', got {len(self.h1)} "
                 f"in {self.h1_mode!r}")
+        with np.errstate(over="ignore"):
+            snr = self.amplitudes() ** 2 / self.noise_var_w
+        if not np.all(np.isfinite(snr)):
+            raise InvalidParameterError(
+                f"the SNR A_i^2 / noise_var_w of node {np.argmin(np.isfinite(snr)) + 1} must be "
+                "a finite float: A_i^2 = tx_power_w * pathloss_b * l_i^-pathloss_alpha / "
+                "duty_cycles[i], l_1 = link_distance_m, l_i = interferer_distances_m[i - 2]")
 
     def amplitudes(self) -> np.ndarray:
         """Per-node amplitude caps sqrt(P_rcv(l_i) / eta_i), P_rcv(l) = P_tx b l^-alpha:
@@ -160,3 +171,13 @@ class ScenarioConfig:
         total_path_count - m + 1, scaled to sum to captured_energy_fraction."""
         weights = self.total_path_count - np.arange(self.taps, dtype=float)
         return self.captured_energy_fraction * weights / weights.sum()
+
+    def channel(self) -> np.ndarray | None:
+        """The intended channel h_1 (M,) both bounds condition on: h1 when set;
+        in fixed-draw mode without h1, the draw keyed by seed alone; None in
+        averaged mode, where the bounds average over h_1."""
+        if self.h1 is not None:
+            return np.array(self.h1)
+        if self.h1_mode == "averaged":
+            return None
+        return sample_channel(self.tap_covariance(), substream(self.seed, H1_DRAW))

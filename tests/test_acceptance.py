@@ -29,7 +29,7 @@ import time
 
 import numpy as np
 
-from uwbbounds.bounds import draw_h1, log_distance_probs, lower_bound, upper_bound
+from uwbbounds.bounds import log_distance_probs, lower_bound, upper_bound
 from uwbbounds.mc import Z95, LogAccumulator
 from uwbbounds.model import ScenarioConfig
 
@@ -153,7 +153,7 @@ def test_criterion_4_proposition_1():
     details = []
     ok = True
 
-    h_a, h_b = (draw_h1(dataclasses.replace(cfg, seed=s)) for s in (101, 202))
+    h_a, h_b = (dataclasses.replace(cfg, seed=s).channel() for s in (101, 202))
     assert not np.array_equal(h_a, h_b)
     prof_a = lower_bound(dataclasses.replace(cfg, h1=tuple(h_a)), seed=101).profile
     prof_b = lower_bound(dataclasses.replace(cfg, h1=tuple(h_b)), seed=202).profile
@@ -194,7 +194,7 @@ def test_criterion_5_bound_ordering():
         eta2 = float(rng.uniform(0.1, 0.5))
         cfg = desk_config(link_distance_m=link, interferer_distances_m=(dist,),
                           duty_cycles=(0.5, eta2), seed=i)
-        cfg = dataclasses.replace(cfg, h1=tuple(draw_h1(cfg)))
+        cfg = dataclasses.replace(cfg, h1=tuple(cfg.channel()))
         lo = lower_bound(cfg)
         up = upper_bound(cfg)
         slack = up.rate + up.ci_halfwidth + lo.ci_halfwidth - lo.rate
@@ -307,7 +307,7 @@ def test_criterion_7_figure_shapes():
 def test_criterion_8_ci_methodology_paper_preset():
     cfg = ScenarioConfig()     # paper preset: N=80, M=5, full budgets
     start = time.time()
-    lo = lower_bound(dataclasses.replace(cfg, h1=tuple(draw_h1(cfg))))
+    lo = lower_bound(dataclasses.replace(cfg, h1=tuple(cfg.channel())))
     prof = lo.profile
     rel_theta = Z95 * prof.se_log_pd[0]
     rel_aggregate = Z95 * prof.se_log_sum

@@ -9,7 +9,7 @@ from scipy import integrate, stats
 from scipy.special import gammaln, logsumexp
 
 import uwbbounds.bounds
-from uwbbounds.bounds import UPPER_INFO, draw_h1, log_distance_probs, lower_bound, upper_bound
+from uwbbounds.bounds import UPPER_INFO, log_distance_probs, lower_bound, upper_bound
 from uwbbounds.gaussian import log_gauss_lowrank
 from uwbbounds.mc import LogAccumulator, substream
 from uwbbounds.model import InvalidParameterError, InvalidTypeError, ScenarioConfig, sample_channel
@@ -167,7 +167,7 @@ def test_theta_ignores_h1_exactly():
 
 def test_pd_at_most_theta():
     cfg = small_config()
-    prof = lower_bound(dataclasses.replace(cfg, h1=tuple(draw_h1(cfg)))).profile
+    prof = lower_bound(dataclasses.replace(cfg, h1=tuple(cfg.channel()))).profile
     log_theta, se_theta = prof.log_pd[0], prof.se_log_pd[0]
     for d in (1, 3, 7, 10):
         log_pd, se_pd = prof.log_pd[d], prof.se_log_pd[d]
@@ -178,7 +178,7 @@ def test_pd_depends_only_on_distance_not_placement():
     # averaging over interferer codewords leaves only the Hamming distance
     cfg = small_config(codeword_len=12, interferer_distances_m=(2.0,),
                        samples_pd=1500)
-    h1 = draw_h1(cfg)
+    h1 = cfg.channel()
     prof = lower_bound(dataclasses.replace(cfg, h1=tuple(h1))).profile
     rng = np.random.default_rng(77)
     # as many draws as the lower bound's pass averages, so both sides share one budget
@@ -203,7 +203,7 @@ def test_pd_depends_only_on_distance_not_placement():
 def test_far_interferer_matches_interferer_free():
     cfg = small_config(codeword_len=40, samples_theta=600, samples_pd=600,
                        interferer_distances_m=(1000.0,), seed=5)
-    cfg = dataclasses.replace(cfg, h1=tuple(draw_h1(cfg)))
+    cfg = dataclasses.replace(cfg, h1=tuple(cfg.channel()))
     far = lower_bound(cfg)
     alone = lower_bound(dataclasses.replace(cfg, num_nodes=1, duty_cycles=(0.5,),
                                             interferer_distances_m=()))
@@ -222,10 +222,10 @@ def test_same_seed_reproduces_bits():
 
 def test_default_h1_is_the_seeded_draw():
     cfg = small_config()
-    drawn = dataclasses.replace(cfg, h1=tuple(draw_h1(cfg)))
+    drawn = dataclasses.replace(cfg, h1=tuple(cfg.channel()))
     assert same_estimate(lower_bound(cfg), lower_bound(drawn))
-    assert draw_h1(cfg).shape == (cfg.taps,)
-    assert not np.array_equal(draw_h1(cfg), draw_h1(dataclasses.replace(cfg, seed=1)))
+    assert cfg.channel().shape == (cfg.taps,)
+    assert not np.array_equal(cfg.channel(), dataclasses.replace(cfg, seed=1).channel())
     # seed= keys only the sampling streams: the fixed h1 stays the scenario's
     assert same_estimate(lower_bound(cfg, seed=4), lower_bound(drawn, seed=4))
 
@@ -239,11 +239,9 @@ def test_bad_seed_is_a_named_error(estimator, seed):
 
 
 def test_channel_draws_are_pinned():
-    # the fixed draw and one averaged-mode upper block, byte for byte: how
-    # sample_channel maps the seeded normals to taps fixes every seeded rate
-    assert draw_h1(ScenarioConfig(seed=3)).tolist() == [
-        0.21121163778865962, -0.017396916550183897, -0.1566288438030948,
-        0.07174663954732415, -0.4892389838071768]
+    # one averaged-mode upper block, byte for byte: how sample_channel maps
+    # the seeded normals to taps fixes every seeded rate (the fixed draw is
+    # pinned in test_model's channel test)
     cfg = ScenarioConfig(taps=3, h1_mode="averaged", seed=3)
     block = sample_channel(cfg.tap_covariance(), substream(3, UPPER_INFO, index=0), 2)
     assert block.tolist() == [
@@ -253,9 +251,9 @@ def test_channel_draws_are_pinned():
 
 def test_seed_accepts_the_u64_range():
     cfg = small_config()
-    assert np.array_equal(draw_h1(dataclasses.replace(cfg, seed=np.uint64(5))),
-                          draw_h1(dataclasses.replace(cfg, seed=5)))
-    assert draw_h1(dataclasses.replace(cfg, seed=2**64 - 1)).shape == (cfg.taps,)
+    assert np.array_equal(dataclasses.replace(cfg, seed=np.uint64(5)).channel(),
+                          dataclasses.replace(cfg, seed=5).channel())
+    assert dataclasses.replace(cfg, seed=2**64 - 1).channel().shape == (cfg.taps,)
     assert upper_bound(cfg, seed=np.uint64(5)) == upper_bound(cfg, seed=5)
     assert upper_bound(cfg, seed=2**64 - 1).samples_used == cfg.samples_upper
 
@@ -358,7 +356,7 @@ def test_lower_bound_ci_covers_high_budget_rate():
     # cover a 200x-budget estimate about 95% of the time
     cfg = small_config(codeword_len=12, interferer_distances_m=(10.0,),
                        samples_theta=100, samples_pd=100)
-    assert 0.85 <= ci_coverage(dataclasses.replace(cfg, h1=tuple(draw_h1(cfg)))) <= 1.0
+    assert 0.85 <= ci_coverage(dataclasses.replace(cfg, h1=tuple(cfg.channel()))) <= 1.0
 
 
 def test_averaged_lower_bound_ci_covers_high_budget_rate():
@@ -372,7 +370,7 @@ def test_bounds_ordered_when_noise_dominates():
     cfg = small_config(codeword_len=40, link_distance_m=8.0,
                        interferer_distances_m=(1.0,), samples_theta=600,
                        samples_pd=600, samples_upper=20000, seed=5)
-    cfg = dataclasses.replace(cfg, h1=tuple(draw_h1(cfg)))
+    cfg = dataclasses.replace(cfg, h1=tuple(cfg.channel()))
     lo = lower_bound(cfg)
     up = upper_bound(cfg)
     assert lo.rate <= up.rate + lo.ci_halfwidth + up.ci_halfwidth

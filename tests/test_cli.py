@@ -1,6 +1,5 @@
 """Config ingestion, sweep driver, CSV emission, and exit codes."""
 
-import dataclasses
 import json
 import os
 import re
@@ -14,8 +13,8 @@ import pytest
 
 import uwbbounds
 import uwbbounds.cli as cli
-from uwbbounds.bounds import BoundEstimate, draw_h1, lower_bound, upper_bound
-from uwbbounds.cli import CSV_COLUMNS, EstimatorFailure, figure_ratios, main, run_sweep
+from uwbbounds.bounds import BoundEstimate, lower_bound, upper_bound
+from uwbbounds.cli import CSV_COLUMNS, EstimatorFailure, main, run_sweep
 from uwbbounds.config import (ConfigError, effective_config, load_config,
                               spec_from_mapping, sweep_points)
 
@@ -82,6 +81,15 @@ def test_config_errors_name_the_offending_key(tmp_path):
         ({"num_nodes": 1, "duty_cycles": [0.5], "interferer_distances_m": [],
           "sweep": {"d": [5.0]}}, "bad-value", "sweep.d"),
         ({"sweep": {"eta2": [1.0]}}, "bad-value", "sweep.eta2"),
+        # a sweep value is type-checked as the scenario field it sets
+        ({"sweep": {"d": ["far"]}}, "bad-type", "sweep.d: interferer_distances_m"),
+        ({"sweep": {"l": [True]}}, "bad-type", "sweep.l: link_distance_m"),
+        ({"sweep": {"eta1": [None]}}, "bad-type", "sweep.eta1: duty_cycles"),
+        # every node's A_i^2 / noise_var_w must be a finite float
+        ({"link_distance_m": 1e-100}, "bad-value", "link_distance_m"),
+        ({"sweep": {"d": [2, 1e-100]}}, "bad-value", "sweep.d: "),
+        ({"tx_power_w": 1e300, "pathloss_b": 1e10}, "bad-value", "tx_power_w"),
+        ({"noise_var_w": 1e-320}, "bad-value", "noise_var_w"),
         (b'{"seed": "\xff"}', "malformed-json", "cfg.json"),
     ]
     for payload, code, key in cases:
@@ -262,7 +270,7 @@ def test_sidecar_records_the_channel_and_reruns_to_the_same_bytes(tmp_path, h1_m
     recorded = json.loads(sidecar.read_text())["h1"]
     if h1_mode == "fixed-draw":
         # the channel every row of the sweep used: the draw from the config's seed
-        assert recorded == draw_h1(uwbbounds.ScenarioConfig(**TINY)).tolist()
+        assert recorded == uwbbounds.ScenarioConfig(**TINY).channel().tolist()
     else:
         assert recorded is None
     assert main(["run", "--config", str(sidecar), "--out", str(again)]) == 0
@@ -314,38 +322,37 @@ def test_csv_floats_round_trip():
 # ----------------------------------------------------------------- ratios
 
 
-def test_figure_ratios_group_by_geometry(tmp_path):
-    spec = tiny_spec(sweep={"l": [3.0, 4.0], "d": [5.0, 100.0]}, bounds="lower")
-    rows = run_sweep(spec, tmp_path / "r.csv")
-    pairs = figure_ratios(rows, reference_distance=100.0)
-    assert len(pairs) == len(rows)
-    by_key = {(r.l_m, r.d_m): ratio for r, ratio in pairs}
+def test_ratios_out_groups_by_geometry(tmp_path):
+    # each lower row's rate over its (l, eta1, eta2) group's rate at d = 100 m
+    cfg = write_config(tmp_path, {**TINY, "sweep": {"l": [3.0, 4.0], "d": [5.0, 100.0]},
+                                  "bounds": "lower"})
+    out, ratios = tmp_path / "r.csv", tmp_path / "ratios.csv"
+    assert main(["run", "--config", cfg, "--out", str(out), "--ratios-out", str(ratios)]) == 0
+    rows = read_result_csv(out)
+    lines = ratios.read_text().splitlines()
+    assert lines[0] == ",".join(CSV_COLUMNS[:7]) + ",rate_ratio"
+    assert [line.rsplit(",", 1)[0] for line in lines[1:]] == \
+        [",".join(r.csv_values()[:7]) for r in rows]
+    by_key = {(float(v[0]), float(v[1])): float(v[-1])
+              for v in (line.split(",") for line in lines[1:])}
     assert by_key[(3.0, 100.0)] == 1.0
     assert by_key[(4.0, 100.0)] == 1.0
     lookup = {(r.l_m, r.d_m): r.rate_bits_per_symbol for r in rows}
     assert by_key[(3.0, 5.0)] == lookup[(3.0, 5.0)] / lookup[(3.0, 100.0)]
+    assert by_key[(4.0, 5.0)] == lookup[(4.0, 5.0)] / lookup[(4.0, 100.0)]
 
 
-def test_figure_ratios_require_reference_rows(tmp_path):
-    spec = tiny_spec(sweep={"d": [5.0]}, bounds="lower")
-    rows = run_sweep(spec, tmp_path / "r.csv")
-    with pytest.raises(ValueError):
-        figure_ratios(rows, reference_distance=100.0)
-
-
-def test_figure_ratios_reject_zero_reference_rate(tmp_path, monkeypatch):
+def test_ratios_reject_zero_reference_rate(tmp_path, monkeypatch, capsys):
     # lower rates clamp at 0, so a reference row can carry rate 0 exactly
-    rows = run_sweep(tiny_spec(sweep={"d": [5.0, 100.0]}, bounds="lower"),
-                     tmp_path / "r.csv")
-    rows[1] = dataclasses.replace(rows[1], rate_bits_per_symbol=0.0)
-    with pytest.raises(ValueError, match="l=3.0, eta1=0.5, eta2=0.5"):
-        figure_ratios(rows, reference_distance=100.0)
-
     monkeypatch.setattr(cli, "lower_bound", lambda *a, **k: BoundEstimate(
         rate=0.0, ci_halfwidth=0.0, samples_used=2, kind="lower"))
     cfg = write_config(tmp_path, {**TINY, "sweep": {"d": [5.0, 100.0]}, "bounds": "lower"})
+    ratios = tmp_path / "ratios.csv"
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "z.csv"),
-                 "--ratios-out", str(tmp_path / "ratios.csv")]) == 2
+                 "--ratios-out", str(ratios)]) == 2
+    assert "rate at reference distance 100.0 m is 0 for group l=3.0, eta1=0.5, eta2=0.5" \
+        in capsys.readouterr().err
+    assert not ratios.exists()
 
 
 @pytest.mark.parametrize("extra, cause", [
@@ -433,7 +440,7 @@ def test_module_entry_point_runs_without_warnings(tmp_path):
 
 def test_all_is_the_documented_api():
     api = {"BoundEstimate", "ConfigError", "H1_MODES", "InvalidParameterError",
-           "InvalidTypeError", "LowerBoundProfile", "ScenarioConfig", "SweepSpec", "draw_h1",
+           "InvalidTypeError", "LowerBoundProfile", "ScenarioConfig", "SweepSpec",
            "effective_config", "load_config", "lower_bound", "spec_from_mapping",
            "upper_bound", "__version__"}
     assert len(uwbbounds.__all__) == len(api) and set(uwbbounds.__all__) == api

@@ -142,6 +142,19 @@ class TestScenarioConfig:
         a1 = np.sqrt(1e-4 * 10**-5.5 * 3.0**-3.3 / 0.5)
         assert cfg.amplitudes()[0] == pytest.approx(a1, rel=1e-14)
 
+    def test_channel_in_each_mode(self):
+        # fixed-draw without h1: the draw keyed by the seed, byte for byte
+        drawn = ScenarioConfig(seed=3).channel()
+        assert drawn.tolist() == [
+            0.21121163778865962, -0.017396916550183897, -0.1566288438030948,
+            0.07174663954732415, -0.4892389838071768]
+        assert np.array_equal(ScenarioConfig(seed=3, samples_upper=7).channel(), drawn)
+        assert not np.array_equal(ScenarioConfig(seed=4).channel(), drawn)
+        # an explicit h1 is the channel, whatever the seed
+        assert ScenarioConfig(taps=2, h1=(0.3, -0.2), seed=3).channel().tolist() == [0.3, -0.2]
+        # averaged mode integrates h1 out: no channel
+        assert ScenarioConfig(h1_mode="averaged", seed=3).channel() is None
+
     def test_field_validation_names_field(self):
         with pytest.raises(InvalidParameterError, match="codeword_len"):
             ScenarioConfig(codeword_len=0)
