@@ -21,16 +21,18 @@ Upper bound (genie): mutual information of the single on-off symbol through
 the white channel when all interferer symbols are revealed, so it depends on
 no interferer parameter; in averaged mode it samples h_1 per draw.
 
-Both estimators draw their samples in blocks of BLOCK; block b draws from the
-counter-based substream keyed by (seed, estimator, b), with the estimator
-ids of `mc`, in a fixed order inside the block.
-Results are therefore a pure function of (scenario, seed).
+Both estimators take the scenario alone and draw their samples in blocks of
+BLOCK; block b draws from the counter-based substream keyed by
+(scenario.seed, estimator, b), with the estimator ids of `mc`, in a fixed
+order inside the block. Results are therefore a pure function of the
+scenario. Without h1, its seed keys the fixed-draw channel too: to vary only
+the sampling, set h1 first.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,11 +63,6 @@ def log_distance_probs(N: int, eta1: float) -> np.ndarray:
     return log_binom + d * np.log(flip) + (N - d) * np.log1p(-flip)
 
 
-def _resolve_seed(cfg: ScenarioConfig, seed) -> int:
-    """`seed`, or the scenario's seed if None; held to ScenarioConfig's seed rule."""
-    return cfg.seed if seed is None else replace(cfg, seed=seed).seed
-
-
 @dataclass(frozen=True)
 class LowerBoundProfile:
     """Every quantity behind one lower-bound figure; all strata average the
@@ -90,7 +87,7 @@ class BoundEstimate:
     profile: LowerBoundProfile | None = None
 
 
-def lower_bound(scenario: ScenarioConfig, seed=None) -> BoundEstimate:
+def lower_bound(scenario: ScenarioConfig) -> BoundEstimate:
     """C_l with a delta-method 95% CI on the ratio estimate of its sum.
 
     Every sample draws the I-1 interferer rows of the first codeword and
@@ -104,7 +101,6 @@ def lower_bound(scenario: ScenarioConfig, seed=None) -> BoundEstimate:
     is mean(e^T) / mean(e^D), and the variance of its log is var(a - b) / S
     for a, b the samples scaled to unit mean.
     """
-    seed = _resolve_seed(scenario, seed)
     h1 = scenario.channel()
     n_sym = scenario.codeword_len
     log_probs = log_distance_probs(n_sym, scenario.duty_cycles[0])
@@ -117,7 +113,7 @@ def lower_bound(scenario: ScenarioConfig, seed=None) -> BoundEstimate:
 
     t_logs, d_logs = np.empty(total), np.empty(total)
     col_sum = col_sumsq = np.full(n_sym + 1, -np.inf)
-    for b, (rng, size) in enumerate(_block_streams(seed, PAIR_OVERLAP, total)):
+    for b, (rng, size) in enumerate(_block_streams(scenario.seed, PAIR_OVERLAP, total)):
         rows = amplitudes[nodes, None] * sample_symbols(etas, n_sym, rng, size)
         if h1 is None:
             log_j = log_gauss_lowrank_marginal(amplitudes[0], noise_var, rows, tap_var)
@@ -147,7 +143,7 @@ def lower_bound(scenario: ScenarioConfig, seed=None) -> BoundEstimate:
                          samples_used=total, kind="lower", profile=profile)
 
 
-def upper_bound(scenario: ScenarioConfig, seed=None) -> BoundEstimate:
+def upper_bound(scenario: ScenarioConfig) -> BoundEstimate:
     """Genie-aided mutual information I(u_1; R | h_1, interferer symbols).
 
     Reads no interferer parameter at all: with the interference revealed and
@@ -157,7 +153,6 @@ def upper_bound(scenario: ScenarioConfig, seed=None) -> BoundEstimate:
     log-likelihood ratio of symbol v against the drawn u. E(u) = 0, so only
     the flipped symbol needs evaluating.
     """
-    seed = _resolve_seed(scenario, seed)
     h1 = scenario.channel()
     eta = scenario.duty_cycles[0]
     s2 = scenario.noise_var_w
@@ -165,7 +160,7 @@ def upper_bound(scenario: ScenarioConfig, seed=None) -> BoundEstimate:
     tap_var = scenario.tap_covariance()
     n = scenario.samples_upper
     samples = np.empty(n)
-    for b, (rng, size) in enumerate(_block_streams(seed, UPPER_INFO, n)):
+    for b, (rng, size) in enumerate(_block_streams(scenario.seed, UPPER_INFO, n)):
         h = sample_channel(tap_var, rng, size) if h1 is None else h1
         u = rng.random(size) < eta
         z = np.sqrt(s2) * rng.standard_normal((size, scenario.taps))

@@ -1,7 +1,6 @@
 """Experiment driver: rate-bound sweeps over distance and duty cycle.
 
-    uwbbounds run [--config cfg.json] [--out results.csv]
-                  [--ratios-out ratios.csv] [--reference-distance 100.0]
+    uwbbounds run [--config cfg.json] [--out results.csv] [--ratios-out ratios.csv]
     uwbbounds validate --config cfg.json
 
 The config file is the whole description of a run, its seed included; with
@@ -10,11 +9,13 @@ to one CSV with columns l_m, d_m, eta1, eta2, bound, rate_bits_per_symbol,
 ci_halfwidth, samples, seed, wall_s; the fully materialized config is written
 next to it as <out>.config.json. Output bytes are a pure function of the
 config: the wall_s column is fixed at 0.0 and real timings go to stderr. A
-run evaluates one row plan (`row_plan`); each row gets its own derived seed,
-recorded in it, and is the estimator's result for its (scenario, seed)
-alone. Bad or empty paths and a plan with no ratio rows for --ratios-out fail
-before any estimator runs: --ratios-out pairs the plan's rows once, up front,
-and the finished rows are divided along those pairs.
+run evaluates one row plan (`row_plan`) of (bound, scenario) rows; each row's
+scenario is its sweep point with a derived seed, recorded in the row, and the
+row is the estimator's result for that scenario alone. Bad or empty paths
+and a plan with no ratio rows for --ratios-out fail before any estimator
+runs: --ratios-out pairs each lower row with an interferer, once, up front,
+with the row of its (l, eta1, eta2) group at the farthest d, and the
+finished rows are divided along those pairs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,13 +54,13 @@ class ResultRow:
     ci_halfwidth: float
     samples: int
     seed: int
-    wall_s: float = 0.0         # fixed; real timings go to stderr
 
     def csv_values(self) -> list[str]:
+        """The CSV fields; wall_s is fixed at 0.0, real timings go to stderr."""
         blank = lambda x: "" if x is None else repr(float(x))  # noqa: E731
         return [blank(self.l_m), blank(self.d_m), blank(self.eta1), blank(self.eta2),
                 self.bound, blank(self.rate_bits_per_symbol), blank(self.ci_halfwidth),
-                str(self.samples), str(self.seed), blank(self.wall_s)]
+                str(self.samples), str(self.seed), "0.0"]
 
 
 def _point_seed(base_seed: int, kind: int, index: int) -> int:
@@ -67,18 +68,19 @@ def _point_seed(base_seed: int, kind: int, index: int) -> int:
     return int(words[0])
 
 
-def row_plan(spec: SweepSpec) -> list[tuple[str, ScenarioConfig, int]]:
-    """(bound, scenario, seed) of every row, in CSV order: a lower row per
-    point, then an upper row per distinct (l, eta1), the only swept inputs of
-    the upper bound."""
+def row_plan(spec: SweepSpec) -> list[tuple[str, ScenarioConfig]]:
+    """(bound, scenario) of every row, in CSV order: a lower row per point,
+    then an upper row per distinct (l, eta1), the only swept inputs of the
+    upper bound. A row's scenario is its point with the row's derived seed."""
     base_seed = spec.base.seed
     points = sweep_points(spec)
     plan = []
     if spec.bounds in ("lower", "both"):
-        plan += [("lower", p, _point_seed(base_seed, 0, i)) for i, p in enumerate(points)]
+        plan += [("lower", replace(p, seed=_point_seed(base_seed, 0, i)))
+                 for i, p in enumerate(points)]
     if spec.bounds in ("upper", "both"):
         groups = {(p.link_distance_m, p.duty_cycles[0]): p for p in points}
-        plan += [("upper", p, _point_seed(base_seed, 1, g))
+        plan += [("upper", replace(p, seed=_point_seed(base_seed, 1, g)))
                  for g, p in enumerate(groups.values())]
     return plan
 
@@ -109,13 +111,13 @@ def run_sweep(spec: SweepSpec, out_path) -> list[ResultRow]:
     plan = row_plan(spec)
     rows: list[ResultRow] = []
     try:
-        for n, (bound, scenario, seed) in enumerate(plan, 1):
+        for n, (bound, scenario) in enumerate(plan, 1):
             started = time.perf_counter()
             # looked up at call time: a wrapper installed on this module applies
             estimator = lower_bound if bound == "lower" else upper_bound
-            est = estimator(scenario, seed=seed)
+            est = estimator(scenario)
             rows.append(ResultRow(*_geometry(bound, scenario), est.rate, est.ci_halfwidth,
-                                  est.samples_used, seed))
+                                  est.samples_used, scenario.seed))
             print(f"[{n}/{len(plan)}] {','.join(rows[-1].csv_values()[:7])} "
                   f"({time.perf_counter() - started:.1f}s)", file=sys.stderr)
     except Exception as err:
@@ -126,19 +128,15 @@ def run_sweep(spec: SweepSpec, out_path) -> list[ResultRow]:
     return rows
 
 
-def _ratio_references(geometries: list[tuple], reference_distance: float):
+def _ratio_references(geometries: list[tuple]):
     """(row, reference row) index pairs: each lower row with an interferer
-    and the row of its (l, eta1, eta2) group at d = reference_distance."""
-    reference = {(l, e1, e2): i for i, (l, d, e1, e2, _) in enumerate(geometries)
-                 if d == reference_distance}
-    pairs = []
-    for i, (l, d, e1, e2, _) in enumerate(geometries):
-        if d is None:           # an upper row, or no interferer
-            continue
-        if (l, e1, e2) not in reference:
-            raise ValueError(f"no row at reference distance {reference_distance} m "
-                             f"for group l={l}, eta1={e1}, eta2={e2}")
-        pairs.append((i, reference[(l, e1, e2)]))
+    and the row of its (l, eta1, eta2) group with the largest d."""
+    # upper rows and interferer-free rows have no d and no ratio
+    rated = [(i, (l, e1, e2), d) for i, (l, d, e1, e2, _) in enumerate(geometries)
+             if d is not None]
+    # ascending d, so each group keeps its last, farthest row
+    farthest = {group: i for i, group, _ in sorted(rated, key=lambda r: r[2])}
+    pairs = [(i, farthest[group]) for i, group, _ in rated]
     if not pairs:
         cause = ("the scenario has no interferer" if any(g[4] == "lower" for g in geometries)
                  else "bounds 'upper' writes no lower-bound row")
@@ -148,7 +146,7 @@ def _ratio_references(geometries: list[tuple], reference_distance: float):
 
 def _write_ratios(path, rows: list[ResultRow], pairs) -> None:
     """The lower-bound rows of `pairs` with a rate / rate(reference) column:
-    the interference penalty relative to a far node of the same group."""
+    the interference penalty relative to the farthest node of the same group."""
     lines = [",".join(CSV_COLUMNS[:7]) + ",rate_ratio"]
     for i, ref in pairs:
         row, reference = rows[i], rows[ref]
@@ -171,8 +169,7 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="evaluate a sweep and write CSV results")
     run_p.add_argument("--config", help="JSON config path (defaults apply if omitted)")
     run_p.add_argument("--out", default="results.csv", help="output CSV path")
-    run_p.add_argument("--ratios-out", help="also write rate/rate(reference) table")
-    run_p.add_argument("--reference-distance", type=float, default=100.0)
+    run_p.add_argument("--ratios-out", help="also write the rate / rate(farthest d) table")
 
     val_p = sub.add_parser("validate", help="check a config and print it materialized")
     val_p.add_argument("--config", required=True)
@@ -217,8 +214,7 @@ def main(argv=None) -> int:
         spec = spec_from_mapping({}) if args.config is None else load_config(args.config)
         if args.ratios_out is not None:
             # pair the plan's rows before any estimator runs; the rows keep its order
-            pairs = _ratio_references([_geometry(bound, scenario) for bound, scenario, _
-                                       in row_plan(spec)], args.reference_distance)
+            pairs = _ratio_references([_geometry(*row) for row in row_plan(spec)])
         rows = run_sweep(spec, args.out)
         print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
         if args.ratios_out is not None:

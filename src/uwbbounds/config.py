@@ -8,8 +8,9 @@ owns the sweep (`_apply_point`, `sweep_points`); ScenarioConfig checks every
 value, a sweep value by being applied to the base scenario. Every loaded
 config materializes all defaults, so the effective config written next to a
 result file reloads to the identical sweep. In fixed-draw mode that includes
-the channel "h1": a config that leaves it out gets its base scenario's
-`channel()`, the draw keyed by its seed, and every sweep point inherits it.
+the channel "h1": a SweepSpec, loaded or built by hand, whose base leaves it
+out pins the base's `channel()`, the draw keyed by the base seed, and every
+sweep point inherits it, whatever seed its row runs with.
 """
 
 from __future__ import annotations
@@ -42,11 +43,16 @@ class ConfigError(Exception):
 @dataclass(frozen=True)
 class SweepSpec:
     """One experiment: a base scenario, swept variables in declaration order,
-    and the bound selection."""
+    and the bound selection. A fixed-draw base keeps its channel() as h1."""
 
     base: ScenarioConfig
     sweep: dict[str, tuple] = field(default_factory=dict)
     bounds: str = "both"
+
+    def __post_init__(self):
+        h = self.base.channel()
+        if h is not None:
+            object.__setattr__(self, "base", replace(self.base, h1=tuple(h)))
 
 
 def _reject_duplicates(pairs):
@@ -96,9 +102,6 @@ def spec_from_mapping(data: dict) -> SweepSpec:
             raise ConfigError("unknown-key", f"unknown config key {key!r}")
     kwargs = {key: data[key] for key in _FIELDS if key in data}
     base = _scenario(lambda: ScenarioConfig(**kwargs))
-    h = base.channel()
-    if h is not None:
-        base = replace(base, h1=tuple(h))
 
     bounds = data.get("bounds", "both")
     if not isinstance(bounds, str):

@@ -101,7 +101,10 @@ def log_gauss_lowrank_marginal(amplitude: float, noise_var: float, rows,
     """
     eig, prefix, const = _capacitance_prefix(noise_var, rows, t)
     gain = (amplitude * amplitude / noise_var) * t[0]                  # (M,)
-    fit = (gain * t / eig).transpose(0, 2, 1) @ (prefix * prefix)      # (S, M, N)
-    q = np.subtract(gain[:, None] * np.arange(1, prefix.shape[2] + 1), fit, out=fit)
+    # the dimensionless residual d - fit first: gain * t / eig overflows near
+    # the SNR limit, where eig is close to noise_var
+    fit = (t / eig).transpose(0, 2, 1) @ (prefix * prefix)             # (S, M, N)
+    q = np.subtract(np.arange(1, prefix.shape[2] + 1), fit, out=fit)
     np.maximum(q, 0.0, out=q)
+    q *= gain[:, None]
     return _prefix_profile(const, np.log1p(q, out=q).sum(axis=1))

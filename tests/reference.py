@@ -353,10 +353,11 @@ def read_result_csv(path) -> list[ResultRow]:
     rows = []
     for line in lines[1:]:
         parts = line.split(",")
+        assert parts[9] == "0.0", f"wall_s must be 0.0, got {parts[9]!r}"
         rows.append(ResultRow(
             l_m=float(parts[0]), d_m=float(parts[1]) if parts[1] else None,
             eta1=float(parts[2]), eta2=float(parts[3]) if parts[3] else None,
             bound=parts[4], rate_bits_per_symbol=float(parts[5]),
             ci_halfwidth=float(parts[6]), samples=int(parts[7]),
-            seed=int(parts[8]), wall_s=float(parts[9])))
+            seed=int(parts[8])))
     return rows

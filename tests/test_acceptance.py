@@ -155,8 +155,8 @@ def test_criterion_4_proposition_1():
 
     h_a, h_b = (dataclasses.replace(cfg, seed=s).channel() for s in (101, 202))
     assert not np.array_equal(h_a, h_b)
-    prof_a = lower_bound(dataclasses.replace(cfg, h1=tuple(h_a)), seed=101).profile
-    prof_b = lower_bound(dataclasses.replace(cfg, h1=tuple(h_b)), seed=202).profile
+    prof_a = lower_bound(dataclasses.replace(cfg, h1=tuple(h_a), seed=101)).profile
+    prof_b = lower_bound(dataclasses.replace(cfg, h1=tuple(h_b), seed=202)).profile
     log_a, se_a = prof_a.log_pd[0], prof_a.se_log_pd[0]
     log_b, se_b = prof_b.log_pd[0], prof_b.se_log_pd[0]
     gap, tol = abs(log_a - log_b), Z95 * np.hypot(se_a, se_b)
@@ -247,8 +247,7 @@ def sweep_rates(link):
     cfg = dataclasses.replace(cfg, h1=tuple(mean_energy_h1(cfg)))
     rates, cis = [], []
     for i, d in enumerate(DISTANCES):
-        est = lower_bound(dataclasses.replace(cfg, interferer_distances_m=(d,)),
-                          seed=7000 + i)
+        est = lower_bound(dataclasses.replace(cfg, interferer_distances_m=(d,), seed=7000 + i))
         rates.append(est.rate)
         cis.append(est.ci_halfwidth)
     return np.array(rates), np.array(cis)

@@ -187,10 +187,11 @@ def test_lower_rows_precede_upper_and_upper_dedupes(tmp_path):
 
 
 def test_rows_carry_point_seeds_and_fixed_wall(tmp_path):
-    rows = run_sweep(tiny_spec(sweep={"d": [5.0, 30.0]}), tmp_path / "r.csv")
+    out = tmp_path / "r.csv"
+    rows = run_sweep(tiny_spec(sweep={"d": [5.0, 30.0]}), out)
     seeds = [r.seed for r in rows]
     assert len(set(seeds)) == len(seeds)
-    assert all(r.wall_s == 0.0 for r in rows)
+    assert all(line.endswith(",0.0") for line in out.read_text().splitlines()[1:])
     assert all(r.samples > 0 for r in rows)
 
 
@@ -247,10 +248,10 @@ def test_every_row_reproduces_from_its_scenario_and_seed(tmp_path, h1_mode):
     rows = run_sweep(spec, tmp_path / "r.csv")
     plan = cli.row_plan(spec)
     assert len(rows) == len(plan) == 6
-    for row, (bound, scenario, seed) in zip(rows, plan):
-        est = {"lower": lower_bound, "upper": upper_bound}[bound](scenario, seed=seed)
+    for row, (bound, scenario) in zip(rows, plan):
+        est = {"lower": lower_bound, "upper": upper_bound}[bound](scenario)
         assert (row.rate_bits_per_symbol, row.ci_halfwidth, row.samples, row.seed) == \
-            (est.rate, est.ci_halfwidth, est.samples_used, seed)
+            (est.rate, est.ci_halfwidth, est.samples_used, scenario.seed)
 
 
 def test_sidecar_reloads_to_the_same_spec(tmp_path):
@@ -288,16 +289,38 @@ def test_an_explicit_h1_is_the_channel_of_every_row(tmp_path):
     assert [r.rate_bits_per_symbol for r in rows] != [r.rate_bits_per_symbol for r in drawn]
 
 
+def test_a_hand_built_spec_pins_its_base_channel(tmp_path, monkeypatch):
+    # a fixed-draw SweepSpec without h1 runs every row, whatever its row seed,
+    # on base.channel(), as a loaded one does, and its sidecar lists that h1
+    base = uwbbounds.ScenarioConfig(**TINY)
+    spec = uwbbounds.SweepSpec(base=base, sweep={"d": (5.0, 30.0)})
+    assert spec == tiny_spec(sweep={"d": [5.0, 30.0]})
+    channels = []
+    for name in ("lower_bound", "upper_bound"):
+        def recording(scenario, real=getattr(cli, name)):
+            channels.append(scenario.channel())
+            return real(scenario)
+        monkeypatch.setattr(cli, name, recording)
+    out = tmp_path / "a.csv"
+    run_sweep(spec, out)
+    assert len(channels) == 3
+    assert all(np.array_equal(h, base.channel()) for h in channels)
+    sidecar = tmp_path / "a.csv.config.json"
+    assert json.loads(sidecar.read_text())["h1"] == base.channel().tolist()
+    assert main(["run", "--config", str(sidecar), "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "b.csv").read_bytes() == out.read_bytes()
+
+
 def test_estimator_failure_leaves_partial_file(tmp_path, monkeypatch):
     spec = tiny_spec(sweep={"d": [5.0, 30.0]})
     real = cli.lower_bound
     calls = []
 
-    def explode_on_second(scenario, seed=None):
+    def explode_on_second(scenario):
         calls.append(1)
         if len(calls) > 1:
             raise RuntimeError("synthetic breakdown")
-        return real(scenario, seed=seed)
+        return real(scenario)
 
     monkeypatch.setattr(cli, "lower_bound", explode_on_second)
     out = tmp_path / "r.csv"
@@ -323,9 +346,10 @@ def test_csv_floats_round_trip():
 
 
 def test_ratios_out_groups_by_geometry(tmp_path):
-    # each lower row's rate over its (l, eta1, eta2) group's rate at d = 100 m
-    cfg = write_config(tmp_path, {**TINY, "sweep": {"l": [3.0, 4.0], "d": [5.0, 100.0]},
-                                  "bounds": "lower"})
+    # each lower row's rate over the rate of its (l, eta1, eta2) group's
+    # farthest interferer, d = 30 m here, which comes first in sweep order
+    cfg = write_config(tmp_path, {**TINY, "sweep": {"l": [3.0, 4.0], "d": [30.0, 5.0],
+                                                    "eta2": [0.5, 0.3]}, "bounds": "lower"})
     out, ratios = tmp_path / "r.csv", tmp_path / "ratios.csv"
     assert main(["run", "--config", cfg, "--out", str(out), "--ratios-out", str(ratios)]) == 0
     rows = read_result_csv(out)
@@ -333,13 +357,10 @@ def test_ratios_out_groups_by_geometry(tmp_path):
     assert lines[0] == ",".join(CSV_COLUMNS[:7]) + ",rate_ratio"
     assert [line.rsplit(",", 1)[0] for line in lines[1:]] == \
         [",".join(r.csv_values()[:7]) for r in rows]
-    by_key = {(float(v[0]), float(v[1])): float(v[-1])
-              for v in (line.split(",") for line in lines[1:])}
-    assert by_key[(3.0, 100.0)] == 1.0
-    assert by_key[(4.0, 100.0)] == 1.0
-    lookup = {(r.l_m, r.d_m): r.rate_bits_per_symbol for r in rows}
-    assert by_key[(3.0, 5.0)] == lookup[(3.0, 5.0)] / lookup[(3.0, 100.0)]
-    assert by_key[(4.0, 5.0)] == lookup[(4.0, 5.0)] / lookup[(4.0, 100.0)]
+    got = [float(line.rsplit(",", 1)[1]) for line in lines[1:]]
+    rate = {(r.l_m, r.d_m, r.eta2): r.rate_bits_per_symbol for r in rows}
+    assert got == [rate[r.l_m, r.d_m, r.eta2] / rate[r.l_m, 30.0, r.eta2] for r in rows]
+    assert [ratio for ratio, r in zip(got, rows) if r.d_m == 30.0] == [1.0] * 4
 
 
 def test_ratios_reject_zero_reference_rate(tmp_path, monkeypatch, capsys):
@@ -370,19 +391,6 @@ def test_ratios_without_lower_interferer_rows_fail_before_estimating(
                  "--ratios-out", str(tmp_path / "q.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: the ratio table") and cause in err
-    assert sorted(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
-
-
-def test_ratios_without_a_reference_point_fail_before_estimating(tmp_path, monkeypatch,
-                                                                capsys):
-    # no d = 100 m point in the sweep: the run stops before any row is estimated
-    cfg = write_config(tmp_path, {**TINY, "sweep": {"d": [2, 10]}})
-    for name in ("lower_bound", "upper_bound"):
-        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("estimator ran"))
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "r.csv"),
-                 "--ratios-out", str(tmp_path / "q.csv")]) == 2
-    assert capsys.readouterr().err.startswith(
-        "error: no row at reference distance 100.0 m for group l=3.0, eta1=0.5, eta2=0.5")
     assert sorted(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
 
@@ -461,6 +469,23 @@ def test_readme_library_block_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("h1_mode", ["fixed-draw", "averaged"])
+def test_benchmark_trace_child_runs_and_writes_the_same_csv(tmp_path, h1_mode):
+    # perfbench/child.py wraps package names by attribute: a name deleted or
+    # renamed under it stops the benchmark with a KeyError or AttributeError
+    cfg = write_config(tmp_path, {**TINY, "sweep": {"d": [2, 10]}, "h1_mode": h1_mode})
+    child = Path(cli.__file__).resolve().parents[2] / "perfbench" / "child.py"
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    traced, plain = tmp_path / "traced.csv", tmp_path / "plain.csv"
+    proc = subprocess.run([sys.executable, str(child), "trace", cfg, str(traced),
+                           str(tmp_path / "report.json")],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert main(["run", "--config", cfg, "--out", str(plain)]) == 0
+    assert traced.read_bytes() == plain.read_bytes()
+
+
 def test_run_loads_no_scipy(tmp_path):
     # a fresh interpreter: scipy.special alone costs ~0.25 s and ~10 MB to
     # import, and numpy 2 loads numpy.random lazily, so the package loads it
@@ -524,10 +549,15 @@ def test_run_with_colliding_paths_fails_before_estimating(tmp_path, monkeypatch,
     assert Path(config).read_text() == payload
 
 
-def test_averaged_rows_stay_finite_at_extreme_snr(tmp_path):
-    # A_1^2 / sigma^2 near 1e33: the closed-form h1 average sums log1p terms
-    # and must neither overflow nor warn
-    cfg = write_config(tmp_path, {**TINY, "h1_mode": "averaged", "link_distance_m": 1e-9})
+@pytest.mark.parametrize("h1_mode", ["fixed-draw", "averaged"])
+@pytest.mark.parametrize("extreme", [{"link_distance_m": 1e-9}, {"link_distance_m": 1e-90},
+                                     {"interferer_distances_m": [6e-93]}],
+                         ids=["link-1e-9", "link-1e-90", "interferer-6e-93"])
+def test_averaged_rows_stay_finite_at_extreme_snr(tmp_path, h1_mode, extreme):
+    # A_i^2 / sigma^2 up to near the float limit: the closed-form h1 average
+    # sums log1p terms, and neither it nor the fixed-draw kernel may overflow
+    # or warn
+    cfg = write_config(tmp_path, {**TINY, "h1_mode": h1_mode, **extreme})
     out = tmp_path / "r.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
