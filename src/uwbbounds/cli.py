@@ -11,11 +11,11 @@ next to it as <out>.config.json. Output bytes are a pure function of the
 config: the wall_s column is fixed at 0.0 and real timings go to stderr. A
 run evaluates one row plan (`row_plan`) of (bound, scenario) rows; each row's
 scenario is its sweep point with a derived seed, recorded in the row, and the
-row is the estimator's result for that scenario alone. Bad or empty paths
-and a plan with no ratio rows for --ratios-out fail before any estimator
-runs: --ratios-out pairs each lower row with an interferer, once, up front,
-with the row of its (l, eta1, eta2) group at the farthest d, and the
-finished rows are divided along those pairs.
+row is the estimator's result for that scenario alone. Every file a run
+writes has its path checked before any estimator runs, and so has the ratio
+table: --ratios-out needs lower rows with an interferer, which the spec
+alone decides. The finished lower rows are then divided by the row of their
+(l, eta1, eta2) group at the farthest d.
 """
 
 from __future__ import annotations
@@ -128,28 +128,17 @@ def run_sweep(spec: SweepSpec, out_path) -> list[ResultRow]:
     return rows
 
 
-def _ratio_references(geometries: list[tuple]):
-    """(row, reference row) index pairs: each lower row with an interferer
-    and the row of its (l, eta1, eta2) group with the largest d."""
+def _write_ratios(path, rows: list[ResultRow]) -> None:
+    """Each lower row with an interferer, with a rate / rate(reference) column:
+    the interference penalty relative to the row of its (l, eta1, eta2) group
+    with the largest d."""
     # upper rows and interferer-free rows have no d and no ratio
-    rated = [(i, (l, e1, e2), d) for i, (l, d, e1, e2, _) in enumerate(geometries)
-             if d is not None]
-    # ascending d, so each group keeps its last, farthest row
-    farthest = {group: i for i, group, _ in sorted(rated, key=lambda r: r[2])}
-    pairs = [(i, farthest[group]) for i, group, _ in rated]
-    if not pairs:
-        cause = ("the scenario has no interferer" if any(g[4] == "lower" for g in geometries)
-                 else "bounds 'upper' writes no lower-bound row")
-        raise ValueError(f"the ratio table compares lower-bound rates, and {cause}")
-    return pairs
-
-
-def _write_ratios(path, rows: list[ResultRow], pairs) -> None:
-    """The lower-bound rows of `pairs` with a rate / rate(reference) column:
-    the interference penalty relative to the farthest node of the same group."""
+    rated = [row for row in rows if row.d_m is not None]
+    # ascending d, stably, so each group keeps its last, farthest row
+    farthest = {(r.l_m, r.eta1, r.eta2): r for r in sorted(rated, key=lambda r: r.d_m)}
     lines = [",".join(CSV_COLUMNS[:7]) + ",rate_ratio"]
-    for i, ref in pairs:
-        row, reference = rows[i], rows[ref]
+    for row in rated:
+        reference = farthest[row.l_m, row.eta1, row.eta2]
         if reference.rate_bits_per_symbol == 0.0:
             raise ValueError(f"rate at reference distance {reference.d_m} m is 0 for "
                              f"group l={row.l_m}, eta1={row.eta1}, eta2={row.eta2}; "
@@ -186,39 +175,38 @@ def main(argv=None) -> int:
                 os.dup2(devnull, sys.stdout.fileno())
                 os.close(devnull)
             return 0
-        # run; an output path that is empty, cannot be a file, or names the
-        # same file as another path of the run fails here, before any estimator
+        # run; a path it writes that is empty, lies in no directory, is a
+        # directory or names another path of the run fails here, before any estimator
         for flag, value in (("--out", args.out), ("--ratios-out", args.ratios_out)):
+            if value == "":
+                raise ValueError(f"output path is empty: {flag}")
+        out = Path(args.out)
+        seen = {} if args.config is None else {Path(args.config).resolve(): "--config"}
+        for flag, value in (("--out", args.out),
+                            ("<out>.config.json", out.parent / f"{out.name}.config.json"),
+                            ("<out>.partial", out.parent / f"{out.name}.partial"),
+                            ("--ratios-out", args.ratios_out)):
             if value is None:
                 continue
-            if not value:
-                raise ValueError(f"output path is empty: {flag}")
             path = Path(value)
             if not path.parent.is_dir():
                 raise ValueError(f"output directory not found: {path.parent} (for {path})")
             if path.is_dir():
                 raise ValueError(f"output path is a directory: {path}")
-        out = Path(args.out)
-        named = {"--config": args.config, "--out": args.out,
-                 "<out>.config.json": out.with_name(out.name + ".config.json"),
-                 "<out>.partial": out.with_name(out.name + ".partial"),
-                 "--ratios-out": args.ratios_out}
-        seen: dict[Path, str] = {}
-        for flag, path in named.items():
-            if path is None:
-                continue
-            resolved = Path(path).resolve()
+            resolved = path.resolve()
             if resolved in seen:
-                raise ValueError(f"{seen[resolved]} and {flag} name the same file: {path}")
+                raise ValueError(f"{seen[resolved]} and {flag} name the same file: {value}")
             seen[resolved] = flag
         spec = spec_from_mapping({}) if args.config is None else load_config(args.config)
-        if args.ratios_out is not None:
-            # pair the plan's rows before any estimator runs; the rows keep its order
-            pairs = _ratio_references([_geometry(*row) for row in row_plan(spec)])
+        # every lower row has a d exactly when the scenario has an interferer
+        if args.ratios_out is not None and (spec.bounds == "upper" or spec.base.num_nodes < 2):
+            cause = ("bounds 'upper' writes no lower-bound row" if spec.bounds == "upper"
+                     else "the scenario has no interferer")
+            raise ValueError(f"the ratio table compares lower-bound rates, and {cause}")
         rows = run_sweep(spec, args.out)
         print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
         if args.ratios_out is not None:
-            _write_ratios(args.ratios_out, rows, pairs)
+            _write_ratios(args.ratios_out, rows)
             print(f"wrote ratios to {args.ratios_out}", file=sys.stderr)
         return 0
     except ConfigError as err:

@@ -3,14 +3,15 @@
 A config file is one JSON object and the whole description of a run. Its
 scenario keys are the ScenarioConfig field names, "seed" included; a "sweep"
 object maps swept variables (l, d, eta1, eta2) to value lists, and "bounds"
-selects which estimators run. This module checks only the JSON shape and
-owns the sweep (`_apply_point`, `sweep_points`); ScenarioConfig checks every
-value, a sweep value by being applied to the base scenario. Every loaded
-config materializes all defaults, so the effective config written next to a
-result file reloads to the identical sweep. In fixed-draw mode that includes
-the channel "h1": a SweepSpec, loaded or built by hand, whose base leaves it
-out pins the base's `channel()`, the draw keyed by the base seed, and every
-sweep point inherits it, whatever seed its row runs with.
+selects which estimators run. The loader checks the top-level keys;
+ScenarioConfig checks every scenario value, and SweepSpec, loaded or built by
+hand, checks its sweep and bound selection, a sweep value by applying it to
+the base scenario (`_apply_point`). Every loaded config materializes all
+defaults, so the effective config written next to a result file reloads to
+the identical sweep. In fixed-draw mode that includes the channel "h1": a
+SweepSpec whose base leaves it out pins the base's `channel()`, the draw
+keyed by the base seed, and every sweep point inherits it, whatever seed its
+row runs with.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ class ConfigError(Exception):
 @dataclass(frozen=True)
 class SweepSpec:
     """One experiment: a base scenario, swept variables in declaration order,
-    and the bound selection. A fixed-draw base keeps its channel() as h1."""
+    and the bound selection, checked as a config's are. A fixed-draw base keeps
+    its channel() as h1; a sweep's value lists are stored as float tuples."""
 
     base: ScenarioConfig
     sweep: dict[str, tuple] = field(default_factory=dict)
@@ -53,6 +55,25 @@ class SweepSpec:
         h = self.base.channel()
         if h is not None:
             object.__setattr__(self, "base", replace(self.base, h1=tuple(h)))
+        if not isinstance(self.bounds, str):
+            raise ConfigError("bad-type", "bounds must be a string")
+        if self.bounds not in BOUND_CHOICES:
+            raise ConfigError("bad-value",
+                              f"bounds must be one of {BOUND_CHOICES}, got {self.bounds!r}")
+        if not isinstance(self.sweep, dict):
+            raise ConfigError("bad-type", "sweep must be an object")
+        sweep: dict[str, tuple] = {}
+        for var, values in self.sweep.items():
+            if var not in SWEEP_VARS:
+                raise ConfigError("unknown-key", f"unknown sweep variable {var!r}")
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ConfigError("bad-type", f"sweep.{var} must be a non-empty array")
+            # each value must give a valid scenario alone; the swept variables
+            # set separate entries, so every point of the sweep is then valid
+            for x in values:
+                _scenario(lambda: _apply_point(self.base, {var: x}), f"sweep.{var}: ")
+            sweep[var] = tuple(float(x) for x in values)
+        object.__setattr__(self, "sweep", sweep)
 
 
 def _reject_duplicates(pairs):
@@ -102,28 +123,7 @@ def spec_from_mapping(data: dict) -> SweepSpec:
             raise ConfigError("unknown-key", f"unknown config key {key!r}")
     kwargs = {key: data[key] for key in _FIELDS if key in data}
     base = _scenario(lambda: ScenarioConfig(**kwargs))
-
-    bounds = data.get("bounds", "both")
-    if not isinstance(bounds, str):
-        raise ConfigError("bad-type", "bounds must be a string")
-    if bounds not in BOUND_CHOICES:
-        raise ConfigError("bad-value", f"bounds must be one of {BOUND_CHOICES}, got {bounds!r}")
-
-    raw_sweep = data.get("sweep", {})
-    if not isinstance(raw_sweep, dict):
-        raise ConfigError("bad-type", "sweep must be an object")
-    sweep: dict[str, tuple] = {}
-    for var, values in raw_sweep.items():
-        if var not in SWEEP_VARS:
-            raise ConfigError("unknown-key", f"unknown sweep variable {var!r}")
-        if not isinstance(values, list) or not values:
-            raise ConfigError("bad-type", f"sweep.{var} must be a non-empty array")
-        # each value must give a valid scenario alone; the swept variables
-        # set separate entries, so every point of the sweep is then valid
-        for x in values:
-            _scenario(lambda: _apply_point(base, {var: x}), f"sweep.{var}: ")
-        sweep[var] = tuple(float(x) for x in values)
-    return SweepSpec(base=base, sweep=sweep, bounds=bounds)
+    return SweepSpec(base=base, sweep=data.get("sweep", {}), bounds=data.get("bounds", "both"))
 
 
 def load_config(path) -> SweepSpec:

@@ -311,6 +311,32 @@ def test_a_hand_built_spec_pins_its_base_channel(tmp_path, monkeypatch):
     assert (tmp_path / "b.csv").read_bytes() == out.read_bytes()
 
 
+@pytest.mark.parametrize("extra, code, start", [
+    ({"bounds": "lowr"}, "bad-value", "bounds must be one of"),
+    ({"bounds": 5}, "bad-type", "bounds must be a string"),
+    ({"sweep": [("d", (2.0,))]}, "bad-type", "sweep must be an object"),
+    ({"sweep": {"x": (1.0,)}}, "unknown-key", "unknown sweep variable 'x'"),
+    ({"sweep": {"d": ()}}, "bad-type", "sweep.d must be a non-empty array"),
+    ({"sweep": {"d": (-1.0,)}}, "bad-value", "sweep.d: "),
+])
+def test_a_hand_built_spec_is_checked_like_a_loaded_one(tmp_path, extra, code, start):
+    # SweepSpec owns the sweep and bounds rules: built in Python, it fails
+    # with the code and message of the same config loaded from JSON
+    with pytest.raises(ConfigError) as built:
+        uwbbounds.SweepSpec(base=uwbbounds.ScenarioConfig(**TINY), **extra)
+    with pytest.raises(ConfigError) as loaded:
+        load_config(write_config(tmp_path, {**TINY, **extra}))
+    assert (built.value.code, str(built.value)) == (loaded.value.code, str(loaded.value))
+    assert built.value.code == code and str(built.value).startswith(start)
+
+
+def test_a_hand_built_sweep_stores_float_tuples():
+    spec = uwbbounds.SweepSpec(base=uwbbounds.ScenarioConfig(**TINY), sweep={"d": [2, 10]})
+    assert spec.sweep == {"d": (2.0, 10.0)}
+    assert all(type(x) is float for x in spec.sweep["d"])
+    assert spec_from_mapping(effective_config(spec)) == spec
+
+
 def test_estimator_failure_leaves_partial_file(tmp_path, monkeypatch):
     spec = tiny_spec(sweep={"d": [5.0, 30.0]})
     real = cli.lower_bound
@@ -380,6 +406,9 @@ def test_ratios_reject_zero_reference_rate(tmp_path, monkeypatch, capsys):
     ({"bounds": "upper"}, "bounds 'upper' writes no lower-bound row"),
     ({"num_nodes": 1, "duty_cycles": [0.5], "interferer_distances_m": []},
      "the scenario has no interferer"),
+    # no lower row and no interferer: the bound selection is named first
+    ({"bounds": "upper", "num_nodes": 1, "duty_cycles": [0.5], "interferer_distances_m": []},
+     "bounds 'upper' writes no lower-bound row"),
 ])
 def test_ratios_without_lower_interferer_rows_fail_before_estimating(
         tmp_path, monkeypatch, capsys, extra, cause):
@@ -508,10 +537,14 @@ assert status == 0 and not loaded, (status, loaded)
     assert [row.bound for row in read_result_csv(out)] == ["lower", "upper"]
 
 
-@pytest.mark.parametrize("flag", ["--out", "--ratios-out"])
-@pytest.mark.parametrize("target, message", [("absent/x.csv", "output directory not found"),
-                                             ("a_directory", "output path is a directory"),
-                                             (None, "output path is empty")])
+@pytest.mark.parametrize("target, message, flag", [
+    (target, message, flag)
+    for target, message in [("absent/x.csv", "output directory not found"),
+                            ("a_directory", "output path is a directory"),
+                            (None, "output path is empty")]
+    for flag in ("--out", "--ratios-out")
+] + [("a_directory/r.csv.config.json", "output path is a directory", "<out>.config.json"),
+     ("a_directory/r.csv.partial", "output path is a directory", "<out>.partial")])
 def test_run_into_unwritable_path_fails_before_estimating(tmp_path, monkeypatch, capsys,
                                                           flag, target, message):
     cfg = write_config(tmp_path, {**TINY, "sweep": {"d": [5.0, 100.0]}, "bounds": "lower"})
@@ -519,12 +552,18 @@ def test_run_into_unwritable_path_fails_before_estimating(tmp_path, monkeypatch,
     monkeypatch.setattr(cli, "lower_bound", lambda *a, **k: pytest.fail("estimator ran"))
     paths = {"--out": str(tmp_path / "r.csv"), "--ratios-out": str(tmp_path / "q.csv")}
     paths[flag] = "" if target is None else str(tmp_path / target)
-    argv = ["run", "--config", cfg] + [arg for item in paths.items() for arg in item]
+    if flag.startswith("<out>"):
+        # a directory where the run would write a file named after --out
+        paths["--out"] = str(tmp_path / "a_directory" / "r.csv")
+        os.mkdir(paths[flag])
+    argv = ["run", "--config", cfg] + [arg for name in ("--out", "--ratios-out")
+                                       for arg in (name, paths[name])]
     assert main(argv) == 2
     err = capsys.readouterr().err
     # the message names the path, or the flag when the path is empty
     assert err.startswith(f"error: {message}") and (paths[flag] or flag) in err
     assert sorted(tmp_path.iterdir()) == [tmp_path / "a_directory", tmp_path / "cfg.json"]
+    assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == [tmp_path / "cfg.json"]
 
 
 @pytest.mark.parametrize("config, out, ratios, pair", [
