@@ -38,7 +38,7 @@ import numpy as np
 
 from .gaussian import log_gauss_lowrank, log_gauss_lowrank_marginal
 from .mc import (PAIR_OVERLAP, UPPER_INFO, Z95, LogAccumulator, log_sums, logsumexp,
-                 normal_qq_corr, substream, t_quantile_975)
+                 normal_qq_corr, substream)
 from .model import ScenarioConfig, sample_channel, sample_symbols
 
 LN2 = float(np.log(2.0))
@@ -151,7 +151,7 @@ def upper_bound(scenario: ScenarioConfig) -> BoundEstimate:
     draws its channels (if averaged), then its symbols u, then its noise z;
     each sample scores -log2 sum_v P(v) e^{E(v)} in bits, with E the
     log-likelihood ratio of symbol v against the drawn u. E(u) = 0, so only
-    the flipped symbol needs evaluating.
+    the flipped symbol needs evaluating. Its 95% CI is Z95 standard errors.
     """
     h1 = scenario.channel()
     eta = scenario.duty_cycles[0]
@@ -170,7 +170,7 @@ def upper_bound(scenario: ScenarioConfig) -> BoundEstimate:
         log_p_u = np.where(u, np.log(eta), np.log1p(-eta))
         log_p_flip = np.where(u, np.log1p(-eta), np.log(eta))
         samples[b * BLOCK:b * BLOCK + size] = -np.logaddexp(log_p_u, log_p_flip + e_flip) / LN2
-    halfwidth = t_quantile_975(n - 1) * math.sqrt(float(samples.var(ddof=1)) / n)
+    halfwidth = Z95 * math.sqrt(float(samples.var(ddof=1)) / n)
     return BoundEstimate(rate=max(0.0, float(samples.mean())), ci_halfwidth=halfwidth,
                          samples_used=n, kind="upper")
 

@@ -10,8 +10,8 @@ the base scenario (`_apply_point`). Every loaded config materializes all
 defaults, so the effective config written next to a result file reloads to
 the identical sweep. In fixed-draw mode that includes the channel "h1": a
 SweepSpec whose base leaves it out pins the base's `channel()`, the draw
-keyed by the base seed, and every sweep point inherits it, whatever seed its
-row runs with.
+keyed by the base seed, checked as a given h1 is, and every sweep point
+inherits it, whatever seed its row runs with.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class SweepSpec:
     def __post_init__(self):
         h = self.base.channel()
         if h is not None:
-            object.__setattr__(self, "base", replace(self.base, h1=tuple(h)))
+            object.__setattr__(self, "base", _scenario(lambda: replace(self.base, h1=tuple(h))))
         if not isinstance(self.bounds, str):
             raise ConfigError("bad-type", "bounds must be a string")
         if self.bounds not in BOUND_CHOICES:

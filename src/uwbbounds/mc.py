@@ -7,11 +7,9 @@ error here is carried as log(sum x) and log(sum x^2); nothing is ever
 exponentiated on the absolute scale. These are the estimators' internals:
 they take the float arrays `bounds` passes and convert nothing.
 
-The module keeps only what numpy and the standard library lack: the QQ
-statistic's normal quantiles come from `statistics.NormalDist.inv_cdf`
-(Wichura's AS 241), and the Student-t 0.975 quantile from the Cornish-Fisher
-expansion (Abramowitz & Stegun 26.7.5) at df >= 1000 and below that from
-Newton steps on the exact finite-series t CDF (A&S 26.7.3-4).
+Both bounds' 95% CIs are Z95 times a standard error, and the QQ statistic's
+normal quantiles come from `statistics.NormalDist.inv_cdf` (Wichura's AS
+241): the module keeps only what numpy and the standard library lack.
 """
 
 from __future__ import annotations
@@ -108,42 +106,6 @@ class LogAccumulator:
         excess = self.log_sumsq - 2.0 * self.log_sum + log_n
         rounding = 4 * np.finfo(float).eps * (abs(self.log_sumsq) + 2 * abs(self.log_sum) + log_n)
         return np.sqrt(np.expm1(np.where(excess > rounding, excess, 0.0)) / (self.count - 1))
-
-
-def t_quantile_975(df: int) -> float:
-    """Student-t 0.975 quantile with `df` >= 1 degrees of freedom."""
-    if df >= 1000:
-        # Cornish-Fisher in 1/df about the normal quantile (A&S 26.7.5)
-        x = Z95
-        x2 = x * x
-        g = (x * (x2 + 1.0) / 4.0,
-             x * ((5.0 * x2 + 16.0) * x2 + 3.0) / 96.0,
-             x * (((3.0 * x2 + 19.0) * x2 + 17.0) * x2 - 15.0) / 384.0,
-             x * ((((79.0 * x2 + 776.0) * x2 + 1482.0) * x2 - 1920.0) * x2 - 945.0) / 92160.0)
-        return x + (g[0] + (g[1] + (g[2] + g[3] / df) / df) / df) / df
-    # P(|T| <= sqrt(df) tan theta) is sin(theta) sum_k a_k cos^2k(theta) for
-    # even df and (2/pi)(theta + sin cos sum_k a_k cos^2k) for odd df (A&S
-    # 26.7.3-4). cos^2k is taken as exp(k ln(1 - sin^2)): rounding cos^2
-    # first would cost k ulps in term k.
-    odd = df % 2
-    k = np.arange(df // 2)
-    coef = np.cumprod(np.concatenate(([1.0], (2 * k[1:] - 1 + odd) / (2 * k[1:] + odd))))
-    slope = 2.0 * math.exp(math.lgamma((df + 1) / 2) - math.lgamma(df / 2)) / math.sqrt(math.pi)
-    # Newton on theta = atan(t / sqrt(df)): the slope of the CDF in theta,
-    # slope * cos^(df-1), falls on [0, pi/2), so steps from the normal
-    # quantile's theta, which lies below the root, rise to it without overshoot
-    theta = math.atan(Z95 / math.sqrt(df))
-    for _ in range(100):
-        sin = math.sin(theta)
-        log_c2 = math.log1p(-sin * sin)
-        series = math.fsum(coef * np.exp(k * log_c2))
-        two_sided = (2.0 / math.pi * (theta + sin * math.cos(theta) * series) if odd
-                     else sin * series)
-        step = (0.95 - two_sided) / (slope * math.exp(0.5 * (df - 1) * log_c2))
-        theta += step
-        if abs(step) <= 1e-15 * theta:     # a few ulps: rounding noise
-            break
-    return math.sqrt(df) * math.tan(theta)
 
 
 def normal_qq_corr(samples: np.ndarray) -> float:

@@ -16,8 +16,9 @@ leaves h1 unset and has no channel.
 
 ScenarioConfig owns every scenario rule: its constructor is the one place a
 value's type (InvalidTypeError) and range (InvalidParameterError) are
-checked, a finite float A_i^2 / sigma_W^2 for every node included, so the
-config loader, the sweep and the estimators only build one. The samplers
+checked, a finite float A_i^2 / sigma_W^2 for every node and, when h1 is
+set, N A_1^2 ||h1||^2 / sigma_W^2 for the codeword included, so the config
+loader, the sweep and the estimators only build one. The samplers
 are the estimators' internals: they take the shapes the estimators pass and
 re-check nothing ScenarioConfig owns.
 """
@@ -151,13 +152,21 @@ class ScenarioConfig:
             raise InvalidParameterError(
                 f"h1 must hold {self.taps} taps in h1_mode 'fixed-draw', got {len(self.h1)} "
                 f"in {self.h1_mode!r}")
-        with np.errstate(over="ignore"):
-            snr = self.amplitudes() ** 2 / self.noise_var_w
+        with np.errstate(over="ignore", invalid="ignore"):     # inf or NaN: rejected below
+            power = self.amplitudes() ** 2
+            snr = power / self.noise_var_w
+            # N ||A_1 h1||^2, then / noise, as the kernel forms it; 0 without h1
+            codeword_snr = (self.codeword_len * power[0] * np.square(self.h1 or 0.0).sum()
+                            / self.noise_var_w)
         if not np.all(np.isfinite(snr)):
             raise InvalidParameterError(
                 f"the SNR A_i^2 / noise_var_w of node {np.argmin(np.isfinite(snr)) + 1} must be "
                 "a finite float: A_i^2 = tx_power_w * pathloss_b * l_i^-pathloss_alpha / "
                 "duty_cycles[i], l_1 = link_distance_m, l_i = interferer_distances_m[i - 2]")
+        if not np.isfinite(codeword_snr):
+            raise InvalidParameterError(
+                f"h1 = {list(self.h1)} with codeword_len = {self.codeword_len} must give a finite "
+                "float codeword SNR codeword_len * A_1^2 * sum(h1^2) / noise_var_w")
 
     def amplitudes(self) -> np.ndarray:
         """Per-node amplitude caps sqrt(P_rcv(l_i) / eta_i), P_rcv(l) = P_tx b l^-alpha:

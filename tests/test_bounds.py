@@ -11,7 +11,7 @@ from scipy.special import gammaln, logsumexp
 import uwbbounds.bounds
 from uwbbounds.bounds import UPPER_INFO, log_distance_probs, lower_bound, upper_bound
 from uwbbounds.gaussian import log_gauss_lowrank
-from uwbbounds.mc import LogAccumulator, substream
+from uwbbounds.mc import Z95, LogAccumulator, substream
 from uwbbounds.model import InvalidParameterError, InvalidTypeError, ScenarioConfig, sample_channel
 
 from reference import genie_information, overlap_log_samples
@@ -401,15 +401,14 @@ def test_upper_bound_reads_no_interferer_parameter():
 
 
 @pytest.mark.parametrize("samples_upper", [400, 4000])
-def test_upper_bound_ci_is_student_t(monkeypatch, samples_upper):
-    # df below 1000 takes t_quantile_975's Newton branch, above it the
-    # Cornish-Fisher one; a z interval would give a ratio of Z95 instead
+def test_upper_bound_ci_is_z95_standard_error(monkeypatch, samples_upper):
+    # the lower bound's rule: Z95 times the standard error, at every sample
+    # count; a Student-t interval would give a ratio of t_0.975(n - 1) instead
     cfg = small_config(samples_upper=samples_upper)
     real = upper_bound(cfg)
-    monkeypatch.setattr(uwbbounds.bounds, "t_quantile_975", lambda df: 1.0)
+    monkeypatch.setattr(uwbbounds.bounds, "Z95", 1.0)
     unit = upper_bound(cfg)
-    assert real.ci_halfwidth / unit.ci_halfwidth == pytest.approx(
-        stats.t.ppf(0.975, samples_upper - 1), rel=1e-12, abs=0.0)
+    assert real.ci_halfwidth / unit.ci_halfwidth == pytest.approx(Z95, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("h1_mode", ["fixed-draw", "averaged"])

@@ -90,6 +90,11 @@ def test_config_errors_name_the_offending_key(tmp_path):
         ({"sweep": {"d": [2, 1e-100]}}, "bad-value", "sweep.d: "),
         ({"tx_power_w": 1e300, "pathloss_b": 1e10}, "bad-value", "tx_power_w"),
         ({"noise_var_w": 1e-320}, "bad-value", "noise_var_w"),
+        # and so must the codeword's, N A_1^2 ||h1||^2 / noise_var_w, given or drawn
+        ({"taps": 2, "codeword_len": 8, "h1": [1e154, 1.0]}, "bad-value", "h1"),
+        ({"taps": 2, "codeword_len": 8, "h1": [1e153, 1.0]}, "bad-value", "h1"),
+        ({"link_distance_m": 6e-93, "samples_theta": 50, "samples_pd": 50,
+          "samples_upper": 500}, "bad-value", "h1"),
         (b'{"seed": "\xff"}', "malformed-json", "cfg.json"),
     ]
     for payload, code, key in cases:
@@ -217,14 +222,14 @@ PINNED_SWEEPS = [
          720, 3926704849073358691),
         (3.0, 30.0, 0.5, 0.5, "lower", 0.6954743128111341, 8.162420885415583e-05,
          720, 17787998696327163147),
-        (3.0, None, 0.5, None, "upper", 0.5922703875034686, 0.08785322985245546,
+        (3.0, None, 0.5, None, "upper", 0.5922703875034686, 0.08758674178521682,
          400, 18161219428762539833),
     ]),
     ({**TINY, "num_nodes": 3, "duty_cycles": [0.5, 0.3, 0.4],
       "interferer_distances_m": [2.0, 4.0], "h1_mode": "averaged"}, [
         (3.0, 2.0, 0.5, 0.3, "lower", 0.4229778039127398, 0.013173174883415056,
          720, 3926704849073358691),
-        (3.0, None, 0.5, None, "upper", 0.7901931946633124, 0.048685326750697026,
+        (3.0, None, 0.5, None, "upper", 0.7901931946633124, 0.04853764796130631,
          400, 18161219428762539833),
     ]),
 ]
@@ -604,6 +609,28 @@ def test_averaged_rows_stay_finite_at_extreme_snr(tmp_path, h1_mode, extreme):
     rows = read_result_csv(out)
     assert [row.bound for row in rows] == ["lower", "upper"]
     assert all(np.isfinite([row.rate_bits_per_symbol, row.ci_halfwidth]).all() for row in rows)
+
+
+@pytest.mark.parametrize("h1_mode", ["fixed-draw", "averaged"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_paper_size_rows_stay_finite_at_the_loaders_snr_limit(h1_mode, seed):
+    # the shortest link the loader accepts, to 5% on a log grid, at N = 80 and
+    # M = 5: the kernel sums N A_1^2 ||h1||^2 / sigma^2, which the per-node
+    # SNR alone does not bound
+    base = {"codeword_len": 80, "taps": 5, "samples_theta": 16, "samples_pd": 16,
+            "samples_upper": 400, "seed": seed, "h1_mode": h1_mode}
+    links = np.geomspace(1e-93, 1e-89, 190)
+    for link in links:
+        try:
+            spec = spec_from_mapping({**base, "link_distance_m": float(link)})
+            break
+        except ConfigError as err:
+            assert err.code == "bad-value"
+    assert links[0] < link < links[-1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        estimates = [lower_bound(spec.base), upper_bound(spec.base)]
+    assert all(np.isfinite([est.rate, est.ci_halfwidth]).all() for est in estimates)
 
 
 def test_config_seed_changes_results(tmp_path):

@@ -16,8 +16,7 @@ from scipy import stats
 import uwbbounds
 import uwbbounds.bounds
 import uwbbounds.mc
-from uwbbounds.mc import (Z95, LogAccumulator, log_sums, logsumexp, normal_qq_corr,
-                          substream, t_quantile_975)
+from uwbbounds.mc import Z95, LogAccumulator, log_sums, logsumexp, normal_qq_corr, substream
 
 
 def test_import_leaves_scipy_stats_out():
@@ -206,14 +205,6 @@ class TestLogAccumulator:
         acc = LogAccumulator.from_log_values(np.log(x))
         direct = x.std(ddof=1) / np.sqrt(500) / x.mean()
         assert acc.se_log_mean == pytest.approx(direct, rel=1e-10)
-
-
-class TestQuantiles:
-    def test_t_quantile_matches_scipy(self):
-        # the Newton branch below df = 1000, Cornish-Fisher from there on
-        dfs = list(range(1, 1001)) + [3999, 19999, 24999, 99999, 10**7]
-        got = [t_quantile_975(df) for df in dfs]
-        np.testing.assert_allclose(got, stats.t.ppf(0.975, dfs), rtol=1e-13, atol=0)
 
 
 class TestIntervals:
