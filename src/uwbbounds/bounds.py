@@ -66,14 +66,20 @@ def log_distance_probs(N: int, eta1: float) -> np.ndarray:
 @dataclass(frozen=True)
 class LowerBoundProfile:
     """Every quantity behind one lower-bound figure; all strata average the
-    same interferer draws."""
+    same interferer draws. qq_ratio is computed from terms on read, so a run
+    that never reads it pays for no sort and no quantile table."""
 
     log_pd: np.ndarray          # ln p(d), d = 0..N; ln theta = log_pd[0]
     se_log_pd: np.ndarray
     log_distance_probs: np.ndarray   # ln P(d), d = 0..N
     log_sum: float              # ln sum_d P(d) p(d)/theta >= ln P(0), before the rate clamp
     se_log_sum: float           # delta-method standard error of log_sum
-    qq_ratio: float             # normal quantile correlation of the ratio terms
+    terms: np.ndarray           # per-draw ratio terms a - b whose variance gives se_log_sum
+
+    @property
+    def qq_ratio(self) -> float:
+        """Normal quantile correlation of the ratio terms."""
+        return normal_qq_corr(self.terms)
 
 
 @dataclass(frozen=True)
@@ -137,7 +143,7 @@ def lower_bound(scenario: ScenarioConfig) -> BoundEstimate:
     strata = LogAccumulator(total, col_sum, col_sumsq)
     profile = LowerBoundProfile(
         log_pd=strata.log_mean, se_log_pd=strata.se_log_mean, log_distance_probs=log_probs,
-        log_sum=log_sum, se_log_sum=se_log_sum, qq_ratio=normal_qq_corr(terms))
+        log_sum=log_sum, se_log_sum=se_log_sum, terms=terms)
     return BoundEstimate(rate=max(0.0, -log_sum / (n_sym * LN2)),
                          ci_halfwidth=Z95 * se_log_sum / (n_sym * LN2),
                          samples_used=total, kind="lower", profile=profile)

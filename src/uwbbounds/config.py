@@ -10,16 +10,18 @@ the base scenario (`_apply_point`). Every loaded config materializes all
 defaults, so the effective config written next to a result file reloads to
 the identical sweep. In fixed-draw mode that includes the channel "h1": a
 SweepSpec whose base leaves it out pins the base's `channel()`, the draw
-keyed by the base seed, checked as a given h1 is, and every sweep point
-inherits it, whatever seed its row runs with.
+keyed by the base seed, which ScenarioConfig has checked as it checks a
+given h1, and every sweep point inherits it, whatever seed its row runs with.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from types import MappingProxyType
 
 from .model import InvalidParameterError, InvalidTypeError, ScenarioConfig
 
@@ -45,22 +47,23 @@ class ConfigError(Exception):
 class SweepSpec:
     """One experiment: a base scenario, swept variables in declaration order,
     and the bound selection, checked as a config's are. A fixed-draw base keeps
-    its channel() as h1; a sweep's value lists are stored as float tuples."""
+    its channel() as h1; the sweep is stored read-only, its value lists as
+    float tuples, so no value can change after the checks."""
 
     base: ScenarioConfig
-    sweep: dict[str, tuple] = field(default_factory=dict)
+    sweep: Mapping[str, tuple] = field(default_factory=dict)
     bounds: str = "both"
 
     def __post_init__(self):
         h = self.base.channel()
         if h is not None:
-            object.__setattr__(self, "base", _scenario(lambda: replace(self.base, h1=tuple(h))))
+            object.__setattr__(self, "base", replace(self.base, h1=tuple(h)))
         if not isinstance(self.bounds, str):
             raise ConfigError("bad-type", "bounds must be a string")
         if self.bounds not in BOUND_CHOICES:
             raise ConfigError("bad-value",
                               f"bounds must be one of {BOUND_CHOICES}, got {self.bounds!r}")
-        if not isinstance(self.sweep, dict):
+        if not isinstance(self.sweep, Mapping):
             raise ConfigError("bad-type", "sweep must be an object")
         sweep: dict[str, tuple] = {}
         for var, values in self.sweep.items():
@@ -73,7 +76,7 @@ class SweepSpec:
             for x in values:
                 _scenario(lambda: _apply_point(self.base, {var: x}), f"sweep.{var}: ")
             sweep[var] = tuple(float(x) for x in values)
-        object.__setattr__(self, "sweep", sweep)
+        object.__setattr__(self, "sweep", MappingProxyType(sweep))
 
 
 def _reject_duplicates(pairs):

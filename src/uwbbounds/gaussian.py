@@ -15,7 +15,9 @@ Direct densities underflow, so all densities are evaluated in natural-log
 domain. At full scale the covariance is 400 x 400; it splits into M laws
 sigma_W^2 I + t_m C^T C, one per tap, whose capacitances sigma_W^2 I + t_m C C^T
 the eigenvectors U of C C^T all diagonalise, so one J x J eigendecomposition
-gives every determinant and inverse. Every mean
+gives every determinant and inverse. For J = 2 rows, one interferer, the
+eigendecomposition of the 2 x 2 gram is the Jacobi closed form; for J >= 3
+it is LAPACK eigh. Every mean
 difference the bounds need is rank 1, a column x = A_1 h_1 times a symbol
 pattern, and symbol signs fold into the rows. So one factorization per
 instance gives the density at every column prefix x 1_d^T (the profile over
@@ -33,6 +35,29 @@ import numpy as np
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
+def _gram_eigh(rows: np.ndarray):
+    """Eigenvalues mu (S, J), ascending, and eigenvectors U (S, J, J) of each
+    gram C C^T for C in rows (S, J, N). For J = 2, with the gram
+    [[a, b], [b, c]] from three row dot products, mu = m -+ hypot(h, b) for
+    m = (a + c) / 2, h = (a - c) / 2, and U rotates by phi = atan2(b, h) / 2:
+    (cos phi, sin phi) is the eigenvector of m + hypot(h, b). Other J go to
+    eigh."""
+    if rows.shape[1] != 2:
+        return np.linalg.eigh(rows @ rows.transpose(0, 2, 1))
+    first, second = rows[:, 0], rows[:, 1]
+    a = np.einsum("sn,sn->s", first, first)
+    b = np.einsum("sn,sn->s", first, second)
+    c = np.einsum("sn,sn->s", second, second)
+    half = 0.5 * (a - c)
+    radius = np.hypot(half, b)
+    mid = 0.5 * (a + c)
+    phi = 0.5 * np.arctan2(b, half)     # atan2(0, 0) = 0: U = I for a = c, b = 0
+    cos, sin = np.cos(phi), np.sin(phi)
+    mu = np.stack((mid - radius, mid + radius), axis=1)
+    u = np.stack((np.stack((-sin, cos), axis=1), np.stack((cos, sin), axis=1)), axis=2)
+    return mu, u
+
+
 def _capacitance_prefix(noise_var: float, rows: np.ndarray, t: np.ndarray):
     """The factorization every prefix density shares, one per row stack C in
     rows (S, J, N), for tap variances t (1, M). With C C^T = U diag(mu) U^T,
@@ -40,7 +65,7 @@ def _capacitance_prefix(noise_var: float, rows: np.ndarray, t: np.ndarray):
     Returns its eigenvalues eig = mu_k t_a + noise_var as (S, J, M), the
     projected prefix sums P = U^T cumsum(C) as (S, J, N) and the constant
     c (S, 1) with ln N(0; 0, Sigma) = -c / 2 for Sigma in (M N) dimensions."""
-    mu, u = np.linalg.eigh(rows @ rows.transpose(0, 2, 1))
+    mu, u = _gram_eigh(rows)
     eig = mu[:, :, None] * t + noise_var
     prefix = u.transpose(0, 2, 1) @ np.cumsum(rows, axis=2)
     dim = t.shape[1] * rows.shape[2]

@@ -131,7 +131,7 @@ def _filliben_quantiles(n: int) -> np.ndarray:
     medians = (np.arange(1, n + 1) - 0.3175) / (n + 0.365)
     medians[-1] = 0.5 ** (1.0 / n)
     medians[0] = 1.0 - medians[-1]
-    from statistics import NormalDist   # on first use: upper-only runs skip its ~6 ms import
+    from statistics import NormalDist   # on first use: `uwbbounds run` never imports it
     quantiles = np.fromiter(map(NormalDist().inv_cdf, medians.tolist()), float, n)
     quantiles.flags.writeable = False
     return quantiles

@@ -16,15 +16,17 @@ leaves h1 unset and has no channel.
 
 ScenarioConfig owns every scenario rule: its constructor is the one place a
 value's type (InvalidTypeError) and range (InvalidParameterError) are
-checked, a finite float A_i^2 / sigma_W^2 for every node and, when h1 is
-set, N A_1^2 ||h1||^2 / sigma_W^2 for the codeword included, so the config
-loader, the sweep and the estimators only build one. The samplers
+checked, a finite float A_i^2 / sigma_W^2 for every node and, for the
+fixed-draw channel(), given or drawn, N A_1^2 ||h1||^2 / sigma_W^2 for the
+codeword included, so the config loader, the sweep and the estimators only
+build one. The samplers
 are the estimators' internals: they take the shapes the estimators pass and
 re-check nothing ScenarioConfig owns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -52,8 +54,13 @@ def sample_channel(t: np.ndarray, rng: np.random.Generator,
 def sample_symbols(etas: np.ndarray, codeword_len: int, rng: np.random.Generator,
                    samples: int) -> np.ndarray:
     """`samples` stacks of on-off codeword rows, row j iid Bernoulli(etas[j]),
-    as floats (samples, len(etas), codeword_len)."""
-    return (rng.random((samples, len(etas), codeword_len)) < etas[:, None]).astype(float)
+    as booleans (samples, len(etas), codeword_len).
+
+    Symbol on is a raw 64-bit word w below ceil(eta 2^53) 2^11. The
+    generator's random() is (w >> 11) 2^-53 for Philox, so these are the
+    booleans of rng.random(shape) < etas, draw for draw, without the floats."""
+    limits = np.array([math.ceil(eta * 2.0 ** 53) << 11 for eta in etas], dtype=np.uint64)
+    return rng.bit_generator.random_raw((samples, len(etas), codeword_len)) < limits[:, None]
 
 
 H1_MODES = ("fixed-draw", "averaged")
@@ -152,21 +159,23 @@ class ScenarioConfig:
             raise InvalidParameterError(
                 f"h1 must hold {self.taps} taps in h1_mode 'fixed-draw', got {len(self.h1)} "
                 f"in {self.h1_mode!r}")
+        h1 = self.channel()
         with np.errstate(over="ignore", invalid="ignore"):     # inf or NaN: rejected below
             power = self.amplitudes() ** 2
             snr = power / self.noise_var_w
-            # N ||A_1 h1||^2, then / noise, as the kernel forms it; 0 without h1
-            codeword_snr = (self.codeword_len * power[0] * np.square(self.h1 or 0.0).sum()
-                            / self.noise_var_w)
+            # N ||A_1 h1||^2, then / noise, as the kernel forms it; 0 without a channel
+            energy = 0.0 if h1 is None else np.square(h1).sum()
+            codeword_snr = self.codeword_len * power[0] * energy / self.noise_var_w
         if not np.all(np.isfinite(snr)):
             raise InvalidParameterError(
                 f"the SNR A_i^2 / noise_var_w of node {np.argmin(np.isfinite(snr)) + 1} must be "
                 "a finite float: A_i^2 = tx_power_w * pathloss_b * l_i^-pathloss_alpha / "
                 "duty_cycles[i], l_1 = link_distance_m, l_i = interferer_distances_m[i - 2]")
         if not np.isfinite(codeword_snr):
+            drawn = "" if self.h1 is not None else f" (the draw keyed by seed {self.seed})"
             raise InvalidParameterError(
-                f"h1 = {list(self.h1)} with codeword_len = {self.codeword_len} must give a finite "
-                "float codeword SNR codeword_len * A_1^2 * sum(h1^2) / noise_var_w")
+                f"h1 = {h1.tolist()}{drawn} with codeword_len = {self.codeword_len} must give a "
+                "finite float codeword SNR codeword_len * A_1^2 * sum(h1^2) / noise_var_w")
 
     def amplitudes(self) -> np.ndarray:
         """Per-node amplitude caps sqrt(P_rcv(l_i) / eta_i), P_rcv(l) = P_tx b l^-alpha:

@@ -11,7 +11,7 @@ from scipy.special import gammaln, logsumexp
 import uwbbounds.bounds
 from uwbbounds.bounds import UPPER_INFO, log_distance_probs, lower_bound, upper_bound
 from uwbbounds.gaussian import log_gauss_lowrank
-from uwbbounds.mc import Z95, LogAccumulator, substream
+from uwbbounds.mc import Z95, LogAccumulator, normal_qq_corr, substream
 from uwbbounds.model import InvalidParameterError, InvalidTypeError, ScenarioConfig, sample_channel
 
 from reference import genie_information, overlap_log_samples
@@ -47,7 +47,7 @@ def same_estimate(a, b):
     pa, pb = a.profile, b.profile
     return all(np.array_equal(getattr(pa, f), getattr(pb, f))
                for f in ("log_pd", "se_log_pd", "log_distance_probs",
-                         "log_sum", "se_log_sum", "qq_ratio"))
+                         "log_sum", "se_log_sum", "terms", "qq_ratio"))
 
 
 # ---------------------------------------------------------------- distance law
@@ -303,6 +303,18 @@ def test_lower_bound_profile_accounting():
     assert prof.log_distance_probs.shape == (n + 1,)
     assert est.rate == max(0.0, -prof.log_sum / (n * np.log(2.0)))
     assert -1.0 <= prof.qq_ratio <= 1.0
+    assert prof.terms.shape == (est.samples_used,)
+
+
+def test_qq_ratio_is_computed_on_read(monkeypatch):
+    # lower_bound never sorts its terms; reading qq_ratio does, each time
+    calls = []
+    monkeypatch.setattr(uwbbounds.bounds, "normal_qq_corr",
+                        lambda x: calls.append(len(x)) or normal_qq_corr(x))
+    prof = lower_bound(small_config()).profile
+    assert calls == []
+    assert prof.qq_ratio == normal_qq_corr(prof.terms)
+    assert calls == [prof.terms.size]
 
 
 def test_lower_bound_reductions_match_stacked_samples(monkeypatch):

@@ -1,5 +1,6 @@
 """Config ingestion, sweep driver, CSV emission, and exit codes."""
 
+import dataclasses
 import json
 import os
 import re
@@ -340,6 +341,18 @@ def test_a_hand_built_sweep_stores_float_tuples():
     assert spec.sweep == {"d": (2.0, 10.0)}
     assert all(type(x) is float for x in spec.sweep["d"])
     assert spec_from_mapping(effective_config(spec)) == spec
+
+
+def test_a_checked_sweep_is_read_only():
+    spec = uwbbounds.SweepSpec(base=uwbbounds.ScenarioConfig(**TINY), sweep={"d": [2, 10]})
+    with pytest.raises(TypeError):
+        spec.sweep["d"] = (-1.0,)
+    with pytest.raises(TypeError):
+        del spec.sweep["d"]
+    assert spec.sweep == {"d": (2.0, 10.0)}
+    assert spec_from_mapping(effective_config(spec)) == spec
+    # a copy takes the read-only sweep through the same checks
+    assert dataclasses.replace(spec, bounds="lower").sweep == spec.sweep
 
 
 def test_estimator_failure_leaves_partial_file(tmp_path, monkeypatch):

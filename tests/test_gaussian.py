@@ -8,6 +8,7 @@ closed-form marginalization and product integral are right. The references
 import numpy as np
 import pytest
 
+from uwbbounds import gaussian
 from uwbbounds.gaussian import log_gauss_lowrank, log_gauss_lowrank_marginal
 from uwbbounds.model import InvalidParameterError, ScenarioConfig
 
@@ -203,6 +204,56 @@ class TestPrefixQuad:
             for s in range(samples):
                 want = log_density_dense(dense_law(noise_var, rows[s], g), np.outer(x[s], diff))
                 assert prof[s, d] == pytest.approx(want, rel=1e-10)
+
+
+def two_row_cases():
+    """(name, rows (S, 2, N), noise_var, t (1, M), x (M, 1), amplitude) for the
+    cases of the 2 x 2 gram."""
+    rng = np.random.default_rng(31)
+    t = ScenarioConfig().tap_covariance()[None]
+    # the paper preset's scale: on-off rows of amplitude 1.1e-6, noise 2e-13
+    paper = (1.1e-6 * (rng.random((64, 2, 80)) < 0.5), 2e-13, t, 2.9e-6 * np.sqrt(t.T),
+             2.9e-6)
+    normal = rng.standard_normal((16, 2, 9))
+    equal, one_zero, both_zero = (normal.copy() for _ in range(3))
+    equal[:, 1] = equal[:, 0]
+    one_zero[:, 0] = 0.0
+    both_zero[:] = 0.0
+    orthogonal = np.zeros((1, 2, 4))            # a = c, b = 0: atan2(0, 0), U = I
+    orthogonal[0, 0, :2] = orthogonal[0, 1, 2:] = 0.8
+    unit = (1.0, t[:, :3] / t[:, :3].sum(), np.array([[0.7], [-0.4], [1.1]]), 1.3)
+    return [("symbols", *paper), ("normal", normal, *unit), ("equal", equal, *unit),
+            ("one zero", one_zero, *unit), ("both zero", both_zero, *unit),
+            ("orthogonal", orthogonal, *unit)]
+
+
+class TestTwoRowClosedForm:
+    """J = 2 rows take the 2 x 2 Jacobi closed form; both kernels match
+    what LAPACK eigh of the same grams gives."""
+
+    @pytest.mark.parametrize("case", two_row_cases(), ids=lambda case: case[0])
+    def test_matches_the_eigh_path(self, monkeypatch, case):
+        _, rows, noise_var, t, x, amplitude = case
+        closed = (log_gauss_lowrank(x, noise_var, rows, t),
+                  log_gauss_lowrank_marginal(amplitude, noise_var, rows, t))
+        monkeypatch.setattr(gaussian, "_gram_eigh",
+                            lambda r: np.linalg.eigh(r @ r.transpose(0, 2, 1)))
+        lapack = (log_gauss_lowrank(x, noise_var, rows, t),
+                  log_gauss_lowrank_marginal(amplitude, noise_var, rows, t))
+        for got, want in zip(closed, lapack):
+            assert np.all(np.isfinite(got))
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("case", two_row_cases(), ids=lambda case: case[0])
+    def test_eigenpairs(self, case):
+        rows = case[1]
+        mu, u = gaussian._gram_eigh(rows)
+        gram = rows @ rows.transpose(0, 2, 1)
+        scale = np.abs(gram).max()
+        np.testing.assert_allclose(mu, np.linalg.eigvalsh(gram), rtol=0, atol=1e-14 * scale)
+        np.testing.assert_allclose(gram @ u, u * mu[:, None, :], rtol=0, atol=1e-14 * scale)
+        np.testing.assert_allclose(u.transpose(0, 2, 1) @ u,
+                                   np.broadcast_to(np.eye(2), u.shape), rtol=0, atol=1e-15)
 
 
 class TestChannelMarginal:

@@ -1,10 +1,16 @@
 """Pathloss, amplitudes, tap covariance, and sampler behavior."""
 
+import math
+import types
+
 import numpy as np
 import pytest
 
+from uwbbounds.mc import PAIR_OVERLAP, substream
 from uwbbounds.model import (InvalidParameterError, InvalidTypeError, ScenarioConfig,
                              sample_channel, sample_symbols)
+
+EDGE_ETAS = (1e-9, 0.2, 0.5, 1.0 - 2.0 ** -53)
 
 
 def received(cfg: ScenarioConfig) -> np.ndarray:
@@ -114,6 +120,31 @@ class TestSamplers:
         assert set(np.unique(u)) <= {0.0, 1.0}
         assert u.mean() == pytest.approx(0.3, abs=0.01)
 
+    @pytest.mark.parametrize("eta", EDGE_ETAS)
+    def test_symbols_are_the_uniform_comparison_bit_for_bit(self, eta):
+        # a block shape whose word count is not a multiple of Philox's 4-word
+        # buffer: the next block starts mid-buffer on both paths
+        shape, etas = (37, 2, 11), np.array([eta, 0.3])
+        raw, uniform = substream(7, PAIR_OVERLAP, 3), substream(7, PAIR_OVERLAP, 3)
+        on = sample_symbols(etas, shape[2], raw, shape[0])
+        assert on.dtype == bool
+        np.testing.assert_array_equal(on, uniform.random(shape) < etas[:, None])
+        np.testing.assert_equal(raw.bit_generator.state, uniform.bit_generator.state)
+        np.testing.assert_array_equal(sample_symbols(etas, 5, raw, 3),
+                                      uniform.random((3, 2, 5)) < etas[:, None])
+
+    @pytest.mark.parametrize("eta", EDGE_ETAS)
+    def test_symbol_threshold_is_exact_at_the_word_boundary(self, eta):
+        # the last word below ceil(eta 2^53) 2^11 is on and the first at it is
+        # off, as (w >> 11) 2^-53 < eta decides them
+        limit = math.ceil(eta * 2.0 ** 53) << 11
+        words = [limit - 1, limit]
+        assert [(w >> 11) * 2.0 ** -53 < eta for w in words] == [True, False]
+        bits = types.SimpleNamespace(random_raw=lambda shape: np.array(
+            words, dtype=np.uint64).reshape(shape))
+        on = sample_symbols(np.array([eta]), 2, types.SimpleNamespace(bit_generator=bits), 1)
+        assert on.tolist() == [[[True, False]]]
+
     def test_block_draws(self):
         # one call draws a whole block: a leading sample axis, per-row duty cycles
         rng = np.random.default_rng(15)
@@ -154,6 +185,16 @@ class TestScenarioConfig:
         assert ScenarioConfig(taps=2, h1=(0.3, -0.2), seed=3).channel().tolist() == [0.3, -0.2]
         # averaged mode integrates h1 out: no channel
         assert ScenarioConfig(h1_mode="averaged", seed=3).channel() is None
+
+    def test_seeded_channel_must_give_a_finite_codeword_snr(self):
+        # without h1 the rule applies to the draw keyed by the seed, which
+        # would overflow the kernel's codeword SNR at this distance
+        with pytest.raises(InvalidParameterError, match=r"^h1 = .* keyed by seed 0"):
+            ScenarioConfig(link_distance_m=6e-93, samples_theta=50, samples_pd=50,
+                           samples_upper=500)
+        # a small enough given channel passes, and averaged mode has no channel
+        ScenarioConfig(link_distance_m=6e-93, h1=(1e-20,) * 5)
+        ScenarioConfig(link_distance_m=6e-93, h1_mode="averaged")
 
     def test_field_validation_names_field(self):
         with pytest.raises(InvalidParameterError, match="codeword_len"):
