@@ -133,6 +133,8 @@ def load_config(path) -> SweepSpec:
     """Parse and validate a JSON config file."""
     p = Path(path)
     if not p.is_file():
+        if p.is_dir():
+            raise ConfigError("missing-file", f"config path is a directory: {p}")
         raise ConfigError("missing-file", f"config file not found: {p}")
     try:
         data = json.loads(p.read_text(), object_pairs_hook=_reject_duplicates)

@@ -14,7 +14,6 @@ normal quantiles come from `statistics.NormalDist.inv_cdf` (Wichura's AS
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -121,17 +120,9 @@ def normal_qq_corr(samples: np.ndarray) -> float:
         raise ValueError("need at least 3 samples")
     if x[-1] == x[0]:
         return 1.0
-    return float(np.corrcoef(_filliben_quantiles(n), x)[0, 1])
-
-
-@functools.lru_cache(maxsize=8)
-def _filliben_quantiles(n: int) -> np.ndarray:
-    """Normal quantiles at the n Filliben medians, read-only: every lower row
-    of a sweep has the same n, so they are computed once per n."""
     medians = (np.arange(1, n + 1) - 0.3175) / (n + 0.365)
     medians[-1] = 0.5 ** (1.0 / n)
     medians[0] = 1.0 - medians[-1]
     from statistics import NormalDist   # on first use: `uwbbounds run` never imports it
     quantiles = np.fromiter(map(NormalDist().inv_cdf, medians.tolist()), float, n)
-    quantiles.flags.writeable = False
-    return quantiles
+    return float(np.corrcoef(quantiles, x)[0, 1])

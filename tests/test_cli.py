@@ -122,6 +122,12 @@ def test_config_file_errors(tmp_path):
     with pytest.raises(ConfigError) as excinfo:
         load_config(tmp_path / "absent.json")
     assert excinfo.value.code == "missing-file"
+    assert str(excinfo.value) == f"config file not found: {tmp_path / 'absent.json'}"
+    # a directory is named as one, not as an absent file
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(tmp_path)
+    assert excinfo.value.code == "missing-file"
+    assert str(excinfo.value) == f"config path is a directory: {tmp_path}"
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError) as excinfo:
@@ -453,6 +459,12 @@ def test_main_run_and_validate(tmp_path, capsys):
     assert main(["validate", "--config", cfg]) == 0
     printed = json.loads(capsys.readouterr().out)
     assert spec_from_mapping(printed) == load_config(cfg)
+    # the reload redraws the seed's channel, so the listing itself is checked:
+    # the channel every row runs on in fixed-draw mode, null when averaged
+    assert printed["h1"] == uwbbounds.ScenarioConfig(**TINY).channel().tolist()
+    averaged = write_config(tmp_path, {**TINY, "h1_mode": "averaged"})
+    assert main(["validate", "--config", averaged]) == 0
+    assert json.loads(capsys.readouterr().out)["h1"] is None
 
 
 def test_validate_into_a_closed_pipe_exits_cleanly(tmp_path, monkeypatch):
@@ -483,14 +495,21 @@ def test_validate_into_a_closed_pipe_exits_cleanly(tmp_path, monkeypatch):
 def test_module_entry_point_runs_without_warnings(tmp_path):
     # the package must not import .cli, or `python -m uwbbounds.cli` warns
     # that the module is already in sys.modules before it runs
-    cfg = write_config(tmp_path, {**TINY, "sweep": {"d": [5.0]}})
+    cfg = write_config(tmp_path, {**TINY, "sweep": {"d": [2.0, 10.0]}})
+    out, ratios = tmp_path / "r.csv", tmp_path / "ratios.csv"
     src = str(Path(cli.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "uwbbounds.cli",
-         "validate", "--config", cfg],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
-    assert proc.returncode == 0, proc.stderr
+    for args in (["validate", "--config", cfg],
+                 ["run", "--config", cfg, "--out", str(out), "--ratios-out", str(ratios)]):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "uwbbounds.cli", *args],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+    near, far, _ = rows = read_result_csv(out)
+    assert [row.bound for row in rows] == ["lower", "lower", "upper"]
+    # each lower row over its group's farthest d, 10 m here, whose own ratio is 1
+    assert [line.rsplit(",", 1)[1] for line in ratios.read_text().splitlines()[1:]] == \
+        [repr(near.rate_bits_per_symbol / far.rate_bits_per_symbol), "1.0"]
 
 
 def test_all_is_the_documented_api():
@@ -555,6 +574,23 @@ assert status == 0 and not loaded, (status, loaded)
     assert [row.bound for row in read_result_csv(out)] == ["lower", "upper"]
 
 
+@pytest.mark.parametrize("payload, start", [
+    ({"codeword_len": 8, "taps": 2, "sweep": {"d": [0]}, "seed": 3},
+     "config error [bad-value]: sweep.d: "),
+    # the channel drawn from the seed overflows the 80-symbol codeword SNR
+    ({"link_distance_m": 6e-93, "samples_theta": 50, "samples_pd": 50, "samples_upper": 500},
+     "config error [bad-value]: h1 "),
+], ids=["sweep-d-0", "drawn-h1-snr"])
+def test_run_on_a_rejected_config_writes_nothing(tmp_path, monkeypatch, capsys, payload, start):
+    cfg = write_config(tmp_path, payload)
+    for name in ("lower_bound", "upper_bound"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("estimator ran"))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "r.csv"),
+                 "--ratios-out", str(tmp_path / "q.csv")]) == 2
+    assert capsys.readouterr().err.startswith(start)
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
 @pytest.mark.parametrize("target, message, flag", [
     (target, message, flag)
     for target, message in [("absent/x.csv", "output directory not found"),
@@ -607,13 +643,20 @@ def test_run_with_colliding_paths_fails_before_estimating(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("h1_mode", ["fixed-draw", "averaged"])
-@pytest.mark.parametrize("extreme", [{"link_distance_m": 1e-9}, {"link_distance_m": 1e-90},
-                                     {"interferer_distances_m": [6e-93]}],
-                         ids=["link-1e-9", "link-1e-90", "interferer-6e-93"])
+@pytest.mark.parametrize("extreme", [
+    {"link_distance_m": 1e-9}, {"link_distance_m": 1e-90},
+    {"interferer_distances_m": [6e-93]},
+    {"num_nodes": 1, "duty_cycles": [0.5], "interferer_distances_m": []},
+    {"codeword_len": 1, "interferer_distances_m": [2.0]},
+    {"duty_cycles": [0.5, 1e-9]},
+], ids=["link-1e-9", "link-1e-90", "interferer-6e-93", "no-interferer", "codeword-1",
+        "silent-interferer"])
 def test_averaged_rows_stay_finite_at_extreme_snr(tmp_path, h1_mode, extreme):
     # A_i^2 / sigma^2 up to near the float limit: the closed-form h1 average
     # sums log1p terms, and neither it nor the fixed-draw kernel may overflow
-    # or warn
+    # or warn. Nor may the degenerate shapes: no interferer (J = 0 rows,
+    # eigenvalues and prefix sums), N = 1 (2 x 2 grams of rank <= 1) and a
+    # silent interferer (all-zero rows, atan2(0, 0))
     cfg = write_config(tmp_path, {**TINY, "h1_mode": h1_mode, **extreme})
     out = tmp_path / "r.csv"
     with warnings.catch_warnings():
