@@ -215,7 +215,7 @@ def main(argv=None) -> int:
     except EstimatorFailure as err:
         print(f"estimator failure: {err}", file=sys.stderr)
         return 3
-    except ValueError as err:
+    except (ValueError, OSError) as err:      # OSError: a path the OS rejects, as too long
         print(f"error: {err}", file=sys.stderr)
         return 2
 

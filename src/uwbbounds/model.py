@@ -105,7 +105,7 @@ class ScenarioConfig:
                 object.__setattr__(self, f.name, int(value))
             if f.type == "str" and not isinstance(value, str):
                 raise InvalidTypeError(f"{f.name} must be a string, got {value!r}")
-            if f.type.startswith(("float", "tuple")):
+            if f.type.startswith(("int", "float", "tuple")):      # every number in float range
                 sequence = f.type.startswith("tuple")
                 # a list, tuple or 1-d array; a str or dict would iterate too
                 is_sequence = isinstance(value, (tuple, list)) or np.ndim(value) == 1
@@ -121,7 +121,8 @@ class ScenarioConfig:
                         f"{f.name} must be a real number in float range") from None
                 if not np.all(np.isfinite(entries)):
                     raise InvalidParameterError(f"{f.name} must be finite, got {value!r}")
-                object.__setattr__(self, f.name, entries if sequence else entries[0])
+                if f.type != "int":         # an integer keeps its exact int value
+                    object.__setattr__(self, f.name, entries if sequence else entries[0])
         for name, least in (("num_nodes", 1), ("codeword_len", 1), ("taps", 1),
                             ("samples_theta", 2), ("samples_pd", 2), ("samples_upper", 2)):
             if getattr(self, name) < least:

@@ -173,7 +173,6 @@ class OracleEstimate:
     log_value: float
     se_log: float       # relative standard error; 0 for the deterministic rule
     mode: str           # "quadrature" or "mc"
-    points: int
 
     @property
     def value(self) -> float:
@@ -192,27 +191,20 @@ def _gh_rule(dims: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     logw = np.log(w) - 0.5 * np.log(np.pi)
     grids = np.meshgrid(*([pts] * dims), indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=1)
-    lw = np.zeros(nodes.shape[0])
-    for axis in range(dims):
-        block = np.meshgrid(*([logw] * dims), indexing="ij")[axis].ravel()
-        lw += block
-    return nodes, lw
+    return nodes, sum(np.meshgrid(*([logw] * dims), indexing="ij")).ravel()
 
 
 def _node_means(mean_vec, rows, factor, zeta):
     """Mean of vec(Y) for each channel draw zeta (Q, J, r) -> (Q, D)."""
-    if zeta.shape[1] == 0 or zeta.shape[2] == 0:
-        return np.broadcast_to(mean_vec, (zeta.shape[0], mean_vec.size))
-    off = np.einsum("ma,qja,jn->qmn", factor, zeta, rows)
-    return mean_vec[None, :] + off.transpose(0, 2, 1).reshape(zeta.shape[0], -1)
+    # vec(G zeta_q^T C) = kron(C, G^T)^T vec(zeta_q^T): one matrix product for all draws
+    return mean_vec + zeta.reshape(len(zeta), -1) @ np.kron(rows, factor.T)
 
 
 def _log_marginal_grid(grids, mean_vec, rows, factor, sigma2, order):
     """Marginal log density on a 1-d or 2-d tensor grid via Gauss-Hermite."""
     j, r = rows.shape[0], factor.shape[1]
     nodes, lw = _gh_rule(j * r, order)
-    mu = _node_means(mean_vec, rows, factor, nodes.reshape(-1, j, r) if j * r
-                     else np.zeros((1, j, r)))
+    mu = _node_means(mean_vec, rows, factor, nodes.reshape(len(nodes), j, r))
     if len(grids) == 1:
         lg = -((grids[0][:, None] - mu[None, :, 0]) ** 2) / (2.0 * sigma2)
         return logsumexp(lg + lw[None, :], axis=1) - 0.5 * (LOG_2PI + np.log(sigma2))
@@ -270,19 +262,18 @@ def _oracle_mc(dv, dw, outer, inner, rng):
     return acc.log_mean, acc.se_log_mean
 
 
-def oracle_J(V, W, h1, A, T, sigma_W2: float,
-             grid_or_samples: int | None = None, *, mode: str = "auto",
-             inner_samples: int = 256, gh_order: int | None = None,
+def oracle_J(V, W, h1, A, T, sigma_W2: float, *, mode: str = "auto",
              rng: np.random.Generator | None = None) -> OracleEstimate:
     """Brute-force estimate of J(V, W, h_1) for validating overlap_J.
 
-    Quadrature mode integrates over the output on a +-8 sigma grid (at least
-    2001 points per dimension) with the interferer channels handled by a
-    Gauss-Hermite rule; it needs M N <= 2 and (I-1) rank(T) <= 2. Monte-Carlo
-    mode draws Y from P(.|V) and averages a sampled estimate of P(Y|W); it
-    needs M N <= 4 and I <= 3 and reports its own standard error. Both modes
-    are accurate only at moderate signal-to-noise scales; the closed form is
-    scale covariant, so validating here covers the physical regime too.
+    Quadrature mode integrates over the output on a +-8 sigma grid of 2001
+    points per dimension, and over the interferer channels by a Gauss-Hermite
+    rule of order 64 (32 per axis in 2-d); it needs M N <= 2 and
+    (I-1) rank(T) <= 2. Monte-Carlo mode averages P(Y|W), itself a mean over
+    256 channel draws, over 4096 draws of Y from P(.|V); it needs M N <= 4 and
+    I <= 3 and reports its own standard error. Both modes are accurate only
+    at moderate signal-to-noise scales; the closed form is scale covariant,
+    so validating here covers the physical regime too.
     """
     dv, dw = _overlap_parts(V, W, h1, A, T, sigma_W2)
     m, n = dv.shape
@@ -298,17 +289,13 @@ def oracle_J(V, W, h1, A, T, sigma_W2: float,
             raise InvalidParameterError(
                 f"quadrature oracle needs M*N <= 2 and (I-1) rank(T) <= 2, "
                 f"got {m * n} and {gh_dims}")
-        points = 2001 if grid_or_samples is None else int(grid_or_samples)
-        order = gh_order if gh_order is not None else (64 if gh_dims <= 1 else 32)
-        return OracleEstimate(_oracle_quadrature(dv, dw, points, order), 0.0,
-                              "quadrature", points)
+        order = 64 if gh_dims <= 1 else 32
+        return OracleEstimate(_oracle_quadrature(dv, dw, 2001, order), 0.0, "quadrature")
     if mode != "mc":
         raise InvalidParameterError(f"mode must be auto, quadrature, or mc, got {mode!r}")
-    outer = 4096 if grid_or_samples is None else int(grid_or_samples)
     if rng is None:
         rng = np.random.default_rng(0)
-    log_j, se = _oracle_mc(dv, dw, outer, inner_samples, rng)
-    return OracleEstimate(log_j, se, "mc", outer)
+    return OracleEstimate(*_oracle_mc(dv, dw, 4096, 256, rng), "mc")
 
 
 # ---------------------------------------------------------------------------

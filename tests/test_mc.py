@@ -3,8 +3,6 @@
 import ast
 import importlib
 import pkgutil
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -17,14 +15,6 @@ import uwbbounds
 import uwbbounds.bounds
 import uwbbounds.mc
 from uwbbounds.mc import Z95, LogAccumulator, log_sums, logsumexp, normal_qq_corr, substream
-
-
-def test_import_leaves_scipy_stats_out():
-    # a fresh interpreter: scipy.stats costs ~0.7 s and ~45 MB to import
-    src = str(Path(uwbbounds.__file__).resolve().parent.parent)
-    code = (f"import sys; sys.path.insert(0, {src!r}); import uwbbounds.cli; "
-            "sys.exit('scipy.stats' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_package_source_imports_no_scipy():
