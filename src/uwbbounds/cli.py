@@ -164,6 +164,7 @@ def main(argv=None) -> int:
     val_p.add_argument("--config", required=True)
 
     args = parser.parse_args(argv)
+    spec = None     # set once the paths pass and the config loads
     try:
         if args.command == "validate":
             spec = load_config(args.config)
@@ -175,8 +176,7 @@ def main(argv=None) -> int:
                 os.dup2(devnull, sys.stdout.fileno())
                 os.close(devnull)
             return 0
-        # run; a path it writes that is empty, lies in no directory, is a
-        # directory or names another path of the run fails here, before any estimator
+        # run: an output path that is empty, in no directory, a directory or named twice fails here
         for flag, value in (("--out", args.out), ("--ratios-out", args.ratios_out)):
             if value == "":
                 raise ValueError(f"output path is empty: {flag}")
@@ -215,7 +215,9 @@ def main(argv=None) -> int:
     except EstimatorFailure as err:
         print(f"estimator failure: {err}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as err:      # OSError: a path the OS rejects, as too long
+    except (ValueError, OSError) as err:
+        if isinstance(err, OSError) and spec is not None:
+            raise       # a result write failed; an earlier OSError is a path the OS rejected
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -227,6 +227,11 @@ def test_default_h1_is_the_seeded_draw():
     cfg = small_config()
     drawn = dataclasses.replace(cfg, h1=tuple(cfg.channel()))
     assert same_estimate(lower_bound(cfg), lower_bound(drawn))
+    assert cfg.channel().shape == (cfg.taps,)
+    assert not np.array_equal(cfg.channel(), dataclasses.replace(cfg, seed=1).channel())
+    # a set h1 outlives a new seed; without h1 the seed draws another channel
+    assert np.array_equal(dataclasses.replace(drawn, seed=4).channel(), drawn.channel())
+    assert not np.array_equal(dataclasses.replace(cfg, seed=4).channel(), cfg.channel())
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "3", np.float64(2.0)])

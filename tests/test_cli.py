@@ -204,6 +204,15 @@ def test_lower_rows_precede_upper_and_upper_dedupes(tmp_path):
         assert r.eta2 == 0.5
 
 
+def test_rows_carry_point_seeds_and_fixed_wall(tmp_path):
+    out = tmp_path / "r.csv"
+    rows = run_sweep(tiny_spec(sweep={"d": [5.0, 30.0]}), out)
+    seeds = [r.seed for r in rows]
+    assert len(set(seeds)) == len(seeds)
+    assert all(line.endswith(",0.0") for line in out.read_text().splitlines()[1:])
+    assert all(r.samples > 0 for r in rows)
+
+
 def test_bounds_selection_limits_rows(tmp_path):
     lower_only = run_sweep(tiny_spec(bounds="lower"), tmp_path / "lo.csv")
     assert [r.bound for r in lower_only] == ["lower"]
@@ -292,7 +301,7 @@ def test_an_explicit_h1_is_the_channel_of_every_row(tmp_path):
 
 def test_a_hand_built_spec_pins_its_base_channel(tmp_path, monkeypatch):
     # a fixed-draw SweepSpec without h1 runs every row, whatever its row seed,
-    # on base.channel(), as a loaded one does
+    # on base.channel(), as a loaded one does, and its sidecar lists that h1
     base = uwbbounds.ScenarioConfig(**TINY)
     spec = uwbbounds.SweepSpec(base=base, sweep={"d": (5.0, 30.0)})
     assert spec == tiny_spec(sweep={"d": [5.0, 30.0]})
@@ -302,9 +311,14 @@ def test_a_hand_built_spec_pins_its_base_channel(tmp_path, monkeypatch):
             channels.append(scenario.channel())
             return real(scenario)
         monkeypatch.setattr(cli, name, recording)
-    run_sweep(spec, tmp_path / "a.csv")
+    out = tmp_path / "a.csv"
+    run_sweep(spec, out)
     assert len(channels) == 3
     assert all(np.array_equal(h, base.channel()) for h in channels)
+    sidecar = tmp_path / "a.csv.config.json"
+    assert json.loads(sidecar.read_text())["h1"] == base.channel().tolist()
+    assert main(["run", "--config", str(sidecar), "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "b.csv").read_bytes() == out.read_bytes()
 
 
 @pytest.mark.parametrize("extra, code, start", [
@@ -489,6 +503,11 @@ def test_module_entry_point_runs_without_warnings(tmp_path):
             [sys.executable, "-W", "error::RuntimeWarning", "-m", "uwbbounds.cli", *args],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr
+    near, far, _ = rows = read_result_csv(out)
+    assert [row.bound for row in rows] == ["lower", "lower", "upper"]
+    # each lower row over its group's farthest d, 10 m here, whose own ratio is 1
+    assert [line.rsplit(",", 1)[1] for line in ratios.read_text().splitlines()[1:]] == \
+        [repr(near.rate_bits_per_symbol / far.rate_bits_per_symbol), "1.0"]
 
 
 def test_all_is_the_documented_api():
@@ -686,6 +705,20 @@ def test_config_seed_changes_results(tmp_path):
         outs.append(tmp_path / f"r{seed}.csv")
         assert main(["run", "--config", cfg, "--out", str(outs[-1])]) == 0
     assert outs[0].read_bytes() != outs[1].read_bytes()
+
+
+@pytest.mark.parametrize("writer", ["_write_csv", "_write_ratios"])
+def test_a_failed_result_write_is_not_a_rejected_path(tmp_path, monkeypatch, writer):
+    # exit 2 is for paths the checks reject up front; a full disk while
+    # writing a result keeps its traceback
+    cfg = write_config(tmp_path, {**TINY, "sweep": {"d": [5.0, 100.0]}, "bounds": "lower"})
+
+    def full(path, rows):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+    monkeypatch.setattr(cli, writer, full)
+    with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
+        main(["run", "--config", cfg, "--out", str(tmp_path / "r.csv"),
+              "--ratios-out", str(tmp_path / "q.csv")])
 
 
 def test_main_exit_codes(tmp_path, monkeypatch, capsys):

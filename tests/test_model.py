@@ -113,6 +113,13 @@ class TestSamplers:
         h = sample_channel(np.zeros(4), np.random.default_rng(0))
         np.testing.assert_array_equal(h, np.zeros(4))
 
+    def test_symbol_rate(self):
+        rng = np.random.default_rng(12)
+        u = sample_symbols(np.array([0.3]), 200_000, rng, 1)
+        assert u.shape == (1, 1, 200_000)
+        assert set(np.unique(u)) <= {0.0, 1.0}
+        assert u.mean() == pytest.approx(0.3, abs=0.01)
+
     @pytest.mark.parametrize("eta", EDGE_ETAS)
     def test_symbols_are_the_uniform_comparison_bit_for_bit(self, eta):
         # a block shape whose word count is not a multiple of Philox's 4-word
@@ -194,6 +201,8 @@ class TestScenarioConfig:
             ScenarioConfig(codeword_len=0)
         with pytest.raises(InvalidParameterError, match="duty_cycles"):
             ScenarioConfig(duty_cycles=(0.5,))
+        with pytest.raises(InvalidParameterError, match="h1_mode"):
+            ScenarioConfig(h1_mode="frozen")
         with pytest.raises(InvalidParameterError, match="interferer_distances_m"):
             ScenarioConfig(interferer_distances_m=())
 
