@@ -6,9 +6,9 @@ object maps swept variables (l, d, eta1, eta2) to value lists, and "bounds"
 selects which estimators run. The loader checks the top-level keys;
 ScenarioConfig checks every scenario value, and SweepSpec, loaded or built by
 hand, checks its sweep and bound selection, a sweep value by applying it to
-the base scenario (`_apply_point`). Every loaded config materializes all
-defaults, so the effective config written next to a result file reloads to
-the identical sweep. In fixed-draw mode that includes the channel "h1": a
+the base scenario (`_apply_point`); no value list repeats a value. Every
+loaded config materializes all defaults, so the effective config written
+next to a result file reloads to the identical sweep. In fixed-draw mode that includes the channel "h1": a
 SweepSpec whose base leaves it out pins the base's `channel()`, the draw
 keyed by the base seed, which ScenarioConfig has checked as it checks a
 given h1, and every sweep point inherits it, whatever seed its row runs with.
@@ -76,6 +76,10 @@ class SweepSpec:
             for x in values:
                 _scenario(lambda: _apply_point(self.base, {var: x}), f"sweep.{var}: ")
             sweep[var] = tuple(float(x) for x in values)
+            # a repeated value would write two rows under one sweep-point key
+            if len(set(sweep[var])) < len(values):
+                raise ConfigError("bad-value", f"sweep.{var}: values must not repeat, "
+                                               f"got {list(values)!r}")
         object.__setattr__(self, "sweep", MappingProxyType(sweep))
 
 

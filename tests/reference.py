@@ -1,11 +1,12 @@
 """Reference implementations the Tier-1 tests check the package against.
 
 The dense output law (explicit (MN, MN) covariance, densities through
-scipy.stats), the pairwise overlap J(V, W, h_1) with its dense twin, and two
-brute-force oracles for J (grid quadrature and nested Monte Carlo, both
-built on the plain white-noise density) live here rather than in the
-package: the estimators never call them, and the dense densities need
-scipy, which the package does not depend on. They take the tap covariance T
+scipy.stats), the pairwise overlap J(V, W, h_1) with its dense twin, and a
+brute-force oracle for J (the product integral of two white Gaussians in
+closed form, averaged over the interferer channels by Gauss-Hermite node
+pairs or by sampled pairs) live here rather than in the package: the
+estimators never call them, and the dense densities need scipy, which the
+package does not depend on. They take the tap covariance T
 as a plain (M, M) symmetric PSD matrix, so every check also runs against a
 T that is not diagonal, although the package only builds T = diag(t).
 `overlap_log_samples` draws ln J at any placement of the codeword
@@ -27,8 +28,9 @@ from uwbbounds.model import InvalidParameterError
 
 
 def _vec(matrix: np.ndarray) -> np.ndarray:
-    # column stacking: coordinate n*M + m is row m of column n
-    return np.asarray(matrix).T.ravel()
+    # column stacking of the last two axes: coordinate n*M + m is row m of column n
+    m = np.asarray(matrix)
+    return np.swapaxes(m, -1, -2).reshape(m.shape[:-2] + (-1,))
 
 
 def _as_codewords(U) -> np.ndarray:
@@ -109,14 +111,16 @@ def output_moments(V, h1, A, T, sigma_W2: float) -> OutputDistribution:
         tap_factor=tap_factor(T),
     )
 
-def log_density_dense(dist: OutputDistribution, Y) -> float:
-    """Same density through an explicit covariance; O((MN)^3) reference."""
+def log_density_dense(dist: OutputDistribution, Y):
+    """Same density through an explicit covariance; O((MN)^3) reference.
+    Y is one (M, N) observation, a float back, or a stack (K, M, N), (K,) back."""
     y = np.asarray(Y, dtype=float)
-    if y.shape != dist.shape:
+    if y.shape[-2:] != dist.shape:
         raise InvalidParameterError(f"observation shape {y.shape} != {dist.shape}")
     from scipy import stats     # reference path only; kept off the import path
-    return float(stats.multivariate_normal(mean=dist.mean,
-                                           cov=dist.dense_covariance()).logpdf(_vec(y)))
+    law = stats.multivariate_normal(mean=dist.mean, cov=dist.dense_covariance())
+    logp = law.logpdf(_vec(y))
+    return float(logp) if y.ndim == 2 else np.reshape(logp, y.shape[:-2])
 
 
 def _overlap_parts(V, W, h1, A, T, sigma_W2):
@@ -161,11 +165,12 @@ def overlap_J_dense(V, W, h1, A, T, sigma_W2: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracles
+# brute-force oracle
 #
-# Everything below deliberately avoids the rank-update code path: densities
-# are built from the plain white-noise Gaussian, and the interferer channels
-# are integrated out numerically (Gauss-Hermite nodes or plain sampling).
+# Everything below deliberately avoids the rank-update code path: given the
+# interferer channels each output law is a plain white-noise Gaussian, and
+# the channels are integrated out numerically (Gauss-Hermite nodes or plain
+# sampling).
 
 
 @dataclass(frozen=True)
@@ -200,102 +205,56 @@ def _node_means(mean_vec, rows, factor, zeta):
     return mean_vec + zeta.reshape(len(zeta), -1) @ np.kron(rows, factor.T)
 
 
-def _log_marginal_grid(grids, mean_vec, rows, factor, sigma2, order):
-    """Marginal log density on a 1-d or 2-d tensor grid via Gauss-Hermite."""
-    j, r = rows.shape[0], factor.shape[1]
-    nodes, lw = _gh_rule(j * r, order)
-    mu = _node_means(mean_vec, rows, factor, nodes.reshape(len(nodes), j, r))
-    if len(grids) == 1:
-        lg = -((grids[0][:, None] - mu[None, :, 0]) ** 2) / (2.0 * sigma2)
-        return logsumexp(lg + lw[None, :], axis=1) - 0.5 * (LOG_2PI + np.log(sigma2))
-    # 2-d grid: the white density factorizes per coordinate, so the node sum
-    # is a rank-Q matrix product after shifting out per-row maxima
-    lg1 = -((grids[0][:, None] - mu[None, :, 0]) ** 2) / (2.0 * sigma2)
-    lg2 = -((grids[1][:, None] - mu[None, :, 1]) ** 2) / (2.0 * sigma2)
-    m1, m2, mw = lg1.max(axis=1), lg2.max(axis=1), lw.max()
-    s = np.exp(lg1 - m1[:, None]) @ (np.exp(lw - mw)[:, None] * np.exp(lg2 - m2[:, None]).T)
-    with np.errstate(divide="ignore"):
-        return m1[:, None] + m2[None, :] + mw + np.log(s) - (LOG_2PI + np.log(sigma2))
-
-
-def _coordinate_std(dist: OutputDistribution) -> np.ndarray:
-    # direct variance bookkeeping per vec coordinate, no factorization involved
-    m, n = dist.shape
-    tdiag = (dist.tap_factor ** 2).sum(axis=1)
-    per_symbol = (dist.scaled_rows ** 2).sum(axis=0)        # (N,)
-    var = dist.noise_var + per_symbol[:, None] * tdiag[None, :]   # (N, M)
-    return np.sqrt(var.ravel())
-
-
-def _oracle_quadrature(dv, dw, points, order):
-    lo = np.minimum(dv.mean, dw.mean) - 8.0 * np.maximum(_coordinate_std(dv), _coordinate_std(dw))
-    hi = np.maximum(dv.mean, dw.mean) + 8.0 * np.maximum(_coordinate_std(dv), _coordinate_std(dw))
-    grids = [np.linspace(a, b, points) for a, b in zip(lo, hi)]
-    logf = [_log_marginal_grid(grids, d.mean, d.scaled_rows, d.tap_factor, d.noise_var, order)
-            for d in (dv, dw)]
-    log_tw = []
-    for g in grids:
-        tw = np.zeros(points)
-        tw[0] = tw[-1] = np.log(0.5)
-        log_tw.append(tw + np.log(g[1] - g[0]))
-    total = logf[0] + logf[1]
-    if len(grids) == 1:
-        total = total + log_tw[0]
-    else:
-        total = total + log_tw[0][:, None] + log_tw[1][None, :]
-    return float(logsumexp(total.ravel()))
-
-
-def _oracle_mc(dv, dw, outer, inner, rng):
-    m, n = dv.shape
-    r = dv.tap_factor.shape[1]
-    jv, jw = dv.scaled_rows.shape[0], dw.scaled_rows.shape[0]
-    y = _node_means(dv.mean, dv.scaled_rows, dv.tap_factor,
-                    rng.standard_normal((outer, jv, r)))
-    y = y + np.sqrt(dv.noise_var) * rng.standard_normal(y.shape)
-    mu = _node_means(dw.mean, dw.scaled_rows, dw.tap_factor,
-                     rng.standard_normal((outer * inner, jw, r))).reshape(outer, inner, -1)
-    quad = ((y[:, None, :] - mu) ** 2).sum(axis=2) / (2.0 * dw.noise_var)
-    log_fw = logsumexp(-quad, axis=1) - np.log(inner) \
-        - 0.5 * m * n * (LOG_2PI + np.log(dw.noise_var))
-    acc = LogAccumulator.from_log_values(log_fw)
-    return acc.log_mean, acc.se_log_mean
+def log_white_overlap(mu_v, mu_w, s_v: float, s_w: float) -> np.ndarray:
+    """ln int N(y; mu_v, s_v I) N(y; mu_w, s_w I) dy over the last axis: the
+    density of mu_v - mu_w under N(0, (s_v + s_w) I). The leading axes
+    broadcast; the squared distance is summed one coordinate at a time, so
+    no array carries the coordinate axis and the broadcast axes at once."""
+    cv, cw = (np.moveaxis(np.asarray(mu, dtype=float), -1, 0) for mu in (mu_v, mu_w))
+    s = s_v + s_w
+    sq = sum((a - b) ** 2 for a, b in zip(cv, cw))
+    return -sq / (2.0 * s) - 0.5 * len(cv) * (LOG_2PI + np.log(s))
 
 
 def oracle_J(V, W, h1, A, T, sigma_W2: float, *, mode: str = "auto",
              rng: np.random.Generator | None = None) -> OracleEstimate:
     """Brute-force estimate of J(V, W, h_1) for validating overlap_J.
 
-    Quadrature mode integrates over the output on a +-8 sigma grid of 2001
-    points per dimension, and over the interferer channels by a Gauss-Hermite
-    rule of order 64 (32 per axis in 2-d); it needs M N <= 2 and
-    (I-1) rank(T) <= 2. Monte-Carlo mode averages P(Y|W), itself a mean over
-    256 channel draws, over 4096 draws of Y from P(.|V); it needs M N <= 4 and
-    I <= 3 and reports its own standard error. Both modes are accurate only
-    at moderate signal-to-noise scales; the closed form is scale covariant,
-    so validating here covers the physical regime too.
+    Given the interferer channels, P(Y|V) and P(Y|W) are white Gaussians, so
+    the output integral of their product is log_white_overlap at the two
+    channel-node means and needs no output grid; what is left is the mean of
+    that closed form over independent channels for V and for W. Quadrature
+    mode takes every pair of Gauss-Hermite nodes, order 64, or 32 per axis
+    for two channel dimensions; it needs (I-1) rank(T) <= 2. Monte-Carlo
+    mode averages 2^16 independent pairs of channel draws, one per codeword,
+    and reports its own standard error. Both modes are accurate only at
+    moderate signal-to-noise scales; the closed form is scale covariant, so
+    validating here covers the physical regime too.
     """
     dv, dw = _overlap_parts(V, W, h1, A, T, sigma_W2)
-    m, n = dv.shape
-    num_nodes = np.asarray(V).shape[0]
-    gh_dims = dv.scaled_rows.shape[0] * dv.tap_factor.shape[1]
-    if m * n > 4 or num_nodes > 3:
-        raise InvalidParameterError(
-            f"oracle needs M*N <= 4 and I <= 3, got M*N = {m * n}, I = {num_nodes}")
+    j, r = dv.scaled_rows.shape[0], dv.tap_factor.shape[1]
     if mode == "auto":
-        mode = "quadrature" if (m * n <= 2 and gh_dims <= 2) else "mc"
+        mode = "quadrature" if j * r <= 2 else "mc"
     if mode == "quadrature":
-        if m * n > 2 or gh_dims > 2:
+        if j * r > 2:
             raise InvalidParameterError(
-                f"quadrature oracle needs M*N <= 2 and (I-1) rank(T) <= 2, "
-                f"got {m * n} and {gh_dims}")
-        order = 64 if gh_dims <= 1 else 32
-        return OracleEstimate(_oracle_quadrature(dv, dw, 2001, order), 0.0, "quadrature")
+                f"quadrature oracle needs (I-1) rank(T) <= 2, got {j * r}")
+        nodes, lw = _gh_rule(j * r, 64 if j * r <= 1 else 32)
+        zeta = nodes.reshape(len(nodes), j, r)
+        mu_v, mu_w = (_node_means(d.mean, d.scaled_rows, d.tap_factor, zeta) for d in (dv, dw))
+        pairs = log_white_overlap(mu_v[:, None], mu_w[None], dv.noise_var, dw.noise_var)
+        return OracleEstimate(float(logsumexp((lw[:, None] + lw[None] + pairs).ravel())),
+                              0.0, "quadrature")
     if mode != "mc":
         raise InvalidParameterError(f"mode must be auto, quadrature, or mc, got {mode!r}")
     if rng is None:
         rng = np.random.default_rng(0)
-    return OracleEstimate(*_oracle_mc(dv, dw, 4096, 256, rng), "mc")
+    zeta = rng.standard_normal((2, 2 ** 16, j, r))
+    acc = LogAccumulator.from_log_values(log_white_overlap(
+        _node_means(dv.mean, dv.scaled_rows, dv.tap_factor, zeta[0]),
+        _node_means(dw.mean, dw.scaled_rows, dw.tap_factor, zeta[1]),
+        dv.noise_var, dw.noise_var))
+    return OracleEstimate(acc.log_mean, acc.se_log_mean, "mc")
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,8 @@ def test_config_errors_name_the_offending_key(tmp_path):
         ({"noise_var_w": float("inf")}, "bad-value", "noise_var_w"),
         ({"interferer_distances_m": [float("inf")]}, "bad-value", "interferer_distances_m"),
         ({"sweep": {"d": [2, float("inf")]}}, "bad-value", "sweep.d"),
+        # 2 and 2.0 are one sweep point: two rows would share its key
+        ({"sweep": {"d": [2, 10, 2.0]}}, "bad-value", "sweep.d: values must not repeat"),
         ({"sweep": {"l": [float("nan")]}}, "bad-value", "sweep.l"),
         ({"h1_mode": 5}, "bad-type", "h1_mode"),
         # the channel: taps real, finite numbers, in fixed-draw mode only
@@ -328,6 +330,7 @@ def test_a_hand_built_spec_pins_its_base_channel(tmp_path, monkeypatch):
     ({"sweep": {"x": (1.0,)}}, "unknown-key", "unknown sweep variable 'x'"),
     ({"sweep": {"d": ()}}, "bad-type", "sweep.d must be a non-empty array"),
     ({"sweep": {"d": (-1.0,)}}, "bad-value", "sweep.d: "),
+    ({"sweep": {"d": (2, 2.0)}}, "bad-value", "sweep.d: values must not repeat"),
 ])
 def test_a_hand_built_spec_is_checked_like_a_loaded_one(tmp_path, extra, code, start):
     # SweepSpec owns the sweep and bounds rules: built in Python, it fails
