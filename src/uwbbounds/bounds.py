@@ -32,7 +32,7 @@ the sampling, set h1 first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,9 +47,9 @@ BLOCK = 512
 
 
 def _block_streams(seed: int, estimator: int, total: int):
-    """(generator, block size) for each block of `total` samples, in order."""
+    """(generator, sample slice) for each block of `total` samples, in order."""
     for b, start in enumerate(range(0, total, BLOCK)):
-        yield substream(seed, estimator, index=b), min(BLOCK, total - start)
+        yield substream(seed, estimator, index=b), slice(start, min(start + BLOCK, total))
 
 
 def log_distance_probs(N: int, eta1: float) -> np.ndarray:
@@ -90,7 +90,8 @@ class BoundEstimate:
     ci_halfwidth: float
     samples_used: int
     kind: str                   # "lower" or "upper"
-    profile: LowerBoundProfile | None = None
+    # arrays have no truth value: estimates compare and hash without it
+    profile: LowerBoundProfile | None = field(default=None, compare=False)
 
 
 def lower_bound(scenario: ScenarioConfig) -> BoundEstimate:
@@ -119,14 +120,13 @@ def lower_bound(scenario: ScenarioConfig) -> BoundEstimate:
 
     t_logs, d_logs = np.empty(total), np.empty(total)
     col_sum = col_sumsq = np.full(n_sym + 1, -np.inf)
-    for b, (rng, size) in enumerate(_block_streams(scenario.seed, PAIR_OVERLAP, total)):
-        rows = amplitudes[nodes, None] * sample_symbols(etas, n_sym, rng, size)
+    for rng, block in _block_streams(scenario.seed, PAIR_OVERLAP, total):
+        rows = amplitudes[nodes, None] * sample_symbols(etas, n_sym, rng, block.stop - block.start)
         if h1 is None:
             log_j = log_gauss_lowrank_marginal(amplitudes[0], noise_var, rows, tap_var)
         else:
             log_j = log_gauss_lowrank((amplitudes[0] * h1)[..., None], noise_var, rows,
                                       tap_var)
-        block = slice(b * BLOCK, b * BLOCK + size)
         d_logs[block] = log_j[:, 0]
         t_logs[block] = logsumexp(log_probs + log_j, axis=1)
         block_sum, block_sumsq = log_sums(log_j, axis=0)
@@ -166,7 +166,8 @@ def upper_bound(scenario: ScenarioConfig) -> BoundEstimate:
     tap_var = scenario.tap_covariance()
     n = scenario.samples_upper
     samples = np.empty(n)
-    for b, (rng, size) in enumerate(_block_streams(scenario.seed, UPPER_INFO, n)):
+    for rng, block in _block_streams(scenario.seed, UPPER_INFO, n):
+        size = block.stop - block.start
         h = sample_channel(tap_var, rng, size) if h1 is None else h1
         u = rng.random(size) < eta
         z = np.sqrt(s2) * rng.standard_normal((size, scenario.taps))
@@ -175,7 +176,7 @@ def upper_bound(scenario: ScenarioConfig) -> BoundEstimate:
                   - 0.5 * delta * delta * (h * h).sum(axis=-1)) / s2
         log_p_u = np.where(u, np.log(eta), np.log1p(-eta))
         log_p_flip = np.where(u, np.log1p(-eta), np.log(eta))
-        samples[b * BLOCK:b * BLOCK + size] = -np.logaddexp(log_p_u, log_p_flip + e_flip) / LN2
+        samples[block] = -np.logaddexp(log_p_u, log_p_flip + e_flip) / LN2
     halfwidth = Z95 * math.sqrt(float(samples.var(ddof=1)) / n)
     return BoundEstimate(rate=max(0.0, float(samples.mean())), ci_halfwidth=halfwidth,
                          samples_used=n, kind="upper")

@@ -69,19 +69,17 @@ def _point_seed(base_seed: int, kind: int, index: int) -> int:
 
 
 def row_plan(spec: SweepSpec) -> list[tuple[str, ScenarioConfig]]:
-    """(bound, scenario) of every row, in CSV order: a lower row per point,
-    then an upper row per distinct (l, eta1), the only swept inputs of the
-    upper bound. A row's scenario is its point with the row's derived seed."""
-    base_seed = spec.base.seed
+    """(bound, scenario) of every row, in CSV order: lower rows, then upper
+    rows, one per distinct CSV key (`_geometry`) of the sweep points, so one
+    per point and one per (l, eta1), the upper bound's only swept inputs. A
+    row's scenario is its point with the row's derived seed."""
     points = sweep_points(spec)
     plan = []
-    if spec.bounds in ("lower", "both"):
-        plan += [("lower", replace(p, seed=_point_seed(base_seed, 0, i)))
-                 for i, p in enumerate(points)]
-    if spec.bounds in ("upper", "both"):
-        groups = {(p.link_distance_m, p.duty_cycles[0]): p for p in points}
-        plan += [("upper", replace(p, seed=_point_seed(base_seed, 1, g)))
-                 for g, p in enumerate(groups.values())]
+    for kind, bound in enumerate(("lower", "upper")):
+        if spec.bounds in (bound, "both"):
+            keyed = {_geometry(bound, p): p for p in points}
+            plan += [(bound, replace(p, seed=_point_seed(spec.base.seed, kind, i)))
+                     for i, p in enumerate(keyed.values())]
     return plan
 
 

@@ -42,13 +42,11 @@ class InvalidTypeError(InvalidParameterError, TypeError):
     """A parameter has the wrong type: not an integer, a real number or a string."""
 
 
-def sample_channel(t: np.ndarray, rng: np.random.Generator,
-                   samples: int | None = None) -> np.ndarray:
-    """One tap vector h ~ N(0, diag(t)), or `samples` of them as rows."""
-    shape = t.shape if samples is None else (samples,) + t.shape
+def sample_channel(t: np.ndarray, rng: np.random.Generator, samples: int) -> np.ndarray:
+    """`samples` tap vectors h ~ N(0, diag(t)) as rows (samples, M)."""
     # last tap first: the eigen factor of diag(t) this replaced ran in ascending
     # variance, and the reversal keeps every seeded draw byte-identical to it
-    return np.sqrt(t) * rng.standard_normal(shape)[..., ::-1]
+    return np.sqrt(t) * rng.standard_normal((samples,) + t.shape)[..., ::-1]
 
 
 def sample_symbols(etas: np.ndarray, codeword_len: int, rng: np.random.Generator,
@@ -160,7 +158,10 @@ class ScenarioConfig:
             raise InvalidParameterError(
                 f"h1 must hold {self.taps} taps in h1_mode 'fixed-draw', got {len(self.h1)} "
                 f"in {self.h1_mode!r}")
-        h1 = self.channel()
+        h1 = None if self.h1 is None else np.array(self.h1)
+        if h1 is None and self.h1_mode == "fixed-draw":     # the one draw keyed by the seed
+            h1 = sample_channel(self.tap_covariance(), substream(self.seed, H1_DRAW), 1)[0]
+        object.__setattr__(self, "_channel", h1)    # not a field: channel() copies it
         with np.errstate(over="ignore", invalid="ignore"):     # inf or NaN: rejected below
             power = self.amplitudes() ** 2
             snr = power / self.noise_var_w
@@ -194,9 +195,6 @@ class ScenarioConfig:
     def channel(self) -> np.ndarray | None:
         """The intended channel h_1 (M,) both bounds condition on: h1 when set;
         in fixed-draw mode without h1, the draw keyed by seed alone; None in
-        averaged mode, where the bounds average over h_1."""
-        if self.h1 is not None:
-            return np.array(self.h1)
-        if self.h1_mode == "averaged":
-            return None
-        return sample_channel(self.tap_covariance(), substream(self.seed, H1_DRAW))
+        averaged mode, where the bounds average over h_1. A copy of what the
+        constructor checked, so a seeded channel is drawn once per instance."""
+        return None if self._channel is None else self._channel.copy()

@@ -223,6 +223,14 @@ def test_same_seed_reproduces_bits():
                              lower_bound(dataclasses.replace(drawn, seed=4)))
 
 
+def test_lower_estimates_compare_and_hash_by_value():
+    # the profile's arrays take no part in == or hash; same_estimate compares them
+    cfg = small_config()
+    first, again = lower_bound(cfg), lower_bound(cfg)
+    assert first == again and len({first, again}) == 1
+    assert lower_bound(dataclasses.replace(cfg, seed=4)) != first
+
+
 def test_default_h1_is_the_seeded_draw():
     cfg = small_config()
     drawn = dataclasses.replace(cfg, h1=tuple(cfg.channel()))

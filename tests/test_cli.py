@@ -323,6 +323,19 @@ def test_a_hand_built_spec_pins_its_base_channel(tmp_path, monkeypatch):
     assert (tmp_path / "b.csv").read_bytes() == out.read_bytes()
 
 
+def test_loading_a_fixed_draw_config_draws_its_channel_once(tmp_path, monkeypatch):
+    # the scenario keeps the draw its constructor checks, and the spec pins that one
+    draws = []
+    def counting(*args, real=uwbbounds.model.sample_channel):
+        draws.append(args)
+        return real(*args)
+    monkeypatch.setattr(uwbbounds.model, "sample_channel", counting)
+    spec = load_config(write_config(tmp_path, {**TINY, "sweep": {"d": [5.0, 30.0]}}))
+    assert len(draws) == 1
+    monkeypatch.undo()
+    assert spec.base.h1 == tuple(uwbbounds.ScenarioConfig(**TINY).channel())
+
+
 @pytest.mark.parametrize("extra, code, start", [
     ({"bounds": "lowr"}, "bad-value", "bounds must be one of"),
     ({"bounds": 5}, "bad-type", "bounds must be a string"),

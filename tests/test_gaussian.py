@@ -58,10 +58,6 @@ class TestOutputMoments:
                            np.eye(2), 1.0)
         np.testing.assert_allclose(d.mean, np.kron([1.0, 0.0, 1.0], 3.0 * h), rtol=1e-15)
 
-    def test_rejects_nonbinary(self):
-        with pytest.raises(InvalidParameterError):
-            output_moments(np.array([[0.5]]), np.array([1.0]), np.array([1.0]), T1, 1.0)
-
 
 def dense_law(noise_var, rows, g):
     """The kernel's Gaussian, mean 0, as an explicit-covariance distribution
