@@ -5,9 +5,8 @@
 
 The config file is the whole description of a run, its seed included; with
 no --config, `run` evaluates the defaults, as the config {} would. Results go
-to one CSV with columns l_m, d_m, eta1, eta2, bound, rate_bits_per_symbol,
-ci_halfwidth, samples, seed, wall_s; the fully materialized config is written
-next to it as <out>.config.json. Output bytes are a pure function of the
+to one CSV (ResultRow's fields, then wall_s), the fully materialized config
+to <out>.config.json next to it. Output bytes are a pure function of the
 config: the wall_s column is fixed at 0.0 and real timings go to stderr. A
 run evaluates one row plan (`row_plan`) of (bound, scenario) rows; each row's
 scenario is its sweep point with a derived seed, recorded in the row, and the
@@ -25,7 +24,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +33,6 @@ from .bounds import lower_bound, upper_bound
 from .config import (ConfigError, SweepSpec, effective_config, load_config,
                      spec_from_mapping, sweep_points)
 from .model import ScenarioConfig
-
-CSV_COLUMNS = ("l_m", "d_m", "eta1", "eta2", "bound", "rate_bits_per_symbol",
-               "ci_halfwidth", "samples", "seed", "wall_s")
 
 
 class EstimatorFailure(RuntimeError):
@@ -61,6 +57,9 @@ class ResultRow:
         return [blank(self.l_m), blank(self.d_m), blank(self.eta1), blank(self.eta2),
                 self.bound, blank(self.rate_bits_per_symbol), blank(self.ci_halfwidth),
                 str(self.samples), str(self.seed), "0.0"]
+
+
+CSV_COLUMNS = (*(f.name for f in fields(ResultRow)), "wall_s")
 
 
 def _point_seed(base_seed: int, kind: int, index: int) -> int:

@@ -2,16 +2,17 @@
 
 A config file is one JSON object and the whole description of a run. Its
 scenario keys are the ScenarioConfig field names, "seed" included; a "sweep"
-object maps swept variables (l, d, eta1, eta2) to value lists, and "bounds"
-selects which estimators run. The loader checks the top-level keys;
-ScenarioConfig checks every scenario value, and SweepSpec, loaded or built by
-hand, checks its sweep and bound selection, a sweep value by applying it to
-the base scenario (`_apply_point`); no value list repeats a value. Every
-loaded config materializes all defaults, so the effective config written
-next to a result file reloads to the identical sweep. In fixed-draw mode that includes the channel "h1": a
-SweepSpec whose base leaves it out pins the base's `channel()`, the draw
-keyed by the base seed, which ScenarioConfig has checked as it checks a
-given h1, and every sweep point inherits it, whatever seed its row runs with.
+object maps l, d, eta1 and eta2 to value lists for link_distance_m,
+interferer_distances_m[0] and duty_cycles[0] and [1] (SWEEP_VARS), and "bounds"
+selects the estimators. The loader checks the top-level keys; ScenarioConfig
+checks every scenario value, and SweepSpec, loaded or built by hand, checks its
+sweep and bound selection, a sweep value by applying it to the base scenario
+(`_apply_point`); no value list repeats a value. Every loaded config
+materializes all defaults, so the effective config written next to a result
+file reloads to the identical sweep. In fixed-draw mode that includes the
+channel "h1": a SweepSpec whose base leaves it out pins the base's `channel()`,
+the draw keyed by the base seed, which ScenarioConfig has checked as it checks
+a given h1, and every sweep point inherits it, whatever seed its row runs with.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .model import InvalidParameterError, InvalidTypeError, ScenarioConfig
 # the scenario keys: ScenarioConfig's field names, in field order
 _FIELDS = tuple(f.name for f in fields(ScenarioConfig))
 
-SWEEP_VARS = ("l", "d", "eta1", "eta2")
+SWEEP_VARS = {"l": ("link_distance_m", None), "d": ("interferer_distances_m", 0),
+              "eta1": ("duty_cycles", 0), "eta2": ("duty_cycles", 1)}
 BOUND_CHOICES = ("lower", "upper", "both")
 
 
@@ -103,24 +105,18 @@ def _scenario(build, prefix: str = "") -> ScenarioConfig:
 
 def _apply_point(base: ScenarioConfig, assignment: dict[str, float]) -> ScenarioConfig:
     changes = {}
-    if "l" in assignment:
-        changes["link_distance_m"] = assignment["l"]
-    if "d" in assignment:
-        rest = base.interferer_distances_m[1:]
-        changes["interferer_distances_m"] = (assignment["d"],) + rest
-    if "eta1" in assignment:
-        changes["duty_cycles"] = (assignment["eta1"],) + base.duty_cycles[1:]
-    if "eta2" in assignment:
-        duty = changes.get("duty_cycles", base.duty_cycles)
-        changes["duty_cycles"] = (duty[0], assignment["eta2"]) + duty[2:]
+    for var, value in assignment.items():
+        name, i = SWEEP_VARS[var]
+        # sliced, not indexed: a missing entry makes a tuple ScenarioConfig rejects
+        old = changes.get(name, getattr(base, name))
+        changes[name] = value if i is None else old[:i] + (value,) + old[i + 1:]
     return replace(base, **changes) if changes else base
 
 
 def sweep_points(spec: SweepSpec) -> list[ScenarioConfig]:
     """Cross product of the swept values, lexicographic in declaration order."""
-    variables = list(spec.sweep)
-    return [_apply_point(spec.base, dict(zip(variables, combo)))
-            for combo in itertools.product(*(spec.sweep[v] for v in variables))]
+    return [_apply_point(spec.base, dict(zip(spec.sweep, combo)))
+            for combo in itertools.product(*spec.sweep.values())]
 
 
 def spec_from_mapping(data: dict) -> SweepSpec:

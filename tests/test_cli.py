@@ -85,6 +85,9 @@ def test_config_errors_name_the_offending_key(tmp_path):
         ({"num_nodes": 1, "duty_cycles": [0.5], "interferer_distances_m": [],
           "sweep": {"d": [5.0]}}, "bad-value", "sweep.d"),
         ({"sweep": {"eta2": [1.0]}}, "bad-value", "sweep.eta2"),
+        # no second duty cycle to set: the swept tuple is one entry too long
+        ({"num_nodes": 1, "duty_cycles": [0.5], "interferer_distances_m": [],
+          "sweep": {"eta2": [0.3]}}, "bad-value", "sweep.eta2"),
         # a sweep value is type-checked as the scenario field it sets
         ({"sweep": {"d": ["far"]}}, "bad-type", "sweep.d: interferer_distances_m"),
         ({"sweep": {"l": [True]}}, "bad-type", "sweep.l: link_distance_m"),
@@ -185,7 +188,10 @@ def test_degenerate_sweep_writes_two_rows(tmp_path):
     rows = run_sweep(tiny_spec(), out)
     assert [r.bound for r in rows] == ["lower", "upper"]
     lines = out.read_text().splitlines()
-    assert lines[0] == ",".join(CSV_COLUMNS)
+    # a literal, not CSV_COLUMNS: the header is written from it, and renaming a
+    # ResultRow field would rename a column
+    assert lines[0] == ("l_m,d_m,eta1,eta2,bound,rate_bits_per_symbol,ci_halfwidth,"
+                        "samples,seed,wall_s")
     assert len(lines) == 3
     assert read_result_csv(out) == rows
 
