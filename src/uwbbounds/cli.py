@@ -30,8 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import lower_bound, upper_bound
-from .config import (ConfigError, SweepSpec, effective_config, load_config,
-                     spec_from_mapping, sweep_points)
+from .config import ConfigError, SweepSpec, effective_config, load_config, spec_from_mapping
 from .model import ScenarioConfig
 
 
@@ -72,11 +71,10 @@ def row_plan(spec: SweepSpec) -> list[tuple[str, ScenarioConfig]]:
     rows, one per distinct CSV key (`_geometry`) of the sweep points, so one
     per point and one per (l, eta1), the upper bound's only swept inputs. A
     row's scenario is its point with the row's derived seed."""
-    points = sweep_points(spec)
     plan = []
     for kind, bound in enumerate(("lower", "upper")):
         if spec.bounds in (bound, "both"):
-            keyed = {_geometry(bound, p): p for p in points}
+            keyed = {_geometry(bound, p): p for p in spec.points}
             plan += [(bound, replace(p, seed=_point_seed(spec.base.seed, kind, i)))
                      for i, p in enumerate(keyed.values())]
     return plan

@@ -6,13 +6,14 @@ object maps l, d, eta1 and eta2 to value lists for link_distance_m,
 interferer_distances_m[0] and duty_cycles[0] and [1] (SWEEP_VARS), and "bounds"
 selects the estimators. The loader checks the top-level keys; ScenarioConfig
 checks every scenario value, and SweepSpec, loaded or built by hand, checks its
-sweep and bound selection, a sweep value by applying it to the base scenario
-(`_apply_point`); no value list repeats a value. Every loaded config
-materializes all defaults, so the effective config written next to a result
-file reloads to the identical sweep. In fixed-draw mode that includes the
-channel "h1": a SweepSpec whose base leaves it out pins the base's `channel()`,
-the draw keyed by the base seed, which ScenarioConfig has checked as it checks
-a given h1, and every sweep point inherits it, whatever seed its row runs with.
+bound selection and its sweep: it builds the scenario of every sweep point
+(`_apply_point`), so the swept values are checked together, and no value list
+repeats a value. Every loaded config materializes all defaults, so the
+effective config written next to a result file reloads to the identical sweep.
+In fixed-draw mode that includes the channel "h1": a SweepSpec whose base
+leaves it out pins the base's `channel()`, the draw keyed by the base seed,
+which ScenarioConfig has checked as it checks a given h1, and every sweep point
+inherits it, whatever seed its row runs with.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class ConfigError(Exception):
     """Config rejection with a machine-readable code: missing-file,
     malformed-json, unknown-key, bad-type (an InvalidTypeError, or a "bounds"
     or "sweep" entry of the wrong shape), or bad-value (any other rejection;
-    a sweep value's message starts with "sweep.<var>: ")."""
+    a sweep point's message starts with its values, "sweep.l=2.0, sweep.d=0: ")."""
 
     def __init__(self, code: str, message: str):
         super().__init__(message)
@@ -50,11 +51,13 @@ class SweepSpec:
     """One experiment: a base scenario, swept variables in declaration order,
     and the bound selection, checked as a config's are. A fixed-draw base keeps
     its channel() as h1; the sweep is stored read-only, its value lists as
-    float tuples, so no value can change after the checks."""
+    float tuples, so no value can change after the checks. The derived `points`
+    are the sweep points' checked scenarios, lexicographic in declaration order."""
 
     base: ScenarioConfig
     sweep: Mapping[str, tuple] = field(default_factory=dict)
     bounds: str = "both"
+    points: tuple[ScenarioConfig, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = self.base.channel()
@@ -67,22 +70,26 @@ class SweepSpec:
                               f"bounds must be one of {BOUND_CHOICES}, got {self.bounds!r}")
         if not isinstance(self.sweep, Mapping):
             raise ConfigError("bad-type", "sweep must be an object")
-        sweep: dict[str, tuple] = {}
         for var, values in self.sweep.items():
             if var not in SWEEP_VARS:
                 raise ConfigError("unknown-key", f"unknown sweep variable {var!r}")
             if not isinstance(values, (list, tuple)) or not values:
                 raise ConfigError("bad-type", f"sweep.{var} must be a non-empty array")
-            # each value must give a valid scenario alone; the swept variables
-            # set separate entries, so every point of the sweep is then valid
-            for x in values:
-                _scenario(lambda: _apply_point(self.base, {var: x}), f"sweep.{var}: ")
-            sweep[var] = tuple(float(x) for x in values)
+        # built from the raw values, so ScenarioConfig checks each value's type and
+        # the values together: l and eta1 both set A_1, d and eta2 both set A_2
+        points = []
+        for combo in itertools.product(*self.sweep.values()):
+            point = dict(zip(self.sweep, combo))
+            prefix = ", ".join(f"sweep.{var}={x!r}" for var, x in point.items()) + ": "
+            points.append(_scenario(lambda: _apply_point(self.base, point), prefix))
+        sweep = {var: tuple(float(x) for x in values) for var, values in self.sweep.items()}
+        for var, values in sweep.items():
             # a repeated value would write two rows under one sweep-point key
-            if len(set(sweep[var])) < len(values):
+            if len(set(values)) < len(values):
                 raise ConfigError("bad-value", f"sweep.{var}: values must not repeat, "
-                                               f"got {list(values)!r}")
+                                               f"got {list(self.sweep[var])!r}")
         object.__setattr__(self, "sweep", MappingProxyType(sweep))
+        object.__setattr__(self, "points", tuple(points))
 
 
 def _reject_duplicates(pairs):
@@ -111,12 +118,6 @@ def _apply_point(base: ScenarioConfig, assignment: dict[str, float]) -> Scenario
         old = changes.get(name, getattr(base, name))
         changes[name] = value if i is None else old[:i] + (value,) + old[i + 1:]
     return replace(base, **changes) if changes else base
-
-
-def sweep_points(spec: SweepSpec) -> list[ScenarioConfig]:
-    """Cross product of the swept values, lexicographic in declaration order."""
-    return [_apply_point(spec.base, dict(zip(spec.sweep, combo)))
-            for combo in itertools.product(*spec.sweep.values())]
 
 
 def spec_from_mapping(data: dict) -> SweepSpec:

@@ -57,11 +57,8 @@ def mean_energy_h1(cfg):
 
 
 def random_overlap_instance(rng):
-    while True:
-        m = int(rng.integers(1, 5))
-        n = int(rng.integers(1, 5))
-        if m * n <= 4:
-            break
+    m = int(rng.integers(1, 5))
+    n = int(rng.integers(1, 5))
     i_nodes = int(rng.integers(1, 4))
     g = rng.standard_normal((m, m)) * 0.6
     tap = g @ g.T + 0.05 * np.eye(m)

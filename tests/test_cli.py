@@ -17,8 +17,7 @@ import uwbbounds
 import uwbbounds.cli as cli
 from uwbbounds.bounds import BoundEstimate, lower_bound, upper_bound
 from uwbbounds.cli import CSV_COLUMNS, EstimatorFailure, main, run_sweep
-from uwbbounds.config import (ConfigError, effective_config, load_config,
-                              spec_from_mapping, sweep_points)
+from uwbbounds.config import ConfigError, effective_config, load_config, spec_from_mapping
 
 from reference import read_result_csv
 
@@ -89,12 +88,17 @@ def test_config_errors_name_the_offending_key(tmp_path):
         ({"num_nodes": 1, "duty_cycles": [0.5], "interferer_distances_m": [],
           "sweep": {"eta2": [0.3]}}, "bad-value", "sweep.eta2"),
         # a sweep value is type-checked as the scenario field it sets
-        ({"sweep": {"d": ["far"]}}, "bad-type", "sweep.d: interferer_distances_m"),
-        ({"sweep": {"l": [True]}}, "bad-type", "sweep.l: link_distance_m"),
-        ({"sweep": {"eta1": [None]}}, "bad-type", "sweep.eta1: duty_cycles"),
+        ({"sweep": {"d": ["far"]}}, "bad-type", "sweep.d='far': interferer_distances_m"),
+        ({"sweep": {"l": [True]}}, "bad-type", "sweep.l=True: link_distance_m"),
+        ({"sweep": {"eta1": [None]}}, "bad-type", "sweep.eta1=None: duty_cycles"),
         # every node's A_i^2 / noise_var_w must be a finite float
         ({"link_distance_m": 1e-100}, "bad-value", "link_distance_m"),
-        ({"sweep": {"d": [2, 1e-100]}}, "bad-value", "sweep.d: "),
+        ({"sweep": {"d": [2, 1e-100]}}, "bad-value", "sweep.d=1e-100: the SNR"),
+        # values valid alone, not together: l and eta1 both set A_1, d and eta2 A_2
+        ({"sweep": {"l": [2e-92], "eta1": [0.01]}}, "bad-value",
+         "sweep.l=2e-92, sweep.eta1=0.01: h1 "),
+        ({"h1_mode": "averaged", "sweep": {"d": [2e-92], "eta2": [0.001]}}, "bad-value",
+         "sweep.d=2e-92, sweep.eta2=0.001: the SNR A_i^2 / noise_var_w of node 2"),
         ({"tx_power_w": 1e300, "pathloss_b": 1e10}, "bad-value", "tx_power_w"),
         ({"noise_var_w": 1e-320}, "bad-value", "noise_var_w"),
         # and so must the codeword's, N A_1^2 ||h1||^2 / noise_var_w, given or drawn
@@ -161,14 +165,13 @@ def test_config_file_errors(tmp_path):
 
 def test_sweep_points_follow_declaration_order():
     spec = tiny_spec(sweep={"d": [5.0, 2.0], "eta2": [0.3, 0.2]})
-    points = sweep_points(spec)
-    got = [(p.interferer_distances_m[0], p.duty_cycles[1]) for p in points]
+    got = [(p.interferer_distances_m[0], p.duty_cycles[1]) for p in spec.points]
     assert got == [(5.0, 0.3), (5.0, 0.2), (2.0, 0.3), (2.0, 0.2)]
 
 
 def test_sweep_points_cover_all_variables():
     spec = tiny_spec(sweep={"l": [4.0], "eta1": [0.4], "d": [7.0], "eta2": [0.2]})
-    (point,) = sweep_points(spec)
+    (point,) = spec.points
     assert point.link_distance_m == 4.0
     assert point.duty_cycles == (0.4, 0.2)
     assert point.interferer_distances_m == (7.0,)
@@ -176,8 +179,7 @@ def test_sweep_points_cover_all_variables():
 
 def test_degenerate_sweep_is_one_point():
     spec = tiny_spec()
-    points = sweep_points(spec)
-    assert points == [spec.base]
+    assert spec.points == (spec.base,)
 
 
 # ----------------------------------------------------------------- run_sweep
@@ -300,7 +302,7 @@ def test_sidecar_records_the_channel_and_reruns_to_the_same_bytes(tmp_path, h1_m
 def test_an_explicit_h1_is_the_channel_of_every_row(tmp_path):
     h1 = [0.3, -0.2]
     spec = tiny_spec(sweep={"d": [5.0, 30.0]}, h1=h1)
-    assert all(point.h1 == tuple(h1) for point in sweep_points(spec))
+    assert all(point.h1 == tuple(h1) for point in spec.points)
     rows = run_sweep(spec, tmp_path / "r.csv")
     drawn = run_sweep(tiny_spec(sweep={"d": [5.0, 30.0]}), tmp_path / "s.csv")
     assert [r.seed for r in rows] == [r.seed for r in drawn]
@@ -348,7 +350,7 @@ def test_loading_a_fixed_draw_config_draws_its_channel_once(tmp_path, monkeypatc
     ({"sweep": [("d", (2.0,))]}, "bad-type", "sweep must be an object"),
     ({"sweep": {"x": (1.0,)}}, "unknown-key", "unknown sweep variable 'x'"),
     ({"sweep": {"d": ()}}, "bad-type", "sweep.d must be a non-empty array"),
-    ({"sweep": {"d": (-1.0,)}}, "bad-value", "sweep.d: "),
+    ({"sweep": {"d": (-1.0,)}}, "bad-value", "sweep.d=-1.0: interferer_distances_m"),
     ({"sweep": {"d": (2, 2.0)}}, "bad-value", "sweep.d: values must not repeat"),
 ])
 def test_a_hand_built_spec_is_checked_like_a_loaded_one(tmp_path, extra, code, start):
@@ -596,11 +598,16 @@ assert status == 0 and not loaded, (status, loaded)
 
 @pytest.mark.parametrize("payload, start", [
     ({"codeword_len": 8, "taps": 2, "sweep": {"d": [0]}, "seed": 3},
-     "config error [bad-value]: sweep.d: "),
+     "config error [bad-value]: sweep.d=0: interferer_distances_m"),
     # the channel drawn from the seed overflows the 80-symbol codeword SNR
     ({"link_distance_m": 6e-93, "samples_theta": 50, "samples_pd": 50, "samples_upper": 500},
      "config error [bad-value]: h1 "),
-], ids=["sweep-d-0", "drawn-h1-snr"])
+    # each swept value passes alone; together l and eta1 overflow the codeword SNR, d and eta2 node 2's
+    ({"sweep": {"l": [2e-92], "eta1": [0.01]}},
+     "config error [bad-value]: sweep.l=2e-92, sweep.eta1=0.01: h1 "),
+    ({"h1_mode": "averaged", "sweep": {"d": [2e-92], "eta2": [0.001]}},
+     "config error [bad-value]: sweep.d=2e-92, sweep.eta2=0.001: the SNR "),
+], ids=["sweep-d-0", "drawn-h1-snr", "sweep-l-eta1-snr", "sweep-d-eta2-snr"])
 def test_run_on_a_rejected_config_writes_nothing(tmp_path, monkeypatch, capsys, payload, start):
     cfg = write_config(tmp_path, payload)
     for name in ("lower_bound", "upper_bound"):
