@@ -8,13 +8,13 @@ no --config, `run` evaluates the defaults, as the config {} would. Results go
 to one CSV (ResultRow's fields, then wall_s), the fully materialized config
 to <out>.config.json next to it. Output bytes are a pure function of the
 config: the wall_s column is fixed at 0.0 and real timings go to stderr. A
-run evaluates one row plan (`row_plan`) of (bound, scenario) rows; each row's
-scenario is its sweep point with a derived seed, recorded in the row, and the
-row is the estimator's result for that scenario alone. Every file a run
-writes has its path checked before any estimator runs, and so has the ratio
-table: --ratios-out needs lower rows with an interferer, which the spec
-alone decides. The finished lower rows are then divided by the row of their
-(l, eta1, eta2) group at the farthest d.
+run evaluates one row plan (`row_plan`) of (CSV key, scenario) rows; each
+row's scenario is its sweep point with a derived seed, recorded in the row,
+and the row is its key and the estimator's result for that scenario alone.
+Every file a run writes has its path checked before any estimator runs, and
+so has the ratio table: --ratios-out needs a planned key with a d, that is a
+lower row with an interferer. The finished lower rows are then divided by
+the row of their (l, eta1, eta2) group at the farthest d.
 """
 
 from __future__ import annotations
@@ -66,26 +66,23 @@ def _point_seed(base_seed: int, kind: int, index: int) -> int:
     return int(words[0])
 
 
-def row_plan(spec: SweepSpec) -> list[tuple[str, ScenarioConfig]]:
-    """(bound, scenario) of every row, in CSV order: lower rows, then upper
-    rows, one per distinct CSV key (`_geometry`) of the sweep points, so one
-    per point and one per (l, eta1), the upper bound's only swept inputs. A
-    row's scenario is its point with the row's derived seed."""
+def row_plan(spec: SweepSpec) -> list[tuple[tuple, ScenarioConfig]]:
+    """(CSV key, scenario) of every row, in CSV order: lower rows, then upper
+    rows, one per distinct key (l_m, d_m, eta1, eta2, bound) of the sweep
+    points, so one per point and one per (l, eta1), the upper bound's only
+    swept inputs: d and eta2 key only lower rows with an interferer. A row's
+    scenario is its point with the row's derived seed."""
     plan = []
     for kind, bound in enumerate(("lower", "upper")):
         if spec.bounds in (bound, "both"):
-            keyed = {_geometry(bound, p): p for p in spec.points}
-            plan += [(bound, replace(p, seed=_point_seed(spec.base.seed, kind, i)))
-                     for i, p in enumerate(keyed.values())]
+            keyed = {}
+            for p in spec.points:
+                lower = bound == "lower" and p.num_nodes >= 2
+                keyed[(p.link_distance_m, p.interferer_distances_m[0] if lower else None,
+                       p.duty_cycles[0], p.duty_cycles[1] if lower else None, bound)] = p
+            plan += [(key, replace(p, seed=_point_seed(spec.base.seed, kind, i)))
+                     for i, (key, p) in enumerate(keyed.items())]
     return plan
-
-
-def _geometry(bound: str, scenario: ScenarioConfig) -> tuple:
-    """(l_m, d_m, eta1, eta2, bound) of a row: d and eta2 only on lower rows
-    with an interferer."""
-    lower = bound == "lower" and scenario.num_nodes >= 2
-    return (scenario.link_distance_m, scenario.interferer_distances_m[0] if lower else None,
-            scenario.duty_cycles[0], scenario.duty_cycles[1] if lower else None, bound)
 
 
 def _write_csv(path, rows: list[ResultRow]) -> None:
@@ -106,13 +103,13 @@ def run_sweep(spec: SweepSpec, out_path) -> list[ResultRow]:
     plan = row_plan(spec)
     rows: list[ResultRow] = []
     try:
-        for n, (bound, scenario) in enumerate(plan, 1):
+        for n, (key, scenario) in enumerate(plan, 1):
             started = time.perf_counter()
             # looked up at call time: a wrapper installed on this module applies
-            estimator = lower_bound if bound == "lower" else upper_bound
+            estimator = lower_bound if key[-1] == "lower" else upper_bound
             est = estimator(scenario)
-            rows.append(ResultRow(*_geometry(bound, scenario), est.rate, est.ci_halfwidth,
-                                  est.samples_used, scenario.seed))
+            rows.append(ResultRow(*key, est.rate, est.ci_halfwidth, est.samples_used,
+                                  scenario.seed))
             print(f"[{n}/{len(plan)}] {','.join(rows[-1].csv_values()[:7])} "
                   f"({time.perf_counter() - started:.1f}s)", file=sys.stderr)
     except Exception as err:
@@ -193,11 +190,9 @@ def main(argv=None) -> int:
                 raise ValueError(f"{seen[resolved]} and {flag} name the same file: {value}")
             seen[resolved] = flag
         spec = spec_from_mapping({}) if args.config is None else load_config(args.config)
-        # every lower row has a d exactly when the scenario has an interferer
-        if args.ratios_out is not None and (spec.bounds == "upper" or spec.base.num_nodes < 2):
-            cause = ("bounds 'upper' writes no lower-bound row" if spec.bounds == "upper"
-                     else "the scenario has no interferer")
-            raise ValueError(f"the ratio table compares lower-bound rates, and {cause}")
+        if args.ratios_out is not None and all(key[1] is None for key, _ in row_plan(spec)):
+            raise ValueError("the ratio table compares lower-bound rows with an interferer, "
+                             "and this run writes none")
         rows = run_sweep(spec, args.out)
         print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
         if args.ratios_out is not None:

@@ -238,11 +238,13 @@ def oracle_J(V, W, h1, A, T, sigma_W2: float, *, mode: str = "auto",
 
 def overlap_log_samples(cfg, h1, diff, budget, rng):
     """ln J samples with the transmitter codewords differing on an arbitrary
-    symbol set; interferer rows drawn iid as in the stratum estimator."""
-    n_intf = cfg.num_nodes - 1
+    symbol set; interferer rows drawn iid as in the stratum estimator, two
+    per interferer, each with that node's amplitude and duty cycle."""
     amps = cfg.amplitudes()
-    eta2 = cfg.duty_cycles[1]
-    rows = amps[1] * (rng.random((budget, 2 * n_intf, cfg.codeword_len)) < eta2)
+    nodes = np.tile(np.arange(1, cfg.num_nodes), 2)
+    etas = np.array(cfg.duty_cycles)[nodes]
+    rows = amps[nodes, None] * (rng.random((budget, len(nodes), cfg.codeword_len))
+                                < etas[:, None])
     # the placed symbols move first, so the difference is a column prefix
     rows = rows[..., np.argsort(diff == 0.0, kind="stable")]
     x = amps[0] * np.asarray(h1)[:, None]
@@ -250,12 +252,12 @@ def overlap_log_samples(cfg, h1, diff, budget, rng):
                              cfg.tap_covariance()[None])[..., np.count_nonzero(diff)]
 
 
-def genie_information(eta: float, snr: float, order: int = 200) -> float:
+def genie_information(eta: float, snr: float) -> float:
     """I(u; u snr + n) in bits for u ~ Bernoulli(eta) and n ~ N(0, 1), by
-    Gauss-Hermite quadrature over n. With h_1 fixed and the interferer
-    symbols revealed, the white link projects onto h_1, so this is the exact
-    C_u at snr = A_1 |h_1| / sigma."""
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    Gauss-Hermite quadrature of order 200 over n. With h_1 fixed and the
+    interferer symbols revealed, the white link projects onto h_1, so this is
+    the exact C_u at snr = A_1 |h_1| / sigma."""
+    nodes, weights = np.polynomial.hermite.hermgauss(200)
     n = np.sqrt(2.0) * nodes
     log_eta, log_off = np.log(eta), np.log1p(-eta)
     # -log2 sum_v P(v) p(y|v) / p(y|u), for u = 1 and u = 0

@@ -173,10 +173,14 @@ def test_pd_at_most_theta():
         assert log_pd <= log_theta + 3.0 * np.hypot(se_pd, se_theta)
 
 
-def test_pd_depends_only_on_distance_not_placement():
+@pytest.mark.parametrize("interferers", [
+    dict(interferer_distances_m=(2.0,)),
+    # two unequal interferers: each row keeps its own node's amplitude and duty cycle
+    dict(num_nodes=3, duty_cycles=(0.5, 0.5, 0.1), interferer_distances_m=(2.0, 6.0)),
+], ids=["one-interferer", "two-unequal-interferers"])
+def test_pd_depends_only_on_distance_not_placement(interferers):
     # averaging over interferer codewords leaves only the Hamming distance
-    cfg = small_config(codeword_len=12, interferer_distances_m=(2.0,),
-                       samples_pd=1500)
+    cfg = small_config(codeword_len=12, samples_pd=1500, **interferers)
     h1 = cfg.channel()
     prof = lower_bound(dataclasses.replace(cfg, h1=tuple(h1))).profile
     rng = np.random.default_rng(77)

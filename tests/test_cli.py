@@ -267,9 +267,12 @@ def test_every_row_reproduces_from_its_scenario_and_seed(tmp_path, h1_mode):
     spec = tiny_spec(sweep={"l": [3.0, 4.0], "d": [2.0, 10.0]}, h1_mode=h1_mode)
     rows = run_sweep(spec, tmp_path / "r.csv")
     plan = cli.row_plan(spec)
-    assert len(rows) == len(plan) == 6
-    for row, (bound, scenario) in zip(rows, plan):
-        est = {"lower": lower_bound, "upper": upper_bound}[bound](scenario)
+    written = read_result_csv(tmp_path / "r.csv")
+    assert len(rows) == len(plan) == len(written) == 6
+    for row, csv_row, (key, scenario) in zip(rows, written, plan):
+        # the written row is its plan key, then its scenario's estimate
+        assert dataclasses.astuple(csv_row)[:5] == key
+        est = {"lower": lower_bound, "upper": upper_bound}[key[-1]](scenario)
         assert (row.rate_bits_per_symbol, row.ci_halfwidth, row.samples, row.seed) == \
             (est.rate, est.ci_halfwidth, est.samples_used, scenario.seed)
 
@@ -448,16 +451,13 @@ def test_ratios_reject_zero_reference_rate(tmp_path, monkeypatch, capsys):
     assert not ratios.exists()
 
 
-@pytest.mark.parametrize("extra, cause", [
-    ({"bounds": "upper"}, "bounds 'upper' writes no lower-bound row"),
-    ({"num_nodes": 1, "duty_cycles": [0.5], "interferer_distances_m": []},
-     "the scenario has no interferer"),
-    # no lower row and no interferer: the bound selection is named first
-    ({"bounds": "upper", "num_nodes": 1, "duty_cycles": [0.5], "interferer_distances_m": []},
-     "bounds 'upper' writes no lower-bound row"),
-])
+@pytest.mark.parametrize("extra", [
+    {"bounds": "upper"},
+    {"num_nodes": 1, "duty_cycles": [0.5], "interferer_distances_m": []},
+    {"bounds": "upper", "num_nodes": 1, "duty_cycles": [0.5], "interferer_distances_m": []},
+], ids=["upper", "no-interferer", "upper-no-interferer"])
 def test_ratios_without_lower_interferer_rows_fail_before_estimating(
-        tmp_path, monkeypatch, capsys, extra, cause):
+        tmp_path, monkeypatch, capsys, extra):
     # no row to take a ratio of: no header-only table and no estimator call
     cfg = write_config(tmp_path, {**TINY, **extra})
     for name in ("lower_bound", "upper_bound"):
@@ -465,7 +465,8 @@ def test_ratios_without_lower_interferer_rows_fail_before_estimating(
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "r.csv"),
                  "--ratios-out", str(tmp_path / "q.csv")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: the ratio table") and cause in err
+    assert err == ("error: the ratio table compares lower-bound rows with an interferer, "
+                   "and this run writes none\n")
     assert sorted(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
 
