@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaussian import log_gauss_lowrank, log_gauss_lowrank_marginal
-from .mc import (PAIR_OVERLAP, UPPER_INFO, Z95, LogAccumulator, log_sums, logsumexp,
-                 normal_qq_corr, substream)
+from .mc import (PAIR_OVERLAP, UPPER_INFO, Z95, LogAccumulator, log_sums, normal_qq_corr,
+                 substream)
 from .model import ScenarioConfig, sample_channel, sample_symbols
 
 LN2 = float(np.log(2.0))
@@ -89,7 +89,6 @@ class BoundEstimate:
     rate: float
     ci_halfwidth: float
     samples_used: int
-    kind: str                   # "lower" or "upper"
     # arrays have no truth value: estimates compare and hash without it
     profile: LowerBoundProfile | None = field(default=None, compare=False)
 
@@ -128,7 +127,7 @@ def lower_bound(scenario: ScenarioConfig) -> BoundEstimate:
             log_j = log_gauss_lowrank((amplitudes[0] * h1)[..., None], noise_var, rows,
                                       tap_var)
         d_logs[block] = log_j[:, 0]
-        t_logs[block] = logsumexp(log_probs + log_j, axis=1)
+        t_logs[block] = log_sums(log_probs + log_j, axis=1)[0]
         block_sum, block_sumsq = log_sums(log_j, axis=0)
         col_sum = np.logaddexp(col_sum, block_sum)
         col_sumsq = np.logaddexp(col_sumsq, block_sumsq)
@@ -146,7 +145,7 @@ def lower_bound(scenario: ScenarioConfig) -> BoundEstimate:
         log_sum=log_sum, se_log_sum=se_log_sum, terms=terms)
     return BoundEstimate(rate=max(0.0, -log_sum / (n_sym * LN2)),
                          ci_halfwidth=Z95 * se_log_sum / (n_sym * LN2),
-                         samples_used=total, kind="lower", profile=profile)
+                         samples_used=total, profile=profile)
 
 
 def upper_bound(scenario: ScenarioConfig) -> BoundEstimate:
@@ -179,5 +178,5 @@ def upper_bound(scenario: ScenarioConfig) -> BoundEstimate:
         samples[block] = -np.logaddexp(log_p_u, log_p_flip + e_flip) / LN2
     halfwidth = Z95 * math.sqrt(float(samples.var(ddof=1)) / n)
     return BoundEstimate(rate=max(0.0, float(samples.mean())), ci_halfwidth=halfwidth,
-                         samples_used=n, kind="upper")
+                         samples_used=n)
 

@@ -38,36 +38,21 @@ def substream(seed: int, estimator: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-def _shifted_exp(a, axis):
-    """exp(a - m) in one fresh buffer, and m squeezed along `axis`: m is the
+def log_sums(a, axis=None):
+    """(ln sum e^a, ln sum e^{2a}) along `axis` (all of `a` if None) from one
+    exp: exp(a - m) is summed, squared in place and summed again. m is the
     maximum of each slice, or 0 where that maximum is -inf, +inf or NaN (so an
-    all -inf slice sums to 0, and +inf or NaN carry through the sum)."""
+    all -inf slice sums to 0, and +inf or NaN carry through the sums)."""
     peak = np.max(a, axis=axis, keepdims=True)
     peak = np.where(np.isfinite(peak), peak, 0.0)
     buf = np.subtract(a, peak, out=np.empty(a.shape))
     with np.errstate(over="ignore"):    # only where the slice holds +inf or NaN
         np.exp(buf, out=buf)
-    return buf, np.squeeze(peak, axis=axis)
-
-
-def _log_sum(buf, shift, axis):
+    shift = np.squeeze(peak, axis=axis)
+    total = buf.sum(axis=axis)
+    total_sq = np.square(buf, out=buf).sum(axis=axis)
     with np.errstate(divide="ignore"):  # an all -inf slice: ln 0 = -inf
-        return np.log(buf.sum(axis=axis)) + shift
-
-
-def logsumexp(a, axis=None):
-    """ln sum exp(a) along `axis` (all of `a` if None), by a max shift."""
-    buf, shift = _shifted_exp(a, axis)
-    return _log_sum(buf, shift, axis)
-
-
-def log_sums(a, axis=None):
-    """(ln sum e^a, ln sum e^{2a}) along `axis` from one exp: the shifted
-    exponentials are summed, squared in place and summed again."""
-    buf, shift = _shifted_exp(a, axis)
-    log_sum = _log_sum(buf, shift, axis)
-    np.square(buf, out=buf)
-    return log_sum, _log_sum(buf, 2.0 * shift, axis)
+        return np.log(total) + shift, np.log(total_sq) + 2.0 * shift
 
 
 @dataclass(frozen=True)

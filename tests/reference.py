@@ -23,7 +23,7 @@ import numpy as np
 
 from uwbbounds.cli import ResultRow
 from uwbbounds.gaussian import LOG_2PI, log_gauss_lowrank
-from uwbbounds.mc import LogAccumulator, logsumexp
+from uwbbounds.mc import LogAccumulator
 from uwbbounds.model import InvalidParameterError
 
 
@@ -213,6 +213,8 @@ def oracle_J(V, W, h1, A, T, sigma_W2: float, *, mode: str = "auto",
     if mode == "auto":
         mode = "quadrature" if j * r <= 2 else "mc"
     if mode == "quadrature":
+        # scipy's reduction, not the package's: the oracle shares no code with what it checks
+        from scipy.special import logsumexp
         if j * r > 2:
             raise InvalidParameterError(
                 f"quadrature oracle needs (I-1) rank(T) <= 2, got {j * r}")

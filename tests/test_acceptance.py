@@ -33,7 +33,7 @@ from uwbbounds.bounds import log_distance_probs, lower_bound, upper_bound
 from uwbbounds.mc import Z95, LogAccumulator
 from uwbbounds.model import ScenarioConfig
 
-from reference import oracle_J, overlap_J, overlap_log_samples
+from reference import genie_information, oracle_J, overlap_J, overlap_log_samples
 
 DESK = dict(codeword_len=40, taps=3)
 
@@ -228,8 +228,12 @@ def test_criterion_6_gaussian_interference_coincidence():
         gap = abs(lo.rate - up.rate)
         tol = lo.ci_halfwidth + up.ci_halfwidth
         ok &= gap <= tol
+        # the exact C_u of this fixed channel: how far C_l sits from it, CI aside
+        exact = genie_information(
+            0.5, cfg.amplitudes()[0] * np.linalg.norm(cfg.h1) / np.sqrt(cfg.noise_var_w))
         details.append(f"l={link:g}: |C_l-C_u|={gap:.5f} <= {tol:.5f} "
-                       f"(C_l={lo.rate:.4f}, C_u={up.rate:.4f})")
+                       f"(C_l={lo.rate:.6f}, C_u={up.rate:.4f}, exact C_u={exact:.6f}, "
+                       f"C_l-exact={lo.rate - exact:+.2e})")
     criterion(6, "white-interference coincidence", ok, "; ".join(details))
 
 

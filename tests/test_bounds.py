@@ -123,7 +123,6 @@ def test_single_pulse_lower_bound_matches_closed_form():
     likelihood = p0 + (1.0 - p0) * np.exp(-gamma)
 
     est = lower_bound(dataclasses.replace(cfg, h1=tuple(h1)))
-    assert est.kind == "lower"
     assert est.rate == pytest.approx(-np.log2(likelihood), abs=1e-12)
     assert est.ci_halfwidth <= 1e-6
     assert est.profile is not None
@@ -455,7 +454,7 @@ def test_upper_bound_saturates_at_symbol_entropy():
         est = upper_bound(cfg)
         entropy = -(eta * np.log2(eta) + (1 - eta) * np.log2(1 - eta))
         assert abs(est.rate - entropy) <= 3.0 * est.ci_halfwidth / 1.96 + 1e-9
-        assert est.kind == "upper" and est.profile is None
+        assert est.profile is None
 
 
 def test_upper_bound_vanishes_without_signal():

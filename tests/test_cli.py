@@ -441,7 +441,7 @@ def test_ratios_out_groups_by_geometry(tmp_path):
 def test_ratios_reject_zero_reference_rate(tmp_path, monkeypatch, capsys):
     # lower rates clamp at 0, so a reference row can carry rate 0 exactly
     monkeypatch.setattr(cli, "lower_bound", lambda *a, **k: BoundEstimate(
-        rate=0.0, ci_halfwidth=0.0, samples_used=2, kind="lower"))
+        rate=0.0, ci_halfwidth=0.0, samples_used=2))
     cfg = write_config(tmp_path, {**TINY, "sweep": {"d": [5.0, 100.0]}, "bounds": "lower"})
     ratios = tmp_path / "ratios.csv"
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "z.csv"),
