@@ -13,19 +13,20 @@ product integral N(mu_V - mu_W; 0, Sigma_V + Sigma_W).
 
 Direct densities underflow, so all densities are evaluated in natural-log
 domain. At full scale the covariance is 400 x 400; it splits into M laws
-sigma_W^2 I + t_m C^T C, one per tap, whose capacitances sigma_W^2 I + t_m C C^T
-the eigenvectors U of C C^T all diagonalise, so one J x J eigendecomposition
-gives every determinant and inverse. For J = 2 rows, one interferer, the
-eigendecomposition of the 2 x 2 gram is the Jacobi closed form; for J >= 3
-it is LAPACK eigh. Every mean
-difference the bounds need is rank 1, a column x = A_1 h_1 times a symbol
-pattern, and symbol signs fold into the rows. So one factorization per
-instance gives the density at every column prefix x 1_d^T (the profile over
-Hamming strata that the lower bound needs) from one running sum over the
-symbols. When h_1 ~ N(0, T) is averaged over rather than fixed, the same
-factorization gives that profile's exact expectation over h_1: the quadratic
-form is a weighted sum of M independent chi-square terms, one per tap, whose
-Gaussian expectation is a product of (1 + q)^(-1/2) factors.
+sigma_W^2 I + t_a C^T C, one per tap, with J x J capacitances
+K_a = sigma_W^2 I + t_a C C^T. Every mean difference the bounds need is
+rank 1, a column x = A_1 h_1 times a symbol pattern, and symbol signs fold
+into the rows. So the density at every column prefix x 1_d^T (the profile
+over Hamming strata that the lower bound needs) needs only ln det K_a and
+c_d^T K_a^{-1} c_d for the prefix sums c_d = C 1_d. For J = 2 rows, one
+interferer, the 2 x 2 Jacobi closed form diagonalises the gram C C^T and
+every K_a with it. For J >= 3 a root-free Cholesky of every K_a gives
+ln det K_a and K_a^{-1} in closed form, and one batched matmul gives every
+prefix's form from the products of the prefix sums. When h_1 ~ N(0, T) is
+averaged over rather than fixed, the same factorization gives that
+profile's exact expectation over h_1: the quadratic form is a weighted sum
+of M independent chi-square terms, one per tap, whose Gaussian expectation
+is a product of (1 + q)^(-1/2) factors.
 """
 
 from __future__ import annotations
@@ -36,14 +37,11 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 def _gram_eigh(rows: np.ndarray):
-    """Eigenvalues mu (S, J), ascending, and eigenvectors U (S, J, J) of each
-    gram C C^T for C in rows (S, J, N). For J = 2, with the gram
-    [[a, b], [b, c]] from three row dot products, mu = m -+ hypot(h, b) for
-    m = (a + c) / 2, h = (a - c) / 2, and U rotates by phi = atan2(b, h) / 2:
-    (cos phi, sin phi) is the eigenvector of m + hypot(h, b). Other J go to
-    eigh."""
-    if rows.shape[1] != 2:
-        return np.linalg.eigh(rows @ rows.transpose(0, 2, 1))
+    """Eigenvalues mu (S, 2), ascending, and eigenvectors U (S, 2, 2) of each
+    gram C C^T for C in rows (S, 2, N), in the Jacobi closed form: with the
+    gram [[a, b], [b, c]] from three row dot products, mu = m -+ hypot(h, b)
+    for m = (a + c) / 2, h = (a - c) / 2, and U rotates by phi = atan2(b, h) / 2:
+    (cos phi, sin phi) is the eigenvector of m + hypot(h, b)."""
     first, second = rows[:, 0], rows[:, 1]
     a = np.einsum("sn,sn->s", first, first)
     b = np.einsum("sn,sn->s", first, second)
@@ -58,28 +56,78 @@ def _gram_eigh(rows: np.ndarray):
     return mu, u
 
 
-def _capacitance_prefix(noise_var: float, rows: np.ndarray, t: np.ndarray):
-    """The factorization every prefix density shares, one per row stack C in
-    rows (S, J, N), for tap variances t (1, M). With C C^T = U diag(mu) U^T,
-    U kron I diagonalises the capacitance noise_var I + (C C^T kron diag(t)).
-    Returns its eigenvalues eig = mu_k t_a + noise_var as (S, J, M), the
-    projected prefix sums P = U^T cumsum(C) as (S, J, N) and the constant
-    c (S, 1) with ln N(0; 0, Sigma) = -c / 2 for Sigma in (M N) dimensions."""
-    mu, u = _gram_eigh(rows)
-    eig = mu[:, :, None] * t + noise_var
-    prefix = u.transpose(0, 2, 1) @ np.cumsum(rows, axis=2)
+def _capacitance_cholesky(noise_var: float, rows: np.ndarray, t: np.ndarray):
+    """Pivots D (S, J, M) and inverse (J, J, M, S) of every capacitance
+    K_a = noise_var I + t_a C C^T, by the root-free Cholesky K = L D L^T on
+    (tap, instance) planes, one Python step per column: column k of the unit
+    lower L is K's below D_k over D_k, then the rank-1 Schur update. The
+    inverse X solves X L = L^{-T} D^{-1} from the last column: X_ik =
+    -sum_{j>k} X_ij L_jk for i > k, X_kk = 1 / D_k - sum_{j>k} L_jk X_jk."""
+    size = rows.shape[1]
+    gram = np.ascontiguousarray((rows @ rows.transpose(0, 2, 1)).transpose(1, 2, 0))
+    cap = t[0][:, None] * gram[:, :, None]
+    cap[range(size), range(size)] += noise_var
+    for k in range(size - 1):
+        col = cap[k + 1:, k] / cap[k, k]
+        cap[k + 1:, k + 1:] -= col[:, None] * cap[k, k + 1:]
+        cap[k + 1:, k] = col
+    pivots = cap[range(size), range(size)]
+    inv = np.empty_like(cap)
+    inv[range(size), range(size)] = 1.0 / pivots
+    for k in reversed(range(size - 1)):
+        col = cap[k + 1:, k]
+        below = np.negative(np.einsum("ijas,jas->ias", inv[k + 1:, k + 1:], col))
+        inv[k + 1:, k] = inv[k, k + 1:] = below
+        inv[k, k] -= np.einsum("ias,ias->as", col, below)
+    return pivots.transpose(2, 0, 1), inv
+
+
+def _capacitance_prefix(noise_var: float, rows: np.ndarray, t: np.ndarray,
+                        weight: np.ndarray):
+    """The factorization every prefix density shares, for row stacks C in
+    rows (S, J, N), tap variances t (1, M) and tap weights w (1, M): entries
+    (S, E, M) and products (S, E, N) with sum_e entries[:, e, a]
+    products[:, e, d - 1] = w_a c_d^T K_a^{-1} c_d for the prefix sums
+    c_d = C 1_d, and c (S, 1) with ln N(0; 0, Sigma) = -c / 2 in M N
+    dimensions. For J = 2, U from C C^T = U diag(mu) U^T diagonalises every
+    K_a, with eigenvalues eig_ka = mu_k t_a + noise_var: entries are
+    w_a / eig_ka and products (U^T c_d)_k^2, E = 2. Otherwise entries are
+    w_a [K_a^{-1}]_ij, twice over for i < j, and products c_di c_dj, for
+    the E = J (J + 1) / 2 pairs i <= j; each product is one contiguous
+    multiply of (S, N) planes, and the pivots give every ln det K_a."""
+    size = rows.shape[1]
+    if size == 2:
+        mu, u = _gram_eigh(rows)
+        pivots = mu[:, :, None] * t + noise_var
+        prefix = u.transpose(0, 2, 1) @ np.cumsum(rows, axis=2)
+        entries = weight / pivots
+        products = prefix * prefix
+    else:
+        pivots, inv = _capacitance_cholesky(noise_var, rows, t)
+        upper = np.triu_indices(size)
+        twice = np.where(upper[0] == upper[1], 1.0, 2.0)[:, None, None]
+        entries = np.empty((rows.shape[0], len(twice), t.shape[1]))
+        np.multiply(twice * weight[0][:, None], inv[upper], out=entries.transpose(1, 2, 0))
+        prefix = np.cumsum(rows.transpose(1, 0, 2), axis=2,
+                           out=np.empty((size,) + rows.shape[::2]))
+        products = np.empty((len(twice),) + prefix.shape[1:])
+        for entry, (i, j) in enumerate(zip(*upper)):
+            np.multiply(prefix[i], prefix[j], out=products[entry])
+        products = products.transpose(1, 0, 2)
     dim = t.shape[1] * rows.shape[2]
-    const = (dim * LOG_2PI + (dim - eig[0].size) * np.log(noise_var)
-             + np.log(eig).sum(axis=(1, 2))[:, None])
-    return eig, prefix, const
+    const = (dim * LOG_2PI + (dim - pivots[0].size) * np.log(noise_var)
+             + np.log(pivots).sum(axis=(1, 2))[:, None])
+    return entries, products, const
 
 
 def _prefix_profile(const: np.ndarray, quad: np.ndarray) -> np.ndarray:
     """-(c + quad_d) / 2 for d = 0..N, given quad_d for d = 1..N as (S, N);
     quad_0 = 0, so entry 0 is the density at zero."""
-    full = np.zeros((quad.shape[0], quad.shape[1] + 1))
-    full[:, 1:] = quad
-    return -0.5 * (const + full)
+    out = np.empty((quad.shape[0], quad.shape[1] + 1))
+    out[:, :1] = const
+    np.add(const, quad, out=out[:, 1:])
+    out *= -0.5
+    return out
 
 
 def log_gauss_lowrank(x, noise_var: float, rows, t) -> np.ndarray:
@@ -90,20 +138,21 @@ def log_gauss_lowrank(x, noise_var: float, rows, t) -> np.ndarray:
     the density at x 1^T. rows holds the c_j of each of S instances as
     (S, J, N) and t the tap variances as a (1, M) row; the result is
     (S, N + 1). One capacitance factorization serves every prefix: with
-    beta = x^T * sqrt(t), P = U^T cumsum(C) and weight_k = sum_a beta_a^2 / eig_ka,
+    beta = x^T * sqrt(t) and the prefix sums c_d = C 1_d,
 
         vec(X_d)^T Sigma^{-1} vec(X_d)
-            = (d ||x||^2 - sum_k P_{kd}^2 weight_k) / noise_var,
+            = (d ||x||^2 - sum_a beta_a^2 c_d^T K_a^{-1} c_d) / noise_var,
 
-    so cost is O(J^2 N + J M + J^3) per instance. Signs need no argument:
+    whose sum over taps is one (1, K) x (K, N) product per instance (see
+    _capacitance_prefix). Cost per instance is O(J^2 N + J^3 M) for J >= 3
+    and O(N + M) for J = 2. Signs need no argument:
     for s in {+-1}^N, C diag(s) has the gram of C, so the density of
     vec(x (s * 1_d)^T) under rows C is that of vec(X_d) under C diag(s).
     """
-    eig, prefix, const = _capacitance_prefix(noise_var, rows, t)
     beta = x.T * np.sqrt(t)                                     # (1, M)
-    weight = (beta * beta / eig).sum(axis=2)                    # (S, J)
-    fit = (weight[:, None, :] @ (prefix * prefix))[:, 0]        # (S, N)
-    quad = np.arange(1, prefix.shape[2] + 1) * (x * x).sum() - fit
+    entries, products, const = _capacitance_prefix(noise_var, rows, t, beta * beta)
+    fit = (entries.sum(axis=2)[:, None, :] @ products)[:, 0]    # (S, N)
+    quad = np.arange(1, products.shape[2] + 1) * (x * x).sum() - fit
     return _prefix_profile(const, np.maximum(quad, 0.0) / noise_var)
 
 
@@ -117,19 +166,21 @@ def log_gauss_lowrank_marginal(amplitude: float, noise_var: float, rows,
     A^2 sum_a t_a zeta_a^2 and beta_a = A t_a zeta_a, so the quadratic form
     of prefix d is sum_a q_da zeta_a^2 with
 
-        q_da = (A^2 t_a / noise_var) (d - t_a sum_k P_kd^2 / eig_ka) >= 0,
+        q_da = (A^2 t_a / noise_var) (d - t_a c_d^T K_a^{-1} c_d) >= 0,
 
     and E exp(-q zeta^2 / 2) = (1 + q)^(-1/2) gives
     ln J_0 - sum_a log1p(q_da) / 2. rows and t are as in log_gauss_lowrank;
     the result is (S, N + 1), with entry 0 the density at zero as there.
-    Cost is O(J^2 N + J M N + J^3) per instance.
+    The forms t_a c_d^T K_a^{-1} c_d come from one (M, K) x (K, N) product
+    per instance, so cost per instance is O(J^2 M N + J^3 M) for J >= 3 and
+    O(J M N) for J = 2.
     """
-    eig, prefix, const = _capacitance_prefix(noise_var, rows, t)
+    entries, products, const = _capacitance_prefix(noise_var, rows, t, t)
     gain = (amplitude * amplitude / noise_var) * t[0]                  # (M,)
-    # the dimensionless residual d - fit first: gain * t / eig overflows near
-    # the SNR limit, where eig is close to noise_var
-    fit = (t / eig).transpose(0, 2, 1) @ (prefix * prefix)             # (S, M, N)
-    q = np.subtract(np.arange(1, prefix.shape[2] + 1), fit, out=fit)
+    # the dimensionless residual d - fit first: gain * t K^{-1} overflows near
+    # the SNR limit, where K_a is close to noise_var I
+    fit = entries.transpose(0, 2, 1) @ products                       # (S, M, N)
+    q = np.subtract(np.arange(1, products.shape[2] + 1), fit, out=fit)
     np.maximum(q, 0.0, out=q)
     q *= gain[:, None]
     return _prefix_profile(const, np.log1p(q, out=q).sum(axis=1))

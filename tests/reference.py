@@ -9,7 +9,9 @@ estimators never call them, and the dense densities need scipy, which the
 package does not depend on. They take the tap covariance T
 as a plain (M, M) symmetric PSD matrix, so every check also runs against a
 T that is not diagonal, although the package only builds T = diag(t).
-`overlap_log_samples` draws ln J at any placement of the codeword
+`exact_prefix_quad` is the kernel's quadratic form in exact rational
+arithmetic, for capacitances too ill-conditioned for the dense densities'
+float64. `overlap_log_samples` draws ln J at any placement of the codeword
 difference, `genie_information` is the exact genie bound of one fixed
 channel, and `read_result_csv` parses the CSV that `uwbbounds run` writes.
 """
@@ -17,6 +19,7 @@ channel, and `read_result_csv` parses the CSV that `uwbbounds run` writes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +56,33 @@ def log_gauss_general(x, noise_var: float, rows, T) -> np.ndarray:
     in T's eigenbasis."""
     t, v = tap_eigenbasis(T)
     return log_gauss_lowrank(v.T @ np.asarray(x, dtype=float), noise_var, rows, t)
+
+
+def exact_prefix_quad(rows, t, noise_var: float, h, d: int) -> float:
+    """vec(X)^T Sigma^{-1} vec(X) for X = h 1_d^T under the kernel's law with
+    rows C (J, N) and tap variances t (M,), in exact rational arithmetic:
+    every float input is a dyadic fraction. Per tap, Woodbury gives
+    1_d^T (s I + t_a C^T C)^{-1} 1_d = (d - p^T (s / t_a I + C C^T)^{-1} p) / s
+    for s = noise_var and p = C 1_d, and Gaussian elimination over fractions
+    solves the J x J system, so no rounding depends on its condition number."""
+    c = [[Fraction(v) for v in row] for row in np.asarray(rows, dtype=float)]
+    size, floor = len(c), Fraction(noise_var)
+    p = [sum(row[:d], Fraction(0)) for row in c]
+    gram = [[sum(a * b for a, b in zip(ci, cj)) for cj in c] for ci in c]
+    total = Fraction(0)
+    for t_a, h_a in zip(np.asarray(t, dtype=float), np.asarray(h, dtype=float)):
+        shift = floor / Fraction(t_a)
+        aug = [[gram[i][j] + (shift if i == j else 0) for j in range(size)] + [p[i]]
+               for i in range(size)]
+        for k in range(size):
+            for i in range(k + 1, size):
+                ratio = aug[i][k] / aug[k][k]
+                aug[i] = [a - ratio * b for a, b in zip(aug[i], aug[k])]
+        y = [Fraction(0)] * size
+        for i in reversed(range(size)):
+            y[i] = (aug[i][size] - sum(aug[i][j] * y[j] for j in range(i + 1, size))) / aug[i][i]
+        total += Fraction(h_a) ** 2 * (d - sum(a * b for a, b in zip(p, y))) / floor
+    return float(total)
 
 
 @dataclass(frozen=True)

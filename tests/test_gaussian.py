@@ -12,13 +12,33 @@ from uwbbounds import gaussian
 from uwbbounds.gaussian import log_gauss_lowrank, log_gauss_lowrank_marginal
 from uwbbounds.model import InvalidParameterError, ScenarioConfig
 
-from reference import (OutputDistribution, log_density_dense, log_gauss_general,
-                       log_white_overlap, oracle_J, output_moments, overlap_J,
+from reference import (OutputDistribution, exact_prefix_quad, log_density_dense,
+                       log_gauss_general, log_white_overlap, oracle_J, output_moments, overlap_J,
                        overlap_J_dense, tap_eigenbasis)
 
 T1 = np.array([[1.0]])
 # the package's tap covariance at 5 taps (0.14 of a 68-path profile), as a matrix
 T_PAPER = np.diag(ScenarioConfig().tap_covariance())
+
+
+def near_interferer_rows(samples, seed):
+    """The desk preset's I = 3 rows (S, 4, 40) with its first interferer at
+    0.05 m, with the tap variances (M,), the kernel's noise variance and A_1.
+    Its capacitances reach a condition number near 1e8."""
+    cfg = ScenarioConfig(num_nodes=3, codeword_len=40, taps=3,
+                         duty_cycles=(0.5, 0.35, 0.2), interferer_distances_m=(0.05, 10.0),
+                         h1_mode="averaged")
+    nodes = np.tile(np.arange(1, 3), 2)
+    amps, etas = cfg.amplitudes(), np.array(cfg.duty_cycles)[nodes, None]
+    on = np.random.default_rng(seed).random((samples, 4, 40)) < etas
+    return amps[nodes, None] * on, cfg.tap_covariance(), 2.0 * cfg.noise_var_w, amps[0]
+
+
+def capacitance_condition(rows, t, noise_var):
+    """Largest condition number of noise_var I + t_a C C^T over instances and taps."""
+    gram = rows @ rows.transpose(0, 2, 1)
+    cap = noise_var * np.eye(rows.shape[1]) + t[:, None, None] * gram[:, None]
+    return np.linalg.cond(cap).max()
 
 
 def random_instance(rng, num_nodes, taps, codeword_len, rank=None):
@@ -79,7 +99,8 @@ class TestLogDensity:
                                 np.ones(2), T1, 1.0)
         assert log_density_dense(d_intf, [[2.0]]) == pytest.approx(want, abs=1e-12)
 
-    @pytest.mark.parametrize("num_nodes,taps,codeword_len", [(1, 2, 3), (2, 3, 4), (3, 5, 7)])
+    @pytest.mark.parametrize("num_nodes,taps,codeword_len",
+                             [(1, 2, 3), (2, 3, 4), (3, 5, 7), (4, 3, 6)])
     def test_matches_dense(self, num_nodes, taps, codeword_len):
         # the kernel at Y = mean + x 1^T, x a random column
         rng = np.random.default_rng(10 * num_nodes + taps)
@@ -124,7 +145,7 @@ class TestPrefixQuad:
     """Every column prefix from one capacitance factorization against one
     dense density per prefix."""
 
-    @pytest.mark.parametrize("num_nodes", [1, 2, 3])
+    @pytest.mark.parametrize("num_nodes", [1, 2, 3, 4])
     @pytest.mark.parametrize("per_sample_h", [False, True])
     def test_matches_log_density_per_stratum(self, num_nodes, per_sample_h):
         rng = np.random.default_rng(10 * num_nodes + per_sample_h)
@@ -170,6 +191,20 @@ class TestPrefixQuad:
             for d in (0, 1, 17, 80):
                 x = np.outer(h[s], np.arange(codeword_len) < d)
                 want = -2.0 * (law.logpdf(x.T.ravel()) - at_zero)
+                assert -2.0 * (prof[s, d] - prof[s, 0]) == pytest.approx(want, rel=1e-10)
+
+    def test_matches_exact_near_interferer(self):
+        # an interferer at 0.05 m: capacitance condition number near 1e8, where
+        # the dense densities' own float64 error reaches 3e-10 of the quadratic
+        # form, so the exact rational form is the reference
+        rows, t, noise_var, amplitude = near_interferer_rows(2, 43)
+        assert capacitance_condition(rows, t, noise_var) > 3e7
+        h = amplitude * np.random.default_rng(44).standard_normal((2, 3)) * np.sqrt(t)
+        prof = np.concatenate([log_gauss_lowrank(h[s, :, None], noise_var, rows[s:s + 1],
+                                                 t[None]) for s in range(2)])
+        for s in range(2):
+            for d in (1, 17, 40):
+                want = exact_prefix_quad(rows[s], t, noise_var, h[s], d)
                 assert -2.0 * (prof[s, d] - prof[s, 0]) == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("kind", ["signed", "difference"])
@@ -257,7 +292,7 @@ class TestChannelMarginal:
     """The prefix profile with x = A h integrated over h ~ N(0, T) against the
     dense law N(0; 0, Sigma + A^2 (1_d 1_d^T kron T)) of every prefix."""
 
-    @pytest.mark.parametrize("num_nodes", [1, 2, 3])
+    @pytest.mark.parametrize("num_nodes", [1, 2, 3, 4])
     def test_matches_dense_law(self, num_nodes):
         from scipy import stats
         rng = np.random.default_rng(40 + num_nodes)
@@ -278,23 +313,44 @@ class TestChannelMarginal:
                 want = stats.multivariate_normal(np.zeros(len(law)), law).logpdf(0.0)
                 assert prof[s, d] == pytest.approx(want, rel=1e-10)
 
+    @staticmethod
+    def check_physical_scale(amplitude, noise_var, rows, t, strata):
+        """The kernel at rows (S, J, N) and tap variances t (M,) against the
+        dense law of each prefix d in strata."""
+        from scipy import stats
+        prof = log_gauss_lowrank_marginal(amplitude, noise_var, rows, t[None])
+        for s in range(rows.shape[0]):
+            cov = dense_law(noise_var, rows[s], np.diag(np.sqrt(t))).dense_covariance()
+            for d in strata:
+                prefix = np.arange(rows.shape[2]) < d
+                law = cov + amplitude ** 2 * np.kron(np.outer(prefix, prefix), np.diag(t))
+                want = stats.multivariate_normal(np.zeros(len(law)), law).logpdf(0.0)
+                assert prof[s, d] == pytest.approx(want, rel=1e-10)
+
     def test_matches_dense_law_physical_scale(self):
         # desk-like scale: noise 2e-13, amplitudes near 1e-6, a singular
         # row gram (an all-zero row and two equal rows), N = 40
-        from scipy import stats
         rng = np.random.default_rng(29)
         t = ScenarioConfig(taps=3).tap_covariance()
-        noise_var, codeword_len = 2e-13, 40
         amps = np.array([[0.0], [1.1e-6], [1.1e-6], [7e-7]])
-        rows = amps * (rng.random((1, 4, codeword_len)) < 0.5)
+        rows = amps * (rng.random((1, 4, 40)) < 0.5)
         rows[:, 2] = rows[:, 1]
-        prof = log_gauss_lowrank_marginal(2.9e-6, noise_var, rows, t[None])
-        cov = dense_law(noise_var, rows[0], np.diag(np.sqrt(t))).dense_covariance()
-        for d in (0, 1, 17, codeword_len):
-            prefix = np.arange(codeword_len) < d
-            law = cov + 2.9e-6 ** 2 * np.kron(np.outer(prefix, prefix), np.diag(t))
-            want = stats.multivariate_normal(np.zeros(len(law)), law).logpdf(0.0)
-            assert prof[0, d] == pytest.approx(want, rel=1e-10)
+        self.check_physical_scale(2.9e-6, 2e-13, rows, t, (0, 1, 17, 40))
+
+    def test_matches_dense_law_paper_scale_singular_gram(self):
+        # the fixed-draw singular-gram case's instances: the paper preset's
+        # five taps, N = 80, an all-zero row and two equal rows
+        rng = np.random.default_rng(19)
+        amps = np.array([[0.0], [1.1e-6], [1.1e-6], [7e-7]])
+        rows = amps * (rng.random((2, 4, 80)) < 0.5)
+        rows[:, 2] = rows[:, 1]
+        self.check_physical_scale(2.9e-6, 2e-13, rows, np.diag(T_PAPER), (0, 1, 17, 80))
+
+    def test_matches_dense_law_near_interferer(self):
+        # an interferer at 0.05 m: capacitance condition number near 1e8
+        rows, t, noise_var, amplitude = near_interferer_rows(3, 47)
+        assert capacitance_condition(rows, t, noise_var) > 3e7
+        self.check_physical_scale(amplitude, noise_var, rows, t, (0, 1, 17, 40))
 
     def test_density_at_zero_is_the_kernels(self):
         # d = 0 has no channel term, so theta's samples do not move
