@@ -152,8 +152,10 @@ def log_gauss_lowrank(x, noise_var: float, rows, t) -> np.ndarray:
     beta = x.T * np.sqrt(t)                                     # (1, M)
     entries, products, const = _capacitance_prefix(noise_var, rows, t, beta * beta)
     fit = (entries.sum(axis=2)[:, None, :] @ products)[:, 0]    # (S, N)
-    quad = np.arange(1, products.shape[2] + 1) * (x * x).sum() - fit
-    return _prefix_profile(const, np.maximum(quad, 0.0) / noise_var)
+    quad = np.subtract(np.arange(1, products.shape[2] + 1) * (x * x).sum(), fit, out=fit)
+    np.maximum(quad, 0.0, out=quad)
+    quad /= noise_var
+    return _prefix_profile(const, quad)
 
 
 def log_gauss_lowrank_marginal(amplitude: float, noise_var: float, rows,

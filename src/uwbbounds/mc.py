@@ -33,9 +33,21 @@ def substream(seed: int, estimator: int, index: int = 0) -> np.random.Generator:
     block index in its second word, leaving 2^64 draws of headroom per block
     before any two streams could touch.
     """
-    key = np.array([seed, estimator], dtype=np.uint64)
-    counter = np.array([0, index, 0, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, estimator], dtype=np.uint64)))
+    restart(rng, seed, estimator, index)
+    return rng
+
+
+def restart(rng: np.random.Generator, seed: int, estimator: int, index: int) -> None:
+    """Put `rng`, a substream of (seed, estimator), in the exact state that
+    substream(seed, estimator, index) starts in, whatever it has drawn: the
+    block counter, an empty 4-word buffer and no stored 32-bit half. It costs
+    a state write, where a new substream costs a SeedSequence of OS entropy
+    that the key then discards."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, index, 0, 0), "key": (seed, estimator)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def log_sums(a, axis=None):

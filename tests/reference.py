@@ -13,7 +13,8 @@ T that is not diagonal, although the package only builds T = diag(t).
 arithmetic, for capacitances too ill-conditioned for the dense densities'
 float64. `overlap_log_samples` draws ln J at any placement of the codeword
 difference, `genie_information` is the exact genie bound of one fixed
-channel, and `read_result_csv` parses the CSV that `uwbbounds run` writes.
+channel, `genie_upper_direct` is the genie estimator written plainly, and
+`read_result_csv` parses the CSV that `uwbbounds run` writes.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ from pathlib import Path
 
 import numpy as np
 
+from uwbbounds.bounds import BLOCK, LN2, BoundEstimate
 from uwbbounds.cli import ResultRow
 from uwbbounds.gaussian import LOG_2PI, log_gauss_lowrank
-from uwbbounds.mc import LogAccumulator
-from uwbbounds.model import InvalidParameterError
+from uwbbounds.mc import UPPER_INFO, Z95, LogAccumulator, substream
+from uwbbounds.model import InvalidParameterError, sample_channel
 
 
 def _vec(matrix: np.ndarray) -> np.ndarray:
@@ -297,6 +299,36 @@ def genie_information(eta: float, snr: float) -> float:
     off = -np.logaddexp(log_off, log_eta + snr * n - 0.5 * snr * snr)
     mean = weights @ (eta * on + (1.0 - eta) * off) / np.sqrt(np.pi)
     return float(mean / np.log(2.0))
+
+
+def genie_upper_direct(scenario) -> BoundEstimate:
+    """upper_bound's Monte Carlo estimate written plainly: a new substream
+    per block, the tap sums as (z * h).sum(axis=1) and every per-row
+    constant recomputed in each block. For taps < 8 the package must match
+    it bit for bit, above that within the rounding of numpy's pairwise sum."""
+    h1 = scenario.channel()
+    eta = scenario.duty_cycles[0]
+    s2 = scenario.noise_var_w
+    a1 = scenario.amplitudes()[0]
+    tap_var = scenario.tap_covariance()
+    n = scenario.samples_upper
+    samples = np.empty(n)
+    for b, start in enumerate(range(0, n, BLOCK)):
+        rng = substream(scenario.seed, UPPER_INFO, index=b)
+        block = slice(start, min(start + BLOCK, n))
+        size = block.stop - block.start
+        h = sample_channel(tap_var, rng, size) if h1 is None else h1
+        u = rng.random(size) < eta
+        z = np.sqrt(s2) * rng.standard_normal((size, scenario.taps))
+        delta = np.where(u, -a1, a1)
+        e_flip = (delta * (z * h).sum(axis=1)
+                  - 0.5 * delta * delta * (h * h).sum(axis=-1)) / s2
+        log_p_u = np.where(u, np.log(eta), np.log1p(-eta))
+        log_p_flip = np.where(u, np.log1p(-eta), np.log(eta))
+        samples[block] = -np.logaddexp(log_p_u, log_p_flip + e_flip) / LN2
+    halfwidth = Z95 * np.sqrt(float(samples.var(ddof=1)) / n)
+    return BoundEstimate(rate=max(0.0, float(samples.mean())), ci_halfwidth=float(halfwidth),
+                         samples_used=n)
 
 
 # ---------------------------------------------------------------------------

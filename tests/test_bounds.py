@@ -14,7 +14,7 @@ from uwbbounds.gaussian import log_gauss_lowrank
 from uwbbounds.mc import Z95, LogAccumulator, normal_qq_corr, substream
 from uwbbounds.model import InvalidParameterError, InvalidTypeError, ScenarioConfig, sample_channel
 
-from reference import genie_information, overlap_log_samples
+from reference import genie_information, genie_upper_direct, overlap_log_samples
 
 
 def small_config(**overrides):
@@ -420,6 +420,29 @@ def test_upper_bound_reads_no_interferer_parameter():
     ]
     results = {upper_bound(v) for v in variants}
     assert len(results) == 1
+
+
+@pytest.mark.parametrize("h1_mode", ["fixed-draw", "averaged"])
+@pytest.mark.parametrize("taps", range(1, 8))
+def test_upper_bound_matches_direct_loop_exactly(h1_mode, taps):
+    # below 8 taps the column-order tap sums are numpy's own reduction order,
+    # and one restarted generator draws what a new substream per block draws;
+    # 1300 samples end in a partial block
+    cfg = small_config(taps=taps, h1_mode=h1_mode, samples_upper=1300, seed=taps)
+    for eta in (0.5, 0.2):
+        scenario = dataclasses.replace(cfg, duty_cycles=(eta, 0.5))
+        got, want = upper_bound(scenario), genie_upper_direct(scenario)
+        assert (got.rate, got.ci_halfwidth) == (want.rate, want.ci_halfwidth)
+
+
+@pytest.mark.parametrize("h1_mode", ["fixed-draw", "averaged"])
+@pytest.mark.parametrize("taps", [8, 12])
+def test_upper_bound_matches_direct_loop_at_pairwise_sums(h1_mode, taps):
+    # from 8 terms numpy sums pairwise in 8 lanes, so the last bits may differ
+    cfg = small_config(taps=taps, h1_mode=h1_mode, samples_upper=1300, seed=taps)
+    got, want = upper_bound(cfg), genie_upper_direct(cfg)
+    assert got.rate == pytest.approx(want.rate, rel=1e-14, abs=0.0)
+    assert got.ci_halfwidth == pytest.approx(want.ci_halfwidth, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("samples_upper", [400, 4000])

@@ -55,6 +55,33 @@ class TestSubstream:
             counter=np.array([0, 7, 0, 0], dtype=np.uint64)))
         np.testing.assert_array_equal(substream(123, 2, index=7).random(8), ref.random(8))
 
+    @pytest.mark.parametrize("seed", [0, 9, 2**64 - 1])
+    @pytest.mark.parametrize("estimator", [uwbbounds.mc.PAIR_OVERLAP, uwbbounds.mc.UPPER_INFO])
+    @pytest.mark.parametrize("total", [1, 512, 1300])
+    def test_block_streams_restart_each_block(self, seed, estimator, total):
+        # each block draws what a new substream for it draws, even after the
+        # last block left a part-used 4-word buffer and a stored 32-bit half
+        blocks = list(range(0, total, uwbbounds.bounds.BLOCK))
+        for b, (rng, block) in enumerate(
+                uwbbounds.bounds._block_streams(seed, estimator, total)):
+            fresh = substream(seed, estimator, index=b)
+            assert block == slice(blocks[b], min(blocks[b] + uwbbounds.bounds.BLOCK, total))
+            # the whole start state: counter, key, buffer and stored half
+            assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
+            size = block.stop - block.start
+            for draw in (lambda g: g.random(dtype=np.float32),
+                         lambda g: g.bit_generator.random_raw(3),
+                         lambda g: g.standard_normal(size), lambda g: g.random(size)):
+                np.testing.assert_array_equal(draw(rng), draw(fresh))
+            # leave state behind for the next block: a stored 32-bit half, and
+            # an odd number of raw words that leaves the 4-word buffer part-used
+            while rng.bit_generator.state["has_uint32"] == 0:
+                rng.random(dtype=np.float32)
+            rng.bit_generator.random_raw(3 if rng.bit_generator.state["buffer_pos"] == 3 else 1)
+            left = rng.bit_generator.state
+            assert left["buffer_pos"] < 4 and left["has_uint32"] == 1
+        assert b == len(blocks) - 1
+
     def test_streams_uncorrelated(self):
         # adjacent indices should look independent
         n = 4000
