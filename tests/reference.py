@@ -9,12 +9,13 @@ estimators never call them, and the dense densities need scipy, which the
 package does not depend on. They take the tap covariance T
 as a plain (M, M) symmetric PSD matrix, so every check also runs against a
 T that is not diagonal, although the package only builds T = diag(t).
-`exact_prefix_quad` is the kernel's quadratic form in exact rational
-arithmetic, for capacitances too ill-conditioned for the dense densities'
-float64. `overlap_log_samples` draws ln J at any placement of the codeword
-difference, `genie_information` is the exact genie bound of one fixed
-channel, `genie_upper_direct` is the genie estimator written plainly, and
-`read_result_csv` parses the CSV that `uwbbounds run` writes.
+`exact_residuals` holds the kernels' per-tap residuals, and
+`exact_prefix_quad` the fixed-draw quadratic form built from them, in exact
+rational arithmetic, for capacitances too ill-conditioned for the dense
+densities' float64. `overlap_log_samples` draws ln J at any placement of
+the codeword difference, `genie_information` is the exact genie bound of
+one fixed channel, `genie_upper_direct` is the genie estimator written
+plainly, and `read_result_csv` parses the CSV that `uwbbounds run` writes.
 """
 
 from __future__ import annotations
@@ -60,19 +61,20 @@ def log_gauss_general(x, noise_var: float, rows, T) -> np.ndarray:
     return log_gauss_lowrank(v.T @ np.asarray(x, dtype=float), noise_var, rows, t)
 
 
-def exact_prefix_quad(rows, t, noise_var: float, h, d: int) -> float:
-    """vec(X)^T Sigma^{-1} vec(X) for X = h 1_d^T under the kernel's law with
-    rows C (J, N) and tap variances t (M,), in exact rational arithmetic:
-    every float input is a dyadic fraction. Per tap, Woodbury gives
-    1_d^T (s I + t_a C^T C)^{-1} 1_d = (d - p^T (s / t_a I + C C^T)^{-1} p) / s
-    for s = noise_var and p = C 1_d, and Gaussian elimination over fractions
-    solves the J x J system, so no rounding depends on its condition number."""
+def exact_residuals(rows, t, noise_var: float, d: int) -> list[Fraction]:
+    """The kernel's per-tap residuals d - t_a c_d^T K_a^{-1} c_d for rows C
+    (J, N), tap variances t (M,) and the prefix sum c_d = C 1_d, in exact
+    rational arithmetic: every float input is a dyadic fraction. With
+    K_a = s I + t_a C C^T and s = noise_var,
+    t_a K_a^{-1} = (s / t_a I + C C^T)^{-1}, and Gaussian elimination over
+    fractions solves that J x J system, so no rounding depends on its
+    condition number."""
     c = [[Fraction(v) for v in row] for row in np.asarray(rows, dtype=float)]
     size, floor = len(c), Fraction(noise_var)
     p = [sum(row[:d], Fraction(0)) for row in c]
     gram = [[sum(a * b for a, b in zip(ci, cj)) for cj in c] for ci in c]
-    total = Fraction(0)
-    for t_a, h_a in zip(np.asarray(t, dtype=float), np.asarray(h, dtype=float)):
+    residuals = []
+    for t_a in np.asarray(t, dtype=float):
         shift = floor / Fraction(t_a)
         aug = [[gram[i][j] + (shift if i == j else 0) for j in range(size)] + [p[i]]
                for i in range(size)]
@@ -83,8 +85,18 @@ def exact_prefix_quad(rows, t, noise_var: float, h, d: int) -> float:
         y = [Fraction(0)] * size
         for i in reversed(range(size)):
             y[i] = (aug[i][size] - sum(aug[i][j] * y[j] for j in range(i + 1, size))) / aug[i][i]
-        total += Fraction(h_a) ** 2 * (d - sum(a * b for a, b in zip(p, y))) / floor
-    return float(total)
+        residuals.append(d - sum(a * b for a, b in zip(p, y)))
+    return residuals
+
+
+def exact_prefix_quad(rows, t, noise_var: float, h, d: int) -> float:
+    """vec(X)^T Sigma^{-1} vec(X) for X = h 1_d^T under the kernel's law with
+    rows C (J, N) and tap variances t (M,), in exact rational arithmetic. Per
+    tap, Woodbury gives 1_d^T (s I + t_a C^T C)^{-1} 1_d = r_a / s for
+    s = noise_var and the residual r_a of exact_residuals."""
+    residuals = exact_residuals(rows, t, noise_var, d)
+    total = sum(Fraction(h_a) ** 2 * r for h_a, r in zip(np.asarray(h, dtype=float), residuals))
+    return float(total / Fraction(noise_var))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ closed-form marginalization and product integral are right. The references
 (dense densities, the overlap J and its oracle) live in tests/reference.py.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,9 @@ from uwbbounds import gaussian
 from uwbbounds.gaussian import log_gauss_lowrank, log_gauss_lowrank_marginal
 from uwbbounds.model import InvalidParameterError, ScenarioConfig
 
-from reference import (OutputDistribution, exact_prefix_quad, log_density_dense,
-                       log_gauss_general, log_white_overlap, oracle_J, output_moments, overlap_J,
-                       overlap_J_dense, tap_eigenbasis)
+from reference import (OutputDistribution, exact_prefix_quad, exact_residuals,
+                       log_density_dense, log_gauss_general, log_white_overlap, oracle_J,
+                       output_moments, overlap_J, overlap_J_dense, tap_eigenbasis)
 
 T1 = np.array([[1.0]])
 # the package's tap covariance at 5 taps (0.14 of a 68-path profile), as a matrix
@@ -32,6 +34,23 @@ def near_interferer_rows(samples, seed):
     amps, etas = cfg.amplitudes(), np.array(cfg.duty_cycles)[nodes, None]
     on = np.random.default_rng(seed).random((samples, 4, 40)) < etas
     return amps[nodes, None] * on, cfg.tap_covariance(), 2.0 * cfg.noise_var_w, amps[0]
+
+
+def near_equal_rows(seed):
+    """The desk preset's I = 2 rows (4, 2, 40) with its interferer at 0.05 m,
+    with the tap variances (M,), the kernel's noise variance and A_1. In
+    instance s the second row is the first with s symbols flipped, so
+    instance 0's rows are equal and its capacitances reach a condition
+    number near 1e8."""
+    cfg = ScenarioConfig(codeword_len=40, taps=3, interferer_distances_m=(0.05,),
+                         h1_mode="averaged")
+    rng = np.random.default_rng(seed)
+    on = np.tile(rng.random(40) < 0.5, (4, 2, 1))
+    for s in range(4):
+        flip = rng.choice(40, size=s, replace=False)
+        on[s, 1, flip] = ~on[s, 1, flip]
+    amps = cfg.amplitudes()
+    return amps[1] * on, cfg.tap_covariance(), 2.0 * cfg.noise_var_w, amps[0]
 
 
 def capacitance_condition(rows, t, noise_var):
@@ -196,16 +215,19 @@ class TestPrefixQuad:
     def test_matches_exact_near_interferer(self):
         # an interferer at 0.05 m: capacitance condition number near 1e8, where
         # the dense densities' own float64 error reaches 3e-10 of the quadratic
-        # form, so the exact rational form is the reference
-        rows, t, noise_var, amplitude = near_interferer_rows(2, 43)
-        assert capacitance_condition(rows, t, noise_var) > 3e7
-        h = amplitude * np.random.default_rng(44).standard_normal((2, 3)) * np.sqrt(t)
-        prof = np.concatenate([log_gauss_lowrank(h[s, :, None], noise_var, rows[s:s + 1],
-                                                 t[None]) for s in range(2)])
-        for s in range(2):
-            for d in (1, 17, 40):
-                want = exact_prefix_quad(rows[s], t, noise_var, h[s], d)
-                assert -2.0 * (prof[s, d] - prof[s, 0]) == pytest.approx(want, rel=1e-10)
+        # form, so the exact rational form is the reference. The I = 2 rows
+        # guard the J = 2 closed form: the J >= 3 Cholesky of the same equal
+        # rows is about 1e-8 off
+        for rows, t, noise_var, amplitude in (near_interferer_rows(2, 43), near_equal_rows(3)):
+            assert capacitance_condition(rows, t, noise_var) > 3e7
+            samples = len(rows)
+            h = amplitude * np.random.default_rng(44).standard_normal((samples, 3)) * np.sqrt(t)
+            prof = np.concatenate([log_gauss_lowrank(h[s, :, None], noise_var, rows[s:s + 1],
+                                                     t[None]) for s in range(samples)])
+            for s in range(samples):
+                for d in (1, 17, 40):
+                    want = exact_prefix_quad(rows[s], t, noise_var, h[s], d)
+                    assert -2.0 * (prof[s, d] - prof[s, 0]) == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("kind", ["signed", "difference"])
     def test_per_instance_x_matches_dense(self, kind):
@@ -351,6 +373,20 @@ class TestChannelMarginal:
         rows, t, noise_var, amplitude = near_interferer_rows(3, 47)
         assert capacitance_condition(rows, t, noise_var) > 3e7
         self.check_physical_scale(amplitude, noise_var, rows, t, (0, 1, 17, 40))
+
+    def test_matches_exact_near_interferer(self):
+        # the strata part prof[:, d] - prof[:, 0] = -sum_a log1p(q_da) / 2 with
+        # q_da in exact fractions; the constant dominates the whole profile, so
+        # the dense check's rel 1e-10 bounds this part only to about 1e-8
+        rows, t, noise_var, amplitude = near_interferer_rows(3, 47)
+        assert capacitance_condition(rows, t, noise_var) > 3e7
+        prof = log_gauss_lowrank_marginal(amplitude, noise_var, rows, t[None])
+        gain = [Fraction(amplitude) ** 2 * Fraction(t_a) / Fraction(noise_var) for t_a in t]
+        for s in range(3):
+            for d in (1, 17, 40):
+                q = [float(g * r) for g, r in zip(gain, exact_residuals(rows[s], t, noise_var, d))]
+                want = -0.5 * np.log1p(q).sum()
+                assert prof[s, d] - prof[s, 0] == pytest.approx(want, rel=1e-12)
 
     def test_density_at_zero_is_the_kernels(self):
         # d = 0 has no channel term, so theta's samples do not move
