@@ -15,17 +15,20 @@ rational arithmetic, for capacitances too ill-conditioned for the dense
 densities' float64. `overlap_log_samples` draws ln J at any placement of
 the codeword difference, `genie_information` is the exact genie bound of
 one fixed channel, `genie_upper_direct` is the genie estimator written
-plainly, and `read_result_csv` parses the CSV that `uwbbounds run` writes.
+plainly, `read_result_csv` parses the CSV that `uwbbounds run` writes, and
+`child_env` is the environment a child interpreter imports the package in.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
+import uwbbounds
 from uwbbounds.bounds import BLOCK, LN2, BoundEstimate
 from uwbbounds.cli import ResultRow
 from uwbbounds.gaussian import LOG_2PI, log_gauss_lowrank
@@ -360,3 +363,16 @@ def read_result_csv(path) -> list[ResultRow]:
             ci_halfwidth=float(parts[6]), samples=int(parts[7]),
             seed=int(parts[8])))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# child interpreters
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """os.environ plus extra, with the directory this process imports
+    uwbbounds from first on PYTHONPATH, so a child interpreter runs the same
+    package source."""
+    src = str(Path(uwbbounds.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, **extra, "PYTHONPATH": path}

@@ -22,7 +22,6 @@ CIs of far-interferer points resolve.
 
 import dataclasses
 import json
-import os
 import subprocess
 import sys
 import time
@@ -33,7 +32,7 @@ from uwbbounds.bounds import log_distance_probs, lower_bound, upper_bound
 from uwbbounds.mc import Z95, LogAccumulator
 from uwbbounds.model import ScenarioConfig
 
-from reference import genie_information, oracle_J, overlap_J, overlap_log_samples
+from reference import child_env, genie_information, oracle_J, overlap_J, overlap_log_samples
 
 DESK = dict(codeword_len=40, taps=3)
 
@@ -327,17 +326,13 @@ def test_criterion_9_determinism_across_workers(tmp_path):
     cfg_path.write_text(json.dumps(config))
     outputs = []
     start = time.time()
-    src_dir = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     for threads in ("1", "2"):
         out = tmp_path / f"r{threads}.csv"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       [src_dir, env_path] if (env_path := os.environ.get("PYTHONPATH"))
-                       else [src_dir]))
         proc = subprocess.run(
             [sys.executable, "-m", "uwbbounds.cli", "run", "--config",
              str(cfg_path), "--out", str(out)],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True,
+            env=child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads))
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())
     identical = outputs[0] == outputs[1]

@@ -19,7 +19,7 @@ from uwbbounds.bounds import BoundEstimate, lower_bound, upper_bound
 from uwbbounds.cli import CSV_COLUMNS, EstimatorFailure, main, run_sweep
 from uwbbounds.config import ConfigError, effective_config, load_config, spec_from_mapping
 
-from reference import read_result_csv
+from reference import child_env, read_result_csv
 
 TINY = {"codeword_len": 8, "taps": 2, "samples_theta": 80, "samples_pd": 80,
         "samples_upper": 400, "seed": 11}
@@ -522,13 +522,11 @@ def test_module_entry_point_runs_without_warnings(tmp_path):
     # that the module is already in sys.modules before it runs
     cfg = write_config(tmp_path, {**TINY, "sweep": {"d": [2.0, 10.0]}})
     out, ratios = tmp_path / "r.csv", tmp_path / "ratios.csv"
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     for args in (["validate", "--config", cfg],
                  ["run", "--config", cfg, "--out", str(out), "--ratios-out", str(ratios)]):
         proc = subprocess.run(
             [sys.executable, "-W", "error::RuntimeWarning", "-m", "uwbbounds.cli", *args],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
     near, far, _ = rows = read_result_csv(out)
     assert [row.bound for row in rows] == ["lower", "lower", "upper"]
@@ -552,11 +550,8 @@ def test_all_is_the_documented_api():
 def test_readme_library_block_runs(tmp_path):
     # a fresh interpreter runs the README's python block as written
     block = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", block],
-                          cwd=tmp_path, capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          cwd=tmp_path, capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
 
 
@@ -566,12 +561,10 @@ def test_benchmark_trace_child_runs_and_writes_the_same_csv(tmp_path, h1_mode):
     # renamed under it stops the benchmark with a KeyError or AttributeError
     cfg = write_config(tmp_path, {**TINY, "sweep": {"d": [2, 10]}, "h1_mode": h1_mode})
     child = Path(cli.__file__).resolve().parents[2] / "perfbench" / "child.py"
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     traced, plain = tmp_path / "traced.csv", tmp_path / "plain.csv"
     proc = subprocess.run([sys.executable, str(child), "trace", cfg, str(traced),
                            str(tmp_path / "report.json")],
-                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert main(["run", "--config", cfg, "--out", str(plain)]) == 0
     assert traced.read_bytes() == plain.read_bytes()
@@ -583,10 +576,8 @@ def test_run_loads_no_scipy(tmp_path):
     # up front rather than in the first row
     cfg = write_config(tmp_path, {**TINY, "sweep": {"d": [5.0]}, "bounds": "both"})
     out = tmp_path / "r.csv"
-    src = str(Path(cli.__file__).resolve().parent.parent)
     code = f"""
 import sys
-sys.path.insert(0, {src!r})
 import uwbbounds
 assert "numpy.random" in sys.modules, "numpy.random is left to the first row"
 from uwbbounds.cli import main
@@ -594,7 +585,8 @@ status = main(["run", "--config", {cfg!r}, "--out", {str(out)!r}])
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert status == 0 and not loaded, (status, loaded)
 """
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert [row.bound for row in read_result_csv(out)] == ["lower", "upper"]
 
